@@ -11,9 +11,11 @@
 // internal/benchfmt). Every operation in the baseline is checked: the
 // command prints a per-op table and exits non-zero if any op's ns/op
 // grew by more than the threshold (default +25%), disappeared from
-// the current run, has a corrupt (non-positive) baseline entry, or
-// ran at a different pinned pool width than the baseline (parallel
-// numbers are only comparable at equal widths).
+// the current run, has a corrupt (non-positive) baseline entry, ran at
+// a different pinned pool width than the baseline (parallel numbers
+// are only comparable at equal widths), or was pinned — in either
+// file — to a pool wider than that run's GOMAXPROCS (such a number
+// measures the scheduler, not the operator: re-record it).
 // -allocs-gate additionally fails any op whose allocs/op grew by more
 // than the given fraction (0.25 = +25%), or that allocates at all when
 // its baseline was allocation-free — the gate that keeps the arena and
@@ -101,6 +103,10 @@ func report(w io.Writer, base, cur *benchfmt.File, threshold, allocsGate float64
 			failed = true
 			fmt.Fprintf(w, "  FAIL %-24s pool width changed (baseline w%d, current w%d): incomparable runs\n",
 				d.Name, d.BaseWidth, d.CurWidth)
+		case d.Oversubscribed:
+			failed = true
+			fmt.Fprintf(w, "  FAIL %-24s pool width w%d exceeds GOMAXPROCS (baseline %d, current %d): refusing to compare\n",
+				d.Name, d.BaseWidth, base.GOMAXPROCS, cur.GOMAXPROCS)
 		case d.Regressed:
 			failed = true
 			fmt.Fprintf(w, "  FAIL %-24s %12.0f ns/op -> %12.0f ns/op (%+.1f%%)\n",

@@ -200,3 +200,18 @@ func TestStaleAllowlistWarned(t *testing.T) {
 		t.Fatalf("nothing was dropped but a summary printed:\n%s", out)
 	}
 }
+
+// TestOversubscribedBaselineFails: an op the baseline recorded at a
+// pool width above its own GOMAXPROCS fails the gate with a message
+// saying why, however the current run measured it.
+func TestOversubscribedBaselineFails(t *testing.T) {
+	base := &benchfmt.File{GOMAXPROCS: 1, Results: []benchfmt.Result{{Name: "Select1M/w4", NsPerOp: 20_000_000, Width: 4}}}
+	cur := &benchfmt.File{GOMAXPROCS: 4, Results: []benchfmt.Result{{Name: "Select1M/w4", NsPerOp: 5_000_000, Width: 4}}}
+	var b strings.Builder
+	if !report(&b, base, cur, 0.25, -1, nil) {
+		t.Fatalf("oversubscribed baseline op passed the gate:\n%s", b.String())
+	}
+	if !strings.Contains(b.String(), "FAIL Select1M/w4") || !strings.Contains(b.String(), "exceeds GOMAXPROCS") {
+		t.Fatalf("refusal not explained:\n%s", b.String())
+	}
+}

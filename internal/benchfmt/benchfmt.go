@@ -57,8 +57,20 @@ func (f *File) Find(name string) (Result, bool) {
 	return Result{}, false
 }
 
-// Write marshals the file as indented JSON at path.
+// Oversubscribed reports whether the result was pinned to a pool wider
+// than the GOMAXPROCS of the run that produced it: more workers than
+// processors measures the scheduler, not the operator, so such a
+// number is neither recorded nor compared.
+func (f *File) Oversubscribed(r Result) bool { return r.Width > f.GOMAXPROCS }
+
+// Write marshals the file as indented JSON at path. It refuses a file
+// holding an oversubscribed result.
 func Write(path string, f *File) error {
+	for _, r := range f.Results {
+		if f.Oversubscribed(r) {
+			return fmt.Errorf("benchfmt: refusing to record %s: pool width %d > GOMAXPROCS %d", r.Name, r.Width, f.GOMAXPROCS)
+		}
+	}
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
@@ -105,6 +117,10 @@ type Delta struct {
 	// BaseWidth and CurWidth are the pinned pool widths (0 = unpinned).
 	BaseWidth int
 	CurWidth  int
+	// Oversubscribed is true when either run pinned the op to a pool
+	// wider than that run's GOMAXPROCS: the number does not measure the
+	// operator at that width, so the op fails instead of being compared.
+	Oversubscribed bool
 	// BaseAllocs and CurAllocs are allocs/op in the two runs, and
 	// AllocRatio is CurAllocs/BaseAllocs (0 when the baseline recorded
 	// no allocations — a zero-alloc op cannot anchor a ratio, so growth
@@ -125,7 +141,8 @@ type Delta struct {
 // disappears from the current run, has a non-positive baseline
 // ns/op (a corrupt entry that cannot anchor a ratio), or was pinned to
 // a different kernel pool width than the baseline (the two numbers
-// measure incomparable configurations). Operations only present in
+// measure incomparable configurations), or to a width above either
+// run's GOMAXPROCS (File.Oversubscribed). Operations only present in
 // the current run are ignored — new benchmarks don't need a baseline
 // to land.
 func Compare(baseline, current *File, threshold float64) []Delta {
@@ -143,6 +160,12 @@ func Compare(baseline, current *File, threshold float64) []Delta {
 		d.CurWidth = cur.Width
 		if base.Width != cur.Width {
 			d.WidthChanged = true
+			d.Regressed = true
+			deltas = append(deltas, d)
+			continue
+		}
+		if baseline.Oversubscribed(base) || current.Oversubscribed(cur) {
+			d.Oversubscribed = true
 			d.Regressed = true
 			deltas = append(deltas, d)
 			continue

@@ -3,6 +3,7 @@ package benchfmt
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -87,13 +88,13 @@ func TestCompare(t *testing.T) {
 }
 
 func TestCompareWidthChange(t *testing.T) {
-	base := &File{Results: []Result{
+	base := &File{GOMAXPROCS: 8, Results: []Result{
 		{Name: "ParallelSelect1M", NsPerOp: 1000, Width: 4},
 		{Name: "Select1M/w8", NsPerOp: 800, Width: 8},
 	}}
 	// Faster, but measured at a different pool width: the ratio would
 	// compare incomparable runs, so the gate must fail the op.
-	cur := &File{Results: []Result{
+	cur := &File{GOMAXPROCS: 8, Results: []Result{
 		{Name: "ParallelSelect1M", NsPerOp: 600, Width: 8},
 		{Name: "Select1M/w8", NsPerOp: 810, Width: 8},
 	}}
@@ -111,7 +112,7 @@ func TestCompareWidthChange(t *testing.T) {
 
 func TestResultWidthRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	f := &File{Results: []Result{{Name: "Select1M/w4", NsPerOp: 1, Width: 4}}}
+	f := &File{GOMAXPROCS: 4, Results: []Result{{Name: "Select1M/w4", NsPerOp: 1, Width: 4}}}
 	if err := Write(path, f); err != nil {
 		t.Fatal(err)
 	}
@@ -121,5 +122,26 @@ func TestResultWidthRoundTrip(t *testing.T) {
 	}
 	if r, ok := got.Find("Select1M/w4"); !ok || r.Width != 4 {
 		t.Fatalf("width lost in round trip: %+v", got.Results)
+	}
+}
+
+// TestOversubscribedWidthRefused: a result pinned to more pool workers
+// than the run had processors is neither written nor compared — the
+// flat w1/w4/w8 sweeps of a GOMAXPROCS=1 recording measured nothing
+// about parallelism and anchored the gate for five PRs.
+func TestOversubscribedWidthRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	f := &File{GOMAXPROCS: 2, Results: []Result{{Name: "Select1M/w2", NsPerOp: 1, Width: 2}, {Name: "Select1M/w4", NsPerOp: 1, Width: 4}}}
+	if err := Write(path, f); err == nil || !strings.Contains(err.Error(), "Select1M/w4") {
+		t.Fatalf("Write accepted a width-4 result from a GOMAXPROCS=2 run: %v", err)
+	}
+	base := &File{GOMAXPROCS: 1, Results: []Result{{Name: "Select1M/w1", NsPerOp: 100, Width: 1}, {Name: "Select1M/w4", NsPerOp: 100, Width: 4}}}
+	cur := &File{GOMAXPROCS: 4, Results: []Result{{Name: "Select1M/w1", NsPerOp: 100, Width: 1}, {Name: "Select1M/w4", NsPerOp: 100, Width: 4}}}
+	deltas := Compare(base, cur, 0.25)
+	if deltas[0].Oversubscribed || deltas[0].Regressed {
+		t.Fatalf("width-1 op flagged: %+v", deltas[0])
+	}
+	if !deltas[1].Oversubscribed || !deltas[1].Regressed {
+		t.Fatalf("width-4 op of a GOMAXPROCS=1 baseline compared: %+v", deltas[1])
 	}
 }

@@ -3,10 +3,8 @@ package monet
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cobra/internal/obs"
 )
@@ -29,9 +27,11 @@ import (
 // All structures are keyed to the store's per-name mutation epoch:
 // Put/Append/Drop bump the epoch under the write lock, and the next
 // indexed select observes the mismatch and rebuilds from scratch.
-// Results are always byte-identical to the naive scan; any predicate
-// an index cannot answer exactly (type-mismatched bounds, NaN values,
-// NaN bounds) falls back to colSelectIdx.
+// Results are always byte-identical to the naive scan: every path ends
+// in the typed range-select kernel (rangesel.go) or in a cracker
+// partition of the same values, and a column holding NaN — which no
+// min/max summary or range partition can represent — keeps the full
+// scan.
 
 // Access-path metrics (monet.index.*): how often each structure is
 // built and consulted, how much work pruning saves, and how far the
@@ -97,6 +97,16 @@ type AccessInfo struct {
 	CrackPieces int
 	// DictSize is the dictionary entry count (distinct tail values).
 	DictSize int
+	// EstMatched is the cost gate's estimate of the qualifying rows,
+	// made before the select ran; -1 when it had nothing to estimate
+	// from (no zone map yet, or a column the gate does not index).
+	EstMatched int
+	// ScanCost and CrackCost are the gate's estimates, in rows
+	// compared, of answering by scanning the morsels the zone map
+	// leaves and by the cracker; meaningful when EstMatched >= 0.
+	ScanCost, CrackCost int
+	// Note says why the cheaper road was not taken, when it was not.
+	Note string
 }
 
 // String renders the info as the single access-path line EXPLAIN
@@ -112,25 +122,49 @@ func (ai *AccessInfo) String() string {
 	if ai.DictSize > 0 {
 		s += fmt.Sprintf(" dict=%d", ai.DictSize)
 	}
+	if ai.EstMatched >= 0 {
+		chosen, cc, rejected, rc := "scan", ai.ScanCost, "crack", ai.CrackCost
+		if ai.Path == PathCrack {
+			chosen, cc, rejected, rc = rejected, rc, chosen, cc
+		}
+		why := ""
+		if ai.Note != "" {
+			why = ", " + ai.Note
+		}
+		s += fmt.Sprintf(" est_matched=%d chosen=%s(cost≈%d) rejected=%s(cost≈%d%s)", ai.EstMatched, chosen, cc, rejected, rc, why)
+	}
 	return s
 }
 
 // DefaultCrackThreshold is how many indexed selects a numeric column
-// absorbs before the cost gate invests in a cracker copy: the first
-// selects are served by the (cheap) zone map, and columns filtered
-// repeatedly — the cracking-friendly workload — graduate to the
-// cracker.
+// absorbs before the cost gate may invest in a cracker copy: the first
+// selects are served by the (cheap) zone map, and only a column that
+// keeps being filtered is worth the copy and the partitioning passes
+// the gate's per-query costs leave out.
 const DefaultCrackThreshold = 2
+
+// crackCostPerMatch is the cost gate's one constant: answering from
+// the cracker costs about this many compared rows of the typed scan per
+// qualifying position, where the scan costs one per row of every morsel
+// the zone map cannot decide plus one per match to write it. Marking a
+// partition's positions in the answer bitmap and reading them back
+// measures close to 2 (`cobra-bench -run micro`: CrackSelect1M against
+// TypedScan1M and ZoneMapSelect1M at 0.1–50 % selectivity, DESIGN.md
+// §10); the third unit is the margin the cracker has to win by to be
+// worth its 16 bytes per row and the partitioning passes the per-query
+// costs leave out — which is also what keeps a column that is only ever
+// asked half its rows from growing one.
+const crackCostPerMatch = 3
 
 var crackAfter atomic.Int64
 
 func init() { crackAfter.Store(DefaultCrackThreshold) }
 
 // SetCrackThreshold overrides how many indexed selects a numeric
-// column absorbs before graduating from zone-map pruning to cracking
-// and returns the previous value. n <= 0 restores the default. It is
-// a tuning knob for benchmarks and experiments; production code
-// should leave the gate at DefaultCrackThreshold.
+// column absorbs before it may graduate from zone-map pruning to
+// cracking and returns the previous value. n <= 0 restores the
+// default. It is a tuning knob for benchmarks and experiments;
+// production code should leave the gate at DefaultCrackThreshold.
 func SetCrackThreshold(n int) int {
 	if n <= 0 {
 		n = DefaultCrackThreshold
@@ -139,13 +173,17 @@ func SetCrackThreshold(n int) int {
 }
 
 // batIndex is the adaptive index state of one named BAT. All fields
-// are guarded by mu; epoch records the store epoch the structures were
-// built against.
+// are guarded by mu, which is held while a select is planned and while
+// the cracker or dictionary is mutated — never across the read-only
+// scan, so selects on one column scan concurrently. The zone map, the
+// dictionary and a cracker answer are immutable once handed out. epoch
+// records the store epoch the structures were built against.
 type batIndex struct {
 	mu      sync.Mutex
 	epoch   uint64
 	selects int  // indexed selects since the last rebuild
-	unsafe  bool // NaN observed in the column: always fall back to scan
+	unsafe  bool // NaN observed in the column: always the full scan
+	pinned  bool // Crack() forced the cracker: always answer from it
 	zm      *zoneMap
 	cr      cracker
 	dict    *strDict
@@ -159,6 +197,7 @@ func (ix *batIndex) syncEpoch(epoch uint64) {
 	ix.epoch = epoch
 	ix.selects = 0
 	ix.unsafe = false
+	ix.pinned = false
 	ix.zm = nil
 	ix.cr = nil
 	ix.dict = nil
@@ -218,20 +257,42 @@ func (s *Store) SelectPositions(name string, lo, hi Value) ([]int, *AccessInfo, 
 // parallel scans, and rows-scanned attribution into the trace's shared
 // Resources.
 func (s *Store) SelectPositionsCtx(ctx context.Context, name string, lo, hi Value) ([]int, *AccessInfo, error) {
-	b, ix, err := s.capture(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ix.mu.Unlock()
-	cIdxSelects.Inc()
 	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", name)
-	idx, info := ix.selectLocked(b.tail, lo, hi, sp)
-	sp.SetAttr("access", info.String())
-	sp.Resources().AddScanned(scannedRows(info))
-	sp.Finish()
-	return idx, info, nil
+	defer sp.Finish()
+	_, pl, _, err := s.planSelect(name, lo, hi, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	idx := pl.positions(sp)
+	sp.SetAttr("access", pl.info.String())
+	sp.Resources().AddScanned(scannedRows(pl.info))
+	return idx, pl.info, nil
+}
+
+// planSelect plans one range select over a named BAT: it holds the
+// column's index lock only while the gate decides and the index
+// structures are built or cracked, and returns with the lock released,
+// so the scan the plan describes runs beside other selects. With fused
+// set it adds the fused gate's verdict (pipeline.go): a non-empty
+// reason means the caller must report, and run, the operator-at-a-time
+// path over the same plan; a float column is proved NaN-free for it
+// here, by the zone map's build pass.
+func (s *Store) planSelect(name string, lo, hi Value, fused bool) (b *BAT, pl *selectPlan, reason string, err error) {
+	b, ix, err := s.capture(name)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if fused {
+		if reason = ix.fuseReason(b.tail, lo, hi); reason == "" && !ix.nanFree(b.tail) {
+			reason = "nan in column"
+		}
+	}
+	pl = ix.plan(b.tail, lo, hi)
+	ix.mu.Unlock()
+	cIdxSelects.Inc()
+	return b, pl, reason, nil
 }
 
 // scannedRows estimates tuples examined by one indexed select: the
@@ -251,44 +312,39 @@ func scannedRows(info *AccessInfo) int {
 // SelectRange is the adaptive counterpart of BAT.Select over a stored
 // BAT: same [head, tail] result, access path chosen by the cost gate.
 func (s *Store) SelectRange(name string, lo, hi Value) (*BAT, *AccessInfo, error) {
-	b, ix, err := s.capture(name)
+	b, pl, _, err := s.planSelect(name, lo, hi, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	cIdxSelects.Inc()
-	idx, info := ix.selectLocked(b.tail, lo, hi, nil)
-	ix.mu.Unlock()
-	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, info, nil
+	idx := pl.positions(nil)
+	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, pl.info, nil
 }
 
 // UselectRange is the adaptive counterpart of BAT.Uselect: the
 // qualifying heads over a void tail.
 func (s *Store) UselectRange(name string, lo, hi Value) (*BAT, *AccessInfo, error) {
-	b, ix, err := s.capture(name)
+	b, pl, _, err := s.planSelect(name, lo, hi, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	cIdxSelects.Inc()
-	idx, info := ix.selectLocked(b.tail, lo, hi, nil)
-	ix.mu.Unlock()
-	return &BAT{head: b.head.Gather(idx), tail: &voidColumn{n: len(idx)}}, info, nil
+	idx := pl.positions(nil)
+	return &BAT{head: b.head.Gather(idx), tail: &voidColumn{n: len(idx)}}, pl.info, nil
 }
 
 // PlanAccess reports the access path the next select with these
 // bounds would take, without scanning or building anything — the
 // side-effect-free probe EXPLAIN uses. When a zone map already exists
-// the plan includes its prune counts for the given range.
+// the plan includes its prune counts and the gate's estimates for the
+// given range.
 func (s *Store) PlanAccess(name string, lo, hi Value) (*AccessInfo, error) {
 	b, ix, err := s.capture(name)
 	if err != nil {
 		return nil, err
 	}
 	defer ix.mu.Unlock()
-	info := &AccessInfo{Rows: b.Len(), Path: ix.planLocked(b.tail, lo, hi)}
-	if ix.zm != nil && !ix.unsafe {
-		info.MorselsTotal = numMorsels(b.Len())
-		info.MorselsPruned = info.MorselsTotal - len(ix.zm.prune(lo, hi))
-	}
+	p := compileRange(b.tail, lo, hi)
+	d := ix.decide(b.tail, &p)
+	info := d.info(b.Len())
 	if ix.cr != nil {
 		info.CrackPieces = ix.cr.pieces()
 	}
@@ -299,7 +355,8 @@ func (s *Store) PlanAccess(name string, lo, hi Value) (*AccessInfo, error) {
 }
 
 // Crack force-builds the cracker copy of a stored numeric column (the
-// MIL crack() builtin) and returns its piece count.
+// MIL crack() builtin), pins the column's selects to it, and returns
+// its piece count.
 func (s *Store) Crack(name string) (int, error) {
 	b, ix, err := s.capture(name)
 	if err != nil {
@@ -307,18 +364,28 @@ func (s *Store) Crack(name string) (int, error) {
 	}
 	defer ix.mu.Unlock()
 	if ix.cr == nil {
-		cr, ok := buildCracker(b.tail)
-		if !ok {
-			return 0, fmt.Errorf("monet: cannot crack %q: tail %v is not a crackable column", name, b.TailType())
-		}
-		if cr == nil {
-			ix.unsafe = true
+		if !ix.nanFree(b.tail) {
 			return 0, fmt.Errorf("monet: cannot crack %q: column contains NaN", name)
 		}
-		ix.cr = cr
+		if ix.cr = buildCracker(b.tail); ix.cr == nil {
+			return 0, fmt.Errorf("monet: cannot crack %q: tail %v is not a crackable column", name, b.TailType())
+		}
 		cCrBuilds.Inc()
 	}
+	ix.pinned = true
 	return ix.cr.pieces(), nil
+}
+
+// nanFree reports whether col is free of NaN, building the zone map of
+// a float column — whose build pass is the proof — when none exists
+// yet. The caller holds ix.mu.
+func (ix *batIndex) nanFree(col Column) bool {
+	if _, isFloat := col.(*floatColumn); isFloat && ix.zm == nil && !ix.unsafe {
+		ix.zm = buildZoneMap(col)
+		cZmBuilds.Inc()
+		ix.unsafe = ix.zm.unsafe
+	}
+	return !ix.unsafe
 }
 
 // BuildZoneMap force-builds the zone map of a stored column (the MIL
@@ -329,15 +396,13 @@ func (s *Store) BuildZoneMap(name string) (int, error) {
 		return 0, err
 	}
 	defer ix.mu.Unlock()
-	if b.TailType() == Void {
-		return 0, fmt.Errorf("monet: cannot zone-map %q: void tail", name)
+	if !zoneMappable(b.tail) {
+		return 0, fmt.Errorf("monet: cannot zone-map %q: tail %v has no ordered scalar values", name, b.TailType())
 	}
 	if ix.zm == nil {
 		ix.zm = buildZoneMap(b.tail)
 		cZmBuilds.Inc()
-		if ix.zm.unsafe {
-			ix.unsafe = true
-		}
+		ix.unsafe = ix.unsafe || ix.zm.unsafe
 	}
 	return len(ix.zm.mins), nil
 }
@@ -376,189 +441,126 @@ func (s *Store) IndexInfo(name string) (*BAT, error) {
 	return out, nil
 }
 
-// isNaNValue reports whether a bound poisons comparisons: the kernel
-// Compare treats NaN as equal to everything, so a NaN bound makes the
-// scan match every row — no index can reproduce that, so the gate
-// falls back.
-func isNaNValue(v Value) bool { return v.Typ == FloatT && math.IsNaN(v.F) }
+// decision is the cost gate's verdict on one select: the path, and
+// what the zone map (when one exists) says about the range.
+type decision struct {
+	path AccessPath
+	ms   morselSet // the morsels a scan has to visit
+	// est is the estimated number of qualifying rows, -1 when there is
+	// nothing to estimate from; scanCost and crackCost are the two
+	// roads' estimated costs in compared rows.
+	est, scanCost, crackCost int
+	note                     string
+}
 
-// planLocked is the cost gate: given the column and the current index
-// state, decide how the next select with these bounds would execute.
-// It performs no builds and no scans.
-func (ix *batIndex) planLocked(col Column, lo, hi Value) AccessPath {
-	if col.Len() < ParallelThreshold || ix.unsafe {
-		return PathScan
+// info renders the decision as the AccessInfo of an n-row column.
+func (d *decision) info(n int) *AccessInfo {
+	info := &AccessInfo{Path: d.path, Rows: n, EstMatched: d.est, ScanCost: d.scanCost, CrackCost: d.crackCost, Note: d.note}
+	if d.path == PathZoneMap && d.est >= 0 {
+		info.MorselsTotal = numMorsels(n)
+		if info.MorselsPruned = info.MorselsTotal - len(d.ms.morsels); info.MorselsPruned == 0 {
+			info.Path = PathScan // a zone map that prunes nothing is a scan
+		}
 	}
-	if lo.Typ != col.Type() || hi.Typ != col.Type() {
-		// Mixed-type bounds compare by type tag first; only the scan
-		// reproduces that ordering.
-		return PathScan
+	return info
+}
+
+// decide is the cost gate: given the column, the compiled predicate
+// and the current index state, decide how the next select would
+// execute. It performs no builds and no scans.
+//
+// Strings go to the dictionary from the second select on. A numeric
+// column's first select builds the zone map; from then on the gate
+// estimates the qualifying rows from it — refined by the cracker's
+// boundaries once a cracker exists — and answers from the cracker only
+// when putting that many positions in order is cheaper than comparing
+// the rows of the morsels the zone map cannot decide. A cracker is
+// built only for a column that has absorbed DefaultCrackThreshold
+// selects and is now asked a range the cracker would win, so a column
+// that only ever sees wide ranges never pays for the copy.
+func (ix *batIndex) decide(col Column, p *rangePred) decision {
+	n := col.Len()
+	d := decision{path: PathScan, ms: morselSet{n: n}, est: -1}
+	if n < ParallelThreshold || ix.unsafe || p.mixed {
+		// Bounds of another type admit all rows or none: nothing for an
+		// index to do.
+		return d
 	}
 	switch col.Type() {
 	case StrT:
 		if ix.dict != nil || ix.selects >= 1 {
-			return PathDict
+			d.path = PathDict
 		}
-		return PathScan
+		return d
 	case IntT, OIDT, FloatT:
-		if isNaNValue(lo) || isNaNValue(hi) {
-			return PathScan
-		}
-		if ix.cr != nil || int64(ix.selects) >= crackAfter.Load() {
-			return PathCrack
-		}
-		return PathZoneMap
+	default:
+		return d
 	}
-	return PathScan
+	d.path = PathZoneMap
+	if ix.zm != nil {
+		d.ms, d.est, d.scanCost = ix.zm.classify(p)
+		if ix.cr != nil {
+			d.est = min(d.est, ix.cr.bound(p))
+		}
+		d.scanCost += d.est
+		d.crackCost = d.est * crackCostPerMatch
+	}
+	switch {
+	case ix.pinned:
+		d.path, d.note = PathCrack, "pinned by crack()"
+	case ix.zm == nil || d.crackCost >= d.scanCost:
+	case ix.cr != nil || int64(ix.selects) >= crackAfter.Load():
+		d.path = PathCrack
+	default:
+		d.note = "no cracker yet"
+	}
+	return d
 }
 
-// selectLocked executes one range select through the gate, building
-// index structures as the policy allows, and returns the ascending
-// qualifying positions — always exactly the positions the naive scan
-// would return. A non-nil sp collects morsel child spans for the
-// scanning paths.
-func (ix *batIndex) selectLocked(col Column, lo, hi Value, sp *obs.Span) ([]int, *AccessInfo) {
-	info := &AccessInfo{Path: PathScan, Rows: col.Len()}
-	path := ix.planLocked(col, lo, hi)
+// plan runs one range select through the gate, building index
+// structures as the policy allows and cracking when the cracker
+// answers. It owns the column's select counter. The caller holds
+// ix.mu and releases it before executing the plan.
+func (ix *batIndex) plan(col Column, lo, hi Value) *selectPlan {
+	pl := &selectPlan{pred: compileRange(col, lo, hi), lat: hPoolSelectLat, spd: hPoolSelectSpd}
+	d := ix.decide(col, &pl.pred)
+	if d.path == PathZoneMap && ix.zm == nil {
+		// A numeric column's first select: summarize it, then decide
+		// again knowing what the summary says.
+		ix.zm = buildZoneMap(col)
+		cZmBuilds.Inc()
+		ix.unsafe = ix.zm.unsafe
+		d = ix.decide(col, &pl.pred)
+	}
 	ix.selects++
-	switch path {
+	pl.ms, pl.info = d.ms, d.info(col.Len())
+	switch d.path {
 	case PathDict:
 		if ix.dict == nil {
 			ix.dict = buildDict(col)
 			cDictBuilds.Inc()
 		}
-		idx, hit := ix.dict.selectRange(lo.Str(), hi.Str())
-		if hit {
+		var hit bool
+		if pl.pred, hit = ix.dict.codeRange(col, pl.pred.slo, pl.pred.shi); hit {
 			cDictHits.Inc()
 		} else {
 			cDictMisses.Inc()
 		}
-		info.Path = PathDict
-		info.DictSize = len(ix.dict.keys)
-		info.Matched = len(idx)
-		return idx, info
-
+		pl.info.DictSize = len(ix.dict.keys)
 	case PathCrack:
 		if ix.cr == nil {
-			cr, ok := buildCracker(col)
-			if !ok || cr == nil {
-				// Uncrackable now (NaN appeared): stay on the scan.
-				ix.unsafe = cr == nil && ok
-				break
-			}
-			ix.cr = cr
+			ix.cr = buildCracker(col)
 			cCrBuilds.Inc()
 		}
 		before := ix.cr.cracks()
-		idx := ix.cr.selectRange(lo, hi)
+		pl.ms = morselSet{n: col.Len()} // the answer covers the column, not the zone map's survivors
+		pl.words = ix.cr.selectRange(&pl.pred)
 		cCrCracks.Add(int64(ix.cr.cracks() - before))
 		hCrPieces.ObserveNs(int64(ix.cr.pieces()))
-		info.Path = PathCrack
-		info.CrackPieces = ix.cr.pieces()
-		info.Matched = len(idx)
-		return idx, info
-
+		pl.info.CrackPieces = ix.cr.pieces()
 	case PathZoneMap:
-		if ix.zm == nil {
-			ix.zm = buildZoneMap(col)
-			cZmBuilds.Inc()
-			if ix.zm.unsafe {
-				ix.unsafe = true
-				break
-			}
-		}
-		surviving := ix.zm.prune(lo, hi)
-		info.MorselsTotal = numMorsels(col.Len())
-		info.MorselsPruned = info.MorselsTotal - len(surviving)
-		cZmScanned.Add(int64(len(surviving)))
-		cZmPruned.Add(int64(info.MorselsPruned))
-		if info.MorselsPruned > 0 {
-			info.Path = PathZoneMap
-		}
-		idx := scanMorselSubsetSpan(col, surviving, lo, hi, sp)
-		info.Matched = len(idx)
-		return idx, info
+		cZmScanned.Add(int64(len(pl.ms.morsels)))
+		cZmPruned.Add(int64(pl.info.MorselsPruned))
 	}
-	idx := colSelectIdxSpan(col, lo, hi, sp)
-	info.Matched = len(idx)
-	return idx, info
-}
-
-// scanMorselSubset scans only the given morsels (ascending indices)
-// for values in [lo, hi]; concatenating per-morsel matches in morsel
-// order keeps the result identical to the full serial scan restricted
-// to those morsels. Wide columns fan the surviving morsels out on the
-// shared pool.
-func scanMorselSubset(col Column, morsels []int, lo, hi Value) []int {
-	return scanMorselSubsetSpan(col, morsels, lo, hi, nil)
-}
-
-// scanMorselSubsetSpan is scanMorselSubset under an optional trace
-// span: surviving morsels record queue-wait/run child spans (capped at
-// maxMorselSpans) and accumulate into the trace's Resources, mirroring
-// runMorselsSpan for the zone-map path's sparse fan-out.
-func scanMorselSubsetSpan(col Column, morsels []int, lo, hi Value, sp *obs.Span) []int {
-	n := col.Len()
-	res := sp.Resources()
-	parts := make([][]int, len(morsels))
-	scanOne := func(k int) {
-		start := morsels[k] * MorselSize
-		end := start + MorselSize
-		if end > n {
-			end = n
-		}
-		var idx []int
-		for i := start; i < end; i++ {
-			t := col.Get(i)
-			if Compare(t, lo) >= 0 && Compare(t, hi) <= 0 {
-				idx = append(idx, i)
-			}
-		}
-		parts[k] = idx
-	}
-	if p, ok := poolFor(n); ok && len(morsels) > 1 {
-		b := p.Batch()
-		for k := range morsels {
-			k := k
-			if sp == nil {
-				b.Submit(func() { scanOne(k) })
-				continue
-			}
-			var msp *obs.Span
-			if k < maxMorselSpans {
-				msp = sp.StartChild("monet.morsel")
-				msp.SetAttr("morsel", fmt.Sprintf("%d", morsels[k]))
-			}
-			submitted := time.Now()
-			b.Submit(func() {
-				t0 := time.Now()
-				scanOne(k)
-				run := time.Since(t0)
-				wait := t0.Sub(submitted)
-				if wait < 0 {
-					wait = 0
-				}
-				res.AddMorsel(wait, run)
-				if msp != nil {
-					msp.SetAttr("queue_wait", obs.FormatDuration(wait))
-					msp.SetAttr("run", obs.FormatDuration(run))
-					msp.Finish()
-				}
-			})
-		}
-		b.Wait()
-	} else {
-		for k := range morsels {
-			scanOne(k)
-		}
-	}
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	idx := make([]int, 0, total)
-	for _, part := range parts {
-		idx = append(idx, part...)
-	}
-	return idx
+	return pl
 }

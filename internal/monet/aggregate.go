@@ -26,11 +26,7 @@ func (b *BAT) Sum() (float64, error) {
 	if p, ok := poolFor(b.Len()); ok {
 		parts := make([]float64, numMorsels(b.Len()))
 		runMorsels(p, b.Len(), hPoolAggLat, hPoolAggSpd, func(m, lo, hi int) {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += b.tail.Get(i).Float()
-			}
-			parts[m] = s
+			parts[m] = sumRange(b.tail, lo, hi)
 		})
 		s := 0.0
 		for _, v := range parts {
@@ -38,11 +34,36 @@ func (b *BAT) Sum() (float64, error) {
 		}
 		return s, nil
 	}
+	return sumRange(b.tail, 0, b.Len()), nil
+}
+
+// sumRange folds rows [lo, hi) of a numeric column into a float64 sum
+// in row order — the values Get(i).Float() would yield, read unboxed.
+func sumRange(c Column, lo, hi int) float64 {
 	s := 0.0
-	for i := 0; i < b.Len(); i++ {
-		s += b.tail.Get(i).Float()
+	switch c := c.(type) {
+	case *floatColumn:
+		for _, x := range c.v[lo:hi] {
+			s += x
+		}
+	case *intColumn:
+		s = sumInt(c.v[lo:hi])
+	case *oidColumn:
+		s = sumInt(c.v[lo:hi])
+	case *boolColumn:
+		for _, x := range c.v[lo:hi] {
+			s += float64(b2u(x))
+		}
 	}
-	return s, nil
+	return s
+}
+
+func sumInt[T intElem](v []T) float64 {
+	s := 0.0
+	for _, x := range v {
+		s += float64(int64(x))
+	}
+	return s
 }
 
 // Avg returns the mean of the tail column; NaN for an empty BAT.
@@ -67,13 +88,7 @@ func (b *BAT) bestIdx(sign int) int {
 	if p, ok := poolFor(b.Len()); ok {
 		parts := make([]int, numMorsels(b.Len()))
 		runMorsels(p, b.Len(), hPoolAggLat, hPoolAggSpd, func(m, lo, hi int) {
-			bi := lo
-			for i := lo + 1; i < hi; i++ {
-				if sign*Compare(b.tail.Get(i), b.tail.Get(bi)) > 0 {
-					bi = i
-				}
-			}
-			parts[m] = bi
+			parts[m] = bestRange(b.tail, lo, hi, sign)
 		})
 		bi := parts[0]
 		for _, c := range parts[1:] {
@@ -83,9 +98,46 @@ func (b *BAT) bestIdx(sign int) int {
 		}
 		return bi
 	}
+	return bestRange(b.tail, 0, b.Len(), sign)
+}
+
+// bestRange is bestIdx over rows [lo, hi) of one column, typed for the
+// ordered scalar columns: the strict raw comparison agrees with
+// Compare, NaN included (neither replaces nor is replaced).
+func bestRange(c Column, lo, hi, sign int) int {
+	switch c := c.(type) {
+	case *intColumn:
+		return lo + bestInt(c.v[lo:hi], sign > 0)
+	case *oidColumn:
+		return lo + bestInt(c.v[lo:hi], sign > 0)
+	case *floatColumn:
+		return lo + bestOrd(c.v[lo:hi], sign > 0)
+	case *strColumn:
+		return lo + bestOrd(c.v[lo:hi], sign > 0)
+	}
+	bi := lo
+	for i := lo + 1; i < hi; i++ {
+		if sign*Compare(c.Get(i), c.Get(bi)) > 0 {
+			bi = i
+		}
+	}
+	return bi
+}
+
+func bestInt[T intElem](v []T, wantMax bool) int {
+	bi, best := 0, int64(v[0])
+	for i, x := range v {
+		if k := int64(x); wantMax && k > best || !wantMax && k < best {
+			bi, best = i, k
+		}
+	}
+	return bi
+}
+
+func bestOrd[T ordElem](v []T, wantMax bool) int {
 	bi := 0
-	for i := 1; i < b.Len(); i++ {
-		if sign*Compare(b.tail.Get(i), b.tail.Get(bi)) > 0 {
+	for i, x := range v {
+		if wantMax && x > v[bi] || !wantMax && x < v[bi] {
 			bi = i
 		}
 	}

@@ -129,48 +129,13 @@ func (b *BAT) Slice(lo, hi int) *BAT {
 }
 
 // Select returns the associations whose tail lies in [lo, hi]
-// (inclusive). Pass equal lo and hi for point selection. Large BATs
-// are scanned morsel-parallel on the shared pool; the result is
-// identical to the serial scan for any pool width.
+// (inclusive). Pass equal lo and hi for point selection. The typed
+// range-select kernel (rangesel.go) scans large BATs morsel-parallel on
+// the shared pool; the result is identical for any pool width.
 func (b *BAT) Select(lo, hi Value) *BAT {
 	opSelect.Inc()
-	idx := b.selectIdx(lo, hi)
+	idx := colSelectIdx(b.tail, lo, hi)
 	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}
-}
-
-// selectIdx returns the ascending positions whose tail lies in
-// [lo, hi], taking the morsel-parallel path when the BAT is large
-// enough and the pool is wider than one worker.
-func (b *BAT) selectIdx(lo, hi Value) []int {
-	return colSelectIdx(b.tail, lo, hi)
-}
-
-// colSelectIdx is the full-scan range select over one column: the
-// ascending positions whose value lies in [lo, hi], morsel-parallel
-// when the column is large enough. The adaptive access paths
-// (accesspath.go) fall back to it whenever an index cannot answer a
-// predicate exactly.
-func colSelectIdx(c Column, lo, hi Value) []int {
-	return colSelectIdxSpan(c, lo, hi, nil)
-}
-
-// colSelectIdxSpan is colSelectIdx under an optional trace span: the
-// parallel path records per-morsel queue-wait/run spans under sp.
-func colSelectIdxSpan(c Column, lo, hi Value, sp *obs.Span) []int {
-	if p, ok := poolFor(c.Len()); ok {
-		return parFilterIdxSpan(p, c.Len(), hPoolSelectLat, hPoolSelectSpd, sp, func(i int) bool {
-			t := c.Get(i)
-			return Compare(t, lo) >= 0 && Compare(t, hi) <= 0
-		})
-	}
-	idx := make([]int, 0, 16)
-	for i := 0; i < c.Len(); i++ {
-		t := c.Get(i)
-		if Compare(t, lo) >= 0 && Compare(t, hi) <= 0 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // SelectEq returns the associations whose tail equals v.
@@ -181,7 +146,7 @@ func (b *BAT) SelectEq(v Value) *BAT { return b.Select(v, v) }
 // morsel-parallel on large inputs.
 func (b *BAT) Uselect(lo, hi Value) *BAT {
 	opUselect.Inc()
-	idx := b.selectIdx(lo, hi)
+	idx := colSelectIdx(b.tail, lo, hi)
 	return &BAT{head: b.head.Gather(idx), tail: &voidColumn{n: len(idx)}}
 }
 
@@ -272,20 +237,8 @@ func (b *BAT) Semijoin(other *BAT) (*BAT, error) {
 	if !headCompatible(b.head.Type(), other.head.Type()) {
 		return nil, fmt.Errorf("%w: semijoin head %v with head %v", ErrTypeMismatch, b.head.Type(), other.head.Type())
 	}
-	if p, ok := poolFor(b.Len()); ok {
-		ht := buildHashIndex(other.head)
-		idx := parFilterIdx(p, b.Len(), hPoolJoinLat, hPoolJoinSpd, func(i int) bool {
-			return len(ht.lookup(b.head.Get(i))) > 0
-		})
-		return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, nil
-	}
-	ht := buildHash(other.head)
-	idx := make([]int, 0, 16)
-	for i := 0; i < b.Len(); i++ {
-		if len(ht.lookup(b.head.Get(i))) > 0 {
-			idx = append(idx, i)
-		}
-	}
+	ht := buildHashIndex(other.head)
+	idx := filterIdx(b.Len(), func(i int) bool { return len(ht.lookup(b.head.Get(i))) > 0 })
 	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, nil
 }
 
@@ -296,20 +249,8 @@ func (b *BAT) KDiff(other *BAT) (*BAT, error) {
 	if !headCompatible(b.head.Type(), other.head.Type()) {
 		return nil, fmt.Errorf("%w: kdiff head %v with head %v", ErrTypeMismatch, b.head.Type(), other.head.Type())
 	}
-	if p, ok := poolFor(b.Len()); ok {
-		ht := buildHashIndex(other.head)
-		idx := parFilterIdx(p, b.Len(), hPoolJoinLat, hPoolJoinSpd, func(i int) bool {
-			return len(ht.lookup(b.head.Get(i))) == 0
-		})
-		return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, nil
-	}
-	ht := buildHash(other.head)
-	idx := make([]int, 0, 16)
-	for i := 0; i < b.Len(); i++ {
-		if len(ht.lookup(b.head.Get(i))) == 0 {
-			idx = append(idx, i)
-		}
-	}
+	ht := buildHashIndex(other.head)
+	idx := filterIdx(b.Len(), func(i int) bool { return len(ht.lookup(b.head.Get(i))) == 0 })
 	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, nil
 }
 

@@ -2,6 +2,7 @@ package monet
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -20,44 +21,37 @@ import (
 
 // cracker is the type-erased face of numCracker the index keeps.
 type cracker interface {
-	// selectRange returns the ascending original positions whose
-	// value lies in [lo, hi]. Callers must not mutate the returned
-	// slice: repeated identical queries over unchanged pieces share a
-	// cached result.
-	selectRange(lo, hi Value) []int
+	// selectRange returns the match bitmap, over original positions,
+	// of the rows whose value lies in p's range.
+	selectRange(p *rangePred) []uint64
+	// bound returns an upper bound on the rows in p's range read off
+	// the existing piece boundaries — exact once both of the range's
+	// boundaries exist — without cracking anything.
+	bound(p *rangePred) int
 	// pieces is the current partition count.
 	pieces() int
 	// cracks is the number of partition steps performed so far.
 	cracks() int
 }
 
-// buildCracker copies a column into a cracker. The second result is
-// false when the column type cannot be cracked; a (nil, true) return
-// means the column holds NaN, which no range partition can represent
-// under the kernel's NaN-equals-everything Compare.
-func buildCracker(col Column) (cracker, bool) {
+// buildCracker copies a numeric column into a cracker, or returns nil
+// when the column type cannot be cracked. The column must be NaN-free
+// (the owner's zone map proves that first): no range partition can
+// represent a value that compares equal to everything.
+func buildCracker(col Column) cracker {
 	switch c := col.(type) {
 	case *intColumn:
-		vals := make([]int64, len(c.v))
-		copy(vals, c.v)
-		return newNumCracker(vals, succInt64), true
+		return newNumCracker(slices.Clone(c.v), succInt64)
 	case *oidColumn:
 		vals := make([]int64, len(c.v))
 		for i, o := range c.v {
 			vals[i] = int64(o)
 		}
-		return newNumCracker(vals, succInt64), true
+		return newNumCracker(vals, succInt64)
 	case *floatColumn:
-		vals := make([]float64, len(c.v))
-		for i, f := range c.v {
-			if math.IsNaN(f) {
-				return nil, true
-			}
-			vals[i] = f
-		}
-		return newNumCracker(vals, succFloat64), true
+		return newNumCracker(slices.Clone(c.v), succFloat64)
 	}
-	return nil, false
+	return nil
 }
 
 // succInt64 returns the smallest value greater than v (ok=false at
@@ -87,12 +81,6 @@ type numCracker[T int64 | float64] struct {
 	bpos  []int
 	succ  func(T) (T, bool)
 	ncr   int // partition steps performed
-	ver   int // bumped on every partition step
-	// One-entry result cache: the repeated-query fast path. Valid
-	// while the piece layout (ver) and the answering boundary pair
-	// are unchanged.
-	lastVer, lastP1, lastP2 int
-	lastIdx                 []int
 }
 
 func newNumCracker[T int64 | float64](vals []T, succ func(T) (T, bool)) *numCracker[T] {
@@ -100,7 +88,7 @@ func newNumCracker[T int64 | float64](vals []T, succ func(T) (T, bool)) *numCrac
 	for i := range pos {
 		pos[i] = i
 	}
-	return &numCracker[T]{vals: vals, pos: pos, succ: succ, lastVer: -1}
+	return &numCracker[T]{vals: vals, pos: pos, succ: succ}
 }
 
 // crackAt returns the boundary position of v: every value left of it
@@ -144,12 +132,14 @@ func (c *numCracker[T]) crackAt(v T) int {
 	copy(c.bpos[k+1:], c.bpos[k:len(c.bpos)-1])
 	c.bpos[k] = i
 	c.ncr++
-	c.ver++
 	return i
 }
 
-// selectVals answers [lo, hi] over the unboxed domain.
-func (c *numCracker[T]) selectVals(lo, hi T) []int {
+// selectVals answers [lo, hi] over the unboxed domain: crack at both
+// bounds, then mark the original positions of the partition between
+// them in a bitmap — ascending order falls out of the bit layout, so
+// nothing is sorted.
+func (c *numCracker[T]) selectVals(lo, hi T) []uint64 {
 	p1 := c.crackAt(lo)
 	p2 := len(c.vals)
 	if s, ok := c.succ(hi); ok {
@@ -158,25 +148,45 @@ func (c *numCracker[T]) selectVals(lo, hi T) []int {
 	if p2 < p1 {
 		p2 = p1 // empty range (hi < lo)
 	}
-	if c.lastIdx != nil && c.lastVer == c.ver && c.lastP1 == p1 && c.lastP2 == p2 {
-		return c.lastIdx
+	words := make([]uint64, (len(c.vals)+63)/64)
+	for _, p := range c.pos[p1:p2] {
+		words[p>>6] |= 1 << (uint(p) & 63)
 	}
-	out := make([]int, p2-p1)
-	copy(out, c.pos[p1:p2])
-	sort.Ints(out)
-	c.lastVer, c.lastP1, c.lastP2, c.lastIdx = c.ver, p1, p2, out
-	return out
+	return words
+}
+
+// boundVals counts the slots between the nearest existing boundaries
+// enclosing [lo, hi]: every value in the range lies there.
+func (c *numCracker[T]) boundVals(lo, hi T) int {
+	p1, p2 := 0, len(c.vals)
+	if k := sort.Search(len(c.bvals), func(i int) bool { return c.bvals[i] > lo }); k > 0 {
+		p1 = c.bpos[k-1] // the last boundary <= lo: everything left of it is < lo
+	}
+	if k := sort.Search(len(c.bvals), func(i int) bool { return c.bvals[i] > hi }); k < len(c.bvals) {
+		p2 = c.bpos[k] // the first boundary > hi: everything from it on is > hi
+	}
+	return max(p2-p1, 0)
 }
 
 func (c *numCracker[T]) pieces() int { return len(c.bvals) + 1 }
 func (c *numCracker[T]) cracks() int { return c.ncr }
 
-func (c *numCracker[T]) selectRange(lo, hi Value) []int {
+func (c *numCracker[T]) selectRange(p *rangePred) []uint64 {
 	switch cc := any(c).(type) {
 	case *numCracker[int64]:
-		return cc.selectVals(lo.Int(), hi.Int())
+		return cc.selectVals(p.ilo, p.ihi)
 	case *numCracker[float64]:
-		return cc.selectVals(lo.Float(), hi.Float())
+		return cc.selectVals(p.flo, p.fhi)
 	}
 	return nil
+}
+
+func (c *numCracker[T]) bound(p *rangePred) int {
+	switch cc := any(c).(type) {
+	case *numCracker[int64]:
+		return cc.boundVals(p.ilo, p.ihi)
+	case *numCracker[float64]:
+		return cc.boundVals(p.flo, p.fhi)
+	}
+	return len(c.vals)
 }

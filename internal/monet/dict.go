@@ -39,28 +39,12 @@ func buildDict(col Column) *strDict {
 	return &strDict{keys: keys, codes: codes}
 }
 
-// selectRange returns the ascending positions whose value lies in
-// [lo, hi], comparing codes only; hit reports whether any dictionary
-// entry fell in the range (false = guaranteed-empty result without
-// touching a single row). Large columns scan their codes
-// morsel-parallel on the shared pool.
-func (d *strDict) selectRange(lo, hi string) (idx []int, hit bool) {
+// codeRange compiles [lo, hi] over the column's strings into the
+// equivalent predicate over its codes; hit reports whether any
+// dictionary entry fell in the range (false = a guaranteed-empty result
+// without touching a single row).
+func (d *strDict) codeRange(col Column, lo, hi string) (p rangePred, hit bool) {
 	cl := sort.SearchStrings(d.keys, lo)
 	ch := sort.Search(len(d.keys), func(i int) bool { return d.keys[i] > hi })
-	if cl >= ch {
-		return nil, false
-	}
-	l, h := int32(cl), int32(ch)
-	if p, ok := poolFor(len(d.codes)); ok {
-		return parFilterIdx(p, len(d.codes), hPoolSelectLat, hPoolSelectSpd, func(i int) bool {
-			return d.codes[i] >= l && d.codes[i] < h
-		}), true
-	}
-	idx = make([]int, 0, 16)
-	for i, c := range d.codes {
-		if c >= l && c < h {
-			idx = append(idx, i)
-		}
-	}
-	return idx, true
+	return rangePred{col: col, codes: d.codes, ilo: int64(cl), ihi: int64(ch) - 1, empty: cl >= ch}, cl < ch
 }

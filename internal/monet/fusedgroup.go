@@ -75,21 +75,6 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 		codes, keyStrs = p.s.dictCodes(group)
 	}
 
-	b, ix, err := p.s.capture(p.pred)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ix.mu.Unlock()
-	if gb.Len() != b.Len() || ab.Len() != b.Len() {
-		return nil, nil, fmt.Errorf("monet: fused group aggregate: misaligned columns %q/%q/%q (%d/%d/%d rows)",
-			p.pred, group, agg, b.Len(), gb.Len(), ab.Len())
-	}
-	cIdxSelects.Inc()
-	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
-	sp.SetAttr("level", "physical")
-	sp.SetAttr("bat", p.pred)
-	defer sp.Finish()
-
 	stages := "select→group[" + op + "]"
 	if codes != nil {
 		stages = "select→dictgroup[" + op + "]"
@@ -109,7 +94,18 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 		return nil, nil, fmt.Errorf("monet: fused group aggregate: unknown op %q", op)
 	}
 
-	fs, reason := ix.fuseLocked(b.tail, p.lo, p.hi)
+	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
+	sp.SetAttr("level", "physical")
+	sp.SetAttr("bat", p.pred)
+	defer sp.Finish()
+	b, pl, reason, err := p.s.planSelect(p.pred, p.lo, p.hi, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	if gb.Len() != b.Len() || ab.Len() != b.Len() {
+		return nil, nil, fmt.Errorf("monet: fused group aggregate: misaligned columns %q/%q/%q (%d/%d/%d rows)",
+			p.pred, group, agg, b.Len(), gb.Len(), ab.Len())
+	}
 	keyAt := intReader(gb.tail)
 	if codes != nil && len(codes) == gb.Len() {
 		c := codes
@@ -123,11 +119,9 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 		reason = fmt.Sprintf("inexact or non-integer aggregate column %v", ab.TailType())
 	}
 	if reason != "" {
-		out, info, err := p.fallbackGroup(ix, b, gb, ab, op, sp)
-		fi := &FusedInfo{Fused: false, Stages: stages, Fallback: reason, Access: info}
-		cFusedFallbacks.Inc()
-		sp.SetAttr("fused", fi.String())
-		return out, fi, err
+		idx := pl.positions(sp)
+		out, err := groupPositions(gb, ab, idx, op)
+		return out, pl.finish(sp, stages, reason, len(idx), 0), err
 	}
 
 	// accumulate folds one dense partial (a morsel, or the whole crack
@@ -172,35 +166,10 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 		PutArena(a)
 	}
 
-	var parts []fusedGroupPart
-	if fs.pos != nil {
-		parts = make([]fusedGroupPart, 1)
-		runs := RunsOf(fs.pos)
-		cFusedRuns.Add(int64(len(runs)))
-		accumulate(&parts[0], len(fs.pos), func(visit func(s, e int)) {
-			for _, r := range runs {
-				visit(r.Start, r.Start+r.Len)
-			}
-		})
-	} else {
-		nm := numMorsels(fs.col.Len())
-		if fs.morsels != nil {
-			nm = len(fs.morsels)
-		}
-		parts = make([]fusedGroupPart, nm)
-		fs.forEachMorsel(sp, func(k, lo, hi int) {
-			accumulate(&parts[k], hi-lo, func(visit func(s, e int)) {
-				a := GetArena()
-				starts := a.Ints((hi-lo)/2 + 1)
-				lens := a.Ints((hi-lo)/2 + 1)
-				nr := fs.matchRuns(lo, hi, starts, lens)
-				for r := 0; r < nr; r++ {
-					visit(starts[r], starts[r]+lens[r])
-				}
-				PutArena(a)
-			})
-		})
-	}
+	parts := make([]fusedGroupPart, pl.ms.slots())
+	pl.eachMorsel(sp, func(k, lo, hi int) {
+		accumulate(&parts[k], hi-lo, func(visit func(s, e int)) { pl.morselRuns(k, lo, hi, visit) })
+	})
 
 	// Merge partials in morsel order: global first-occurrence group
 	// order equals the serial gathered scan's, whatever the morsel
@@ -266,41 +235,25 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 	}
 	PutArena(a)
 
-	fs.info.Matched = int(matched)
-	fi := &FusedInfo{Fused: true, Stages: stages, Access: fs.info}
-	cFusedPipelines.Inc()
-	cFusedRows.Add(matched)
-	sp.SetAttr("access", fs.info.String())
-	sp.SetAttr("fused", fi.String())
-	sp.Resources().AddScanned(scannedRows(fs.info))
-	return out, fi, nil
+	return out, pl.finish(sp, stages, "", int(matched), len(parts)), nil
 }
 
-// fallbackGroup is the operator-at-a-time reference for GroupAggregate:
-// select positions, gather group and aggregate columns, run the BAT
-// group operators.
-func (p *Pipeline) fallbackGroup(ix *batIndex, b, gb, ab *BAT, op string, sp *obs.Span) (*BAT, *AccessInfo, error) {
-	idx, info := ix.selectLocked(b.tail, p.lo, p.hi, sp)
-	sp.SetAttr("access", info.String())
-	sp.Resources().AddScanned(scannedRows(info))
+// groupPositions is the operator-at-a-time reference for
+// GroupAggregate once the qualifying positions are materialized:
+// gather group and aggregate columns, run the BAT group operators.
+func groupPositions(gb, ab *BAT, idx []int, op string) (*BAT, error) {
 	wrap := &BAT{head: gb.tail.Gather(idx), tail: ab.tail.Gather(idx)}
-	var out *BAT
-	var err error
 	switch op {
 	case "count":
-		out, err = wrap.GroupCount()
+		return wrap.GroupCount()
 	case "sum":
-		out, err = wrap.GroupSum()
+		return wrap.GroupSum()
 	case "avg":
-		out, err = wrap.GroupAvg()
+		return wrap.GroupAvg()
 	case "min":
-		out, err = wrap.GroupMin()
-	case "max":
-		out, err = wrap.GroupMax()
-	default:
-		err = fmt.Errorf("monet: fused group aggregate: unknown op %q", op)
+		return wrap.GroupMin()
 	}
-	return out, info, err
+	return wrap.GroupMax()
 }
 
 // JoinProbe executes select→join-probe fused: the rows of the
@@ -309,32 +262,23 @@ func (p *Pipeline) fallbackGroup(ix *batIndex, b, gb, ab *BAT, op string, sp *ob
 // pairs morsel-at-a-time without materializing the filtered BAT. The
 // result is byte-identical to SelectRange followed by Join.
 func (p *Pipeline) JoinProbe(ctx context.Context, other *BAT) (*BAT, *FusedInfo, error) {
-	b, ix, err := p.s.capture(p.pred)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ix.mu.Unlock()
-	cIdxSelects.Inc()
 	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", p.pred)
 	defer sp.Finish()
 	stages := "select→probe"
-
-	fs, reason := ix.fuseLocked(b.tail, p.lo, p.hi)
+	b, pl, reason, err := p.s.planSelect(p.pred, p.lo, p.hi, true)
+	if err != nil {
+		return nil, nil, err
+	}
 	if reason == "" && !headCompatible(b.tail.Type(), other.head.Type()) {
 		return nil, nil, fmt.Errorf("%w: join tail %v with head %v", ErrTypeMismatch, b.tail.Type(), other.head.Type())
 	}
 	if reason != "" {
-		idx, info := ix.selectLocked(b.tail, p.lo, p.hi, sp)
-		sp.SetAttr("access", info.String())
-		sp.Resources().AddScanned(scannedRows(info))
+		idx := pl.positions(sp)
 		filtered := &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}
 		out, err := filtered.Join(other)
-		fi := &FusedInfo{Fused: false, Stages: stages, Fallback: reason, Access: info}
-		cFusedFallbacks.Inc()
-		sp.SetAttr("fused", fi.String())
-		return out, fi, err
+		return out, pl.finish(sp, stages, reason, len(idx), 0), err
 	}
 
 	opJoin.Inc()
@@ -354,58 +298,27 @@ func (p *Pipeline) JoinProbe(ctx context.Context, other *BAT) (*BAT, *FusedInfo,
 		return matched
 	}
 
-	var lIdx, rIdx []int
-	matched := 0
-	if fs.pos != nil {
-		runs := RunsOf(fs.pos)
-		cFusedRuns.Add(int64(len(runs)))
-		matched = probe(&lIdx, &rIdx, func(visit func(s, e int)) {
-			for _, r := range runs {
-				visit(r.Start, r.Start+r.Len)
-			}
-		})
-	} else {
-		nm := numMorsels(fs.col.Len())
-		if fs.morsels != nil {
-			nm = len(fs.morsels)
-		}
-		lParts := make([][]int, nm)
-		rParts := make([][]int, nm)
-		mParts := make([]int, nm)
-		fs.forEachMorsel(sp, func(k, lo, hi int) {
-			var ls, rs []int
-			mParts[k] = probe(&ls, &rs, func(visit func(s, e int)) {
-				a := GetArena()
-				starts := a.Ints((hi-lo)/2 + 1)
-				lens := a.Ints((hi-lo)/2 + 1)
-				nr := fs.matchRuns(lo, hi, starts, lens)
-				for r := 0; r < nr; r++ {
-					visit(starts[r], starts[r]+lens[r])
-				}
-				PutArena(a)
-			})
-			lParts[k], rParts[k] = ls, rs
-		})
-		total := 0
-		for _, part := range lParts {
-			total += len(part)
-		}
-		lIdx = make([]int, 0, total)
-		rIdx = make([]int, 0, total)
-		for m := range lParts {
-			lIdx = append(lIdx, lParts[m]...)
-			rIdx = append(rIdx, rParts[m]...)
-			matched += mParts[m]
-		}
+	nm := pl.ms.slots()
+	lParts := make([][]int, nm)
+	rParts := make([][]int, nm)
+	mParts := make([]int, nm)
+	pl.eachMorsel(sp, func(k, lo, hi int) {
+		var ls, rs []int
+		mParts[k] = probe(&ls, &rs, func(visit func(s, e int)) { pl.morselRuns(k, lo, hi, visit) })
+		lParts[k], rParts[k] = ls, rs
+	})
+	total, matched := 0, 0
+	for _, part := range lParts {
+		total += len(part)
+	}
+	lIdx := make([]int, 0, total)
+	rIdx := make([]int, 0, total)
+	for m := range lParts {
+		lIdx = append(lIdx, lParts[m]...)
+		rIdx = append(rIdx, rParts[m]...)
+		matched += mParts[m]
 	}
 
 	out := &BAT{head: b.head.Gather(lIdx), tail: other.tail.Gather(rIdx)}
-	fs.info.Matched = matched
-	fi := &FusedInfo{Fused: true, Stages: stages, Access: fs.info}
-	cFusedPipelines.Inc()
-	cFusedRows.Add(int64(matched))
-	sp.SetAttr("access", fs.info.String())
-	sp.SetAttr("fused", fi.String())
-	sp.Resources().AddScanned(scannedRows(fs.info))
-	return out, fi, nil
+	return out, pl.finish(sp, stages, "", matched, nm), nil
 }

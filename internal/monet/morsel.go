@@ -38,57 +38,57 @@ const maxMorselSpans = 8
 // morsel order — that merge order is what keeps parallel operators
 // bit-identical to their serial paths regardless of worker count.
 func runMorsels(p *Pool, n int, lat, spd *obs.Histogram, fn func(m, lo, hi int)) {
-	runMorselsSpan(p, n, lat, spd, nil, fn)
+	runMorselSet(p, morselSet{n: n}, lat, spd, nil, fn)
 }
 
-// runMorselsSpan is runMorsels under a trace span: each morsel task
-// records its queue wait (submit → worker pickup) and run time into
-// the trace's shared Resources, and the first maxMorselSpans morsels
-// additionally get child spans under sp. Morsel child spans are
-// created at submit time, in morsel order, so the parent's child list
-// is deterministic regardless of worker scheduling; the timing attrs
-// are filled in when the task runs. A nil sp skips all span work and
-// the extra per-morsel clock read.
-func runMorselsSpan(p *Pool, n int, lat, spd *obs.Histogram, sp *obs.Span, fn func(m, lo, hi int)) {
-	nm := numMorsels(n)
+// runMorselSet is the kernel's one morsel fan-out: it runs fn for the
+// k-th visited morsel of ms and its row range [lo, hi), inline and in
+// order when p is nil, else as one pool task per morsel, blocking until
+// all finish. Under a trace span each task records its queue wait
+// (submit → worker pickup) and run time into the trace's shared
+// Resources, and the first maxMorselSpans morsels additionally get
+// child spans under sp. Morsel child spans are created at submit time,
+// in morsel order, so the parent's child list is deterministic
+// regardless of worker scheduling; the timing attrs are filled in when
+// the task runs. A nil sp skips all span work and the extra per-morsel
+// clock read.
+func runMorselSet(p *Pool, ms morselSet, lat, spd *obs.Histogram, sp *obs.Span, fn func(k, lo, hi int)) {
+	nm := ms.slots()
+	if p == nil || nm <= 1 {
+		for k := 0; k < nm; k++ {
+			lo, hi := ms.rowRange(k)
+			fn(k, lo, hi)
+		}
+		return
+	}
 	cPoolMorsels.Add(int64(nm))
 	res := sp.Resources()
 	start := time.Now()
 	var busy atomic.Int64
 	b := p.Batch()
-	for m := 0; m < nm; m++ {
-		m := m
-		lo := m * MorselSize
-		hi := lo + MorselSize
-		if hi > n {
-			hi = n
-		}
-		if sp == nil {
-			//cobravet:allow allochot // one closure per morsel IS the fan-out unit; bounded by morsel count, not rows
-			b.Submit(func() {
-				t0 := time.Now()
-				fn(m, lo, hi)
-				busy.Add(int64(time.Since(t0)))
-			})
-			continue
-		}
+	for k := 0; k < nm; k++ {
+		k := k
+		lo, hi := ms.rowRange(k)
 		var msp *obs.Span
-		if m < maxMorselSpans {
+		if sp != nil && k < maxMorselSpans {
 			msp = sp.StartChild("monet.morsel")
-			msp.SetAttr("morsel", strconv.Itoa(m))
+			msp.SetAttr("morsel", strconv.Itoa(lo/MorselSize))
 			msp.SetAttr("rows", strconv.Itoa(hi-lo))
 		}
-		submitted := time.Now()
+		var submitted time.Time
+		if sp != nil {
+			submitted = time.Now()
+		}
 		//cobravet:allow allochot // one closure per morsel IS the fan-out unit; bounded by morsel count, not rows
 		b.Submit(func() {
 			t0 := time.Now()
-			fn(m, lo, hi)
+			fn(k, lo, hi)
 			run := time.Since(t0)
-			wait := t0.Sub(submitted)
-			if wait < 0 {
-				wait = 0
-			}
 			busy.Add(int64(run))
+			if sp == nil {
+				return
+			}
+			wait := max(t0.Sub(submitted), 0)
 			res.AddMorsel(wait, run)
 			if msp != nil {
 				msp.SetAttr("queue_wait", obs.FormatDuration(wait))
@@ -105,45 +105,6 @@ func runMorselsSpan(p *Pool, n int, lat, spd *obs.Histogram, sp *obs.Span, fn fu
 	if spd != nil && wall > 0 {
 		spd.ObserveNs(busy.Load() * 1000 / wall)
 	}
-}
-
-// parFilterIdx evaluates pred over [0, n) in parallel morsels and
-// returns the matching positions in ascending order — the parallel
-// core of Select/Uselect/Semijoin/KDiff. Each morsel collects its own
-// match list; concatenating the lists in morsel index order recovers
-// exactly the serial scan order.
-func parFilterIdx(p *Pool, n int, lat, spd *obs.Histogram, pred func(i int) bool) []int {
-	return parFilterIdxSpan(p, n, lat, spd, nil, pred)
-}
-
-// parFilterIdxSpan is parFilterIdx under an optional trace span. Each
-// morsel collects matches into arena scratch and copies only the
-// exact-size survivor list out, so the fan-out's transient footprint
-// is bounded by pool width, not morsel count.
-func parFilterIdxSpan(p *Pool, n int, lat, spd *obs.Histogram, sp *obs.Span, pred func(i int) bool) []int {
-	parts := make([][]int, numMorsels(n))
-	runMorselsSpan(p, n, lat, spd, sp, func(m, lo, hi int) {
-		a := GetArena()
-		buf := a.Ints(hi - lo)
-		k := 0
-		for i := lo; i < hi; i++ {
-			if pred(i) {
-				buf[k] = i
-				k++
-			}
-		}
-		parts[m] = append([]int(nil), buf[:k]...)
-		PutArena(a)
-	})
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	idx := make([]int, 0, total)
-	for _, part := range parts {
-		idx = append(idx, part...)
-	}
-	return idx
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed integer

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
-	"sync/atomic"
-	"time"
 
 	"cobra/internal/obs"
 )
@@ -21,17 +18,18 @@ import (
 // arena scratch (arena.go) and feeds them straight to the aggregate,
 // group table, or join probe. Per-morsel partials merge in morsel
 // order, so a fused result is byte-identical to the unfused one — and
-// whenever the cost gate cannot prove that identity (mixed-type or NaN
-// bounds, NaN values in a float column, inexact float sums, column
-// shapes without a typed kernel), the pipeline silently executes the
-// unfused operator-at-a-time path instead.
+// whenever the fused gate cannot promise that identity to its callers
+// (mixed-type or NaN bounds, NaN values in a float column, inexact
+// float sums, column shapes without an integer reader), the pipeline
+// reports itself unfused and executes the operator-at-a-time path
+// instead.
 //
-// The predicate reuses the adaptive access paths of accesspath.go:
-// zone maps prune whole morsels before the fused scan runs, crackers
-// answer with their cached position lists, and dict-encoded string
-// columns match int32 codes without ever decoding the tail
-// (dictionary-domain execution; grouped aggregation over a dict column
-// also groups on codes and decodes each distinct group label once).
+// The predicate is one selectPlan of accesspath.go, fused or not: zone
+// maps prune whole morsels before the scan runs, crackers answer with
+// their cached position lists, dict-encoded string columns match int32
+// codes without ever decoding the tail, and every scan is the typed
+// kernel of rangesel.go (grouped aggregation over a dict column also
+// groups on codes and decodes each distinct group label once).
 
 // Fused-execution metrics (monet.fused.*): pipelines that ran fused vs
 // fell back to the operator-at-a-time path, rows consumed in-register,
@@ -114,270 +112,57 @@ func (s *Store) Pipeline(pred string, lo, hi Value) *Pipeline {
 	return &Pipeline{s: s, pred: pred, lo: lo, hi: hi}
 }
 
-// fusedSource is the prepared selection stage of a fused pipeline:
-// either an inline typed predicate over (possibly zone-map-pruned)
-// morsels, a dictionary-code predicate, or a position list already
-// answered by the cracker.
-type fusedSource struct {
-	col     Column
-	lo, hi  Value
-	morsels []int   // surviving morsel indices under zone-map pruning (nil = all)
-	pos     []int   // index-answered positions (crack path); nil otherwise
-	codes   []int32 // dict codes when the predicate runs in code domain
-	cl, ch  int32   // dict code bounds: match is cl <= code < ch
-	info    *AccessInfo
-}
+// isNaNValue reports whether a bound is a float NaN.
+func isNaNValue(v Value) bool { return v.Typ == FloatT && math.IsNaN(v.F) }
 
-// fuseLocked is the fused cost gate: it decides whether a fused
-// pipeline over col can reproduce the unfused result bit-for-bit and
-// prepares the selection stage, building zone maps / dictionaries and
-// consulting the cracker exactly like selectLocked would. A non-empty
-// reason means the caller must take the operator-at-a-time fallback.
-// The caller holds ix.mu.
-func (ix *batIndex) fuseLocked(col Column, lo, hi Value) (*fusedSource, string) {
-	if lo.Typ != col.Type() || hi.Typ != col.Type() {
-		return nil, "mixed-type bounds"
-	}
-	if isNaNValue(lo) || isNaNValue(hi) {
-		return nil, "nan bound"
-	}
-	if ix.unsafe {
-		return nil, "nan in column"
-	}
-	fs := &fusedSource{col: col, lo: lo, hi: hi, info: &AccessInfo{Path: PathScan, Rows: col.Len()}}
-	path := ix.planLocked(col, lo, hi)
-	ix.selects++
-	switch c := col.(type) {
-	case *strColumn:
-		if ix.dict == nil {
-			ix.dict = buildDict(c)
-			cDictBuilds.Inc()
-		}
-		cl := int32(searchStrings(ix.dict.keys, lo.Str()))
-		ch := int32(searchStringsAfter(ix.dict.keys, hi.Str()))
-		if cl < ch {
-			cDictHits.Inc()
-		} else {
-			cDictMisses.Inc()
-		}
-		fs.codes, fs.cl, fs.ch = ix.dict.codes, cl, ch
-		fs.info.Path = PathDict
-		fs.info.DictSize = len(ix.dict.keys)
-		return fs, ""
-	case *intColumn, *oidColumn:
-		// Always exactly representable; no pre-pass needed.
-	case *floatColumn:
-		// A NaN row compares equal to everything under Compare, so the
-		// scan would match it against any bounds; the typed fused loop
-		// would not. The zone map (built here if missing — it doubles
-		// as the pruning structure) proves the column NaN-free.
-		if ix.zm == nil {
-			ix.zm = buildZoneMap(col)
-			cZmBuilds.Inc()
-		}
-		if ix.zm.unsafe {
-			ix.unsafe = true
-			return nil, "nan in column"
-		}
-	default:
-		return nil, fmt.Sprintf("unfusable predicate column type %v", col.Type())
-	}
-	if path == PathCrack {
-		if ix.cr == nil {
-			cr, ok := buildCracker(col)
-			if ok && cr != nil {
-				ix.cr = cr
-				cCrBuilds.Inc()
-			}
-		}
-		if ix.cr != nil {
-			before := ix.cr.cracks()
-			fs.pos = ix.cr.selectRange(lo, hi)
-			cCrCracks.Add(int64(ix.cr.cracks() - before))
-			hCrPieces.ObserveNs(int64(ix.cr.pieces()))
-			fs.info.Path = PathCrack
-			fs.info.CrackPieces = ix.cr.pieces()
-			fs.info.Matched = len(fs.pos)
-			return fs, ""
-		}
-	}
-	if ix.zm == nil && col.Len() >= ParallelThreshold {
-		ix.zm = buildZoneMap(col)
-		cZmBuilds.Inc()
-		if ix.zm.unsafe {
-			ix.unsafe = true
-			return nil, "nan in column"
-		}
-	}
-	if ix.zm != nil {
-		fs.morsels = ix.zm.prune(lo, hi)
-		fs.info.MorselsTotal = numMorsels(col.Len())
-		fs.info.MorselsPruned = fs.info.MorselsTotal - len(fs.morsels)
-		cZmScanned.Add(int64(len(fs.morsels)))
-		cZmPruned.Add(int64(fs.info.MorselsPruned))
-		if fs.info.MorselsPruned > 0 {
-			fs.info.Path = PathZoneMap
-		}
-	}
-	return fs, ""
-}
-
-// searchStrings is sort.SearchStrings without the import knot: the
-// first index whose key >= s.
-func searchStrings(keys []string, s string) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// searchStringsAfter returns the first index whose key > s.
-func searchStringsAfter(keys []string, s string) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] <= s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// matchRuns writes the maximal runs of qualifying rows inside
-// [lo, hi) into starts/lens (arena scratch sized (hi-lo)/2+1) and
-// returns the run count. The loops are typed: no Value boxing, no
-// Compare calls — the gate already proved the raw comparisons agree
-// with Compare for these operands.
-func (fs *fusedSource) matchRuns(lo, hi int, starts, lens []int) int {
-	nr := 0
-	open := false
-	emit := func(i int, match bool) {
-		if match {
-			if !open {
-				starts[nr] = i
-				lens[nr] = 1
-				nr++
-				open = true
-			} else {
-				lens[nr-1]++
-			}
-			return
-		}
-		open = false
-	}
+// fuseReason is the fused gate's verdict on a predicate, from the
+// index state as it stands: "" when a fused pipeline over col may
+// report itself fused, else why not. Every typed loop computes
+// Compare's answer for these operands too (rangesel.go); the verdict
+// exists for the callers that key on it — query.indexedFeatureRuns
+// reads an unfused plain scan as "this column may hold NaN, which
+// matches nothing under COQL's float comparison".
+func (ix *batIndex) fuseReason(col Column, lo, hi Value) string {
 	switch {
-	case fs.codes != nil:
-		v, cl, ch := fs.codes, fs.cl, fs.ch
-		for i := lo; i < hi; i++ {
-			emit(i, v[i] >= cl && v[i] < ch)
-		}
-	default:
-		switch c := fs.col.(type) {
-		case *intColumn:
-			v, lb, ub := c.v, fs.lo.I, fs.hi.I
-			for i := lo; i < hi; i++ {
-				emit(i, v[i] >= lb && v[i] <= ub)
-			}
-		case *oidColumn:
-			v, lb, ub := c.v, fs.lo.I, fs.hi.I
-			for i := lo; i < hi; i++ {
-				k := int64(v[i])
-				emit(i, k >= lb && k <= ub)
-			}
-		case *floatColumn:
-			v, lb, ub := c.v, fs.lo.F, fs.hi.F
-			for i := lo; i < hi; i++ {
-				emit(i, v[i] >= lb && v[i] <= ub)
-			}
-		}
+	case lo.Typ != col.Type() || hi.Typ != col.Type():
+		return "mixed-type bounds"
+	case isNaNValue(lo) || isNaNValue(hi):
+		return "nan bound"
+	case ix.unsafe:
+		return "nan in column"
 	}
-	return nr
+	switch col.(type) {
+	case *strColumn, *intColumn, *oidColumn, *floatColumn:
+		return ""
+	}
+	return fmt.Sprintf("unfusable predicate column type %v", col.Type())
 }
 
-// forEachMorsel fans the fused consumer over the source's morsels —
-// all of them, or only the zone-map survivors — passing each callback
-// a dense slot k for its partial-state cell plus the row range. Wide
-// inputs run on the shared pool; the caller merges partials in slot
-// order, which is morsel order. Traced runs record morsel child spans
-// marked fused=1 under sp (capped at maxMorselSpans) and accumulate
-// queue-wait/run time into the trace's shared Resources.
-func (fs *fusedSource) forEachMorsel(sp *obs.Span, fn func(k, lo, hi int)) int {
-	n := fs.col.Len()
-	nm := numMorsels(n)
-	all := fs.morsels == nil
-	slots := nm
-	if !all {
-		slots = len(fs.morsels)
+// eachMorsel fans a fused consumer over the morsels the plan visits,
+// passing each callback a dense slot k for its partial-state cell plus
+// the row range. Wide inputs run on the shared pool; the caller merges
+// partials in slot order, which is morsel order.
+func (pl *selectPlan) eachMorsel(sp *obs.Span, fn func(k, lo, hi int)) {
+	pool, _ := poolFor(pl.ms.n)
+	runMorselSet(pool, pl.ms, hFusedLat, hFusedSpd, sp, fn)
+}
+
+// finish stamps a pipeline's outcome on its span and the fused
+// counters and returns the FusedInfo describing it.
+func (pl *selectPlan) finish(sp *obs.Span, stages, reason string, matched, runs int) *FusedInfo {
+	pl.info.Matched = matched
+	fi := &FusedInfo{Fused: reason == "", Stages: stages, Fallback: reason, Access: pl.info}
+	if fi.Fused {
+		cFusedPipelines.Inc()
+		cFusedRows.Add(int64(matched))
+		cFusedRuns.Add(int64(runs))
+	} else {
+		cFusedFallbacks.Inc()
 	}
-	rowRange := func(k int) (int, int) {
-		m := k
-		if !all {
-			m = fs.morsels[k]
-		}
-		lo := m * MorselSize
-		hi := lo + MorselSize
-		if hi > n {
-			hi = n
-		}
-		return lo, hi
-	}
-	p, ok := poolFor(n)
-	if !ok || slots <= 1 {
-		for k := 0; k < slots; k++ {
-			lo, hi := rowRange(k)
-			fn(k, lo, hi)
-		}
-		return slots
-	}
-	res := sp.Resources()
-	start := time.Now()
-	var busy atomic.Int64
-	b := p.Batch()
-	for k := 0; k < slots; k++ {
-		k := k
-		var msp *obs.Span
-		if sp != nil && k < maxMorselSpans {
-			msp = sp.StartChild("monet.morsel")
-			msp.SetAttr("morsel", strconv.Itoa(k))
-			msp.SetAttr("fused", "1")
-		}
-		submitted := time.Now()
-		//cobravet:allow allochot // one closure per morsel IS the fan-out unit; bounded by morsel count, not rows
-		b.Submit(func() {
-			t0 := time.Now()
-			lo, hi := rowRange(k)
-			fn(k, lo, hi)
-			run := time.Since(t0)
-			busy.Add(int64(run))
-			if sp != nil {
-				wait := t0.Sub(submitted)
-				if wait < 0 {
-					wait = 0
-				}
-				res.AddMorsel(wait, run)
-				if msp != nil {
-					msp.SetAttr("queue_wait", obs.FormatDuration(wait))
-					msp.SetAttr("run", obs.FormatDuration(run))
-					msp.Finish()
-				}
-			}
-		})
-	}
-	b.Wait()
-	wall := int64(time.Since(start))
-	hFusedLat.ObserveNs(wall)
-	if wall > 0 {
-		hFusedSpd.ObserveNs(busy.Load() * 1000 / wall)
-	}
-	return slots
+	sp.SetAttr("access", pl.info.String())
+	sp.SetAttr("fused", fi.String())
+	sp.Resources().AddScanned(scannedRows(pl.info))
+	return fi
 }
 
 // intReader returns an int64 accessor over a column whose values are
@@ -394,12 +179,7 @@ func intReader(c Column) func(i int) int64 {
 		return func(i int) int64 { return int64(v[i]) }
 	case *boolColumn:
 		v := c.v
-		return func(i int) int64 {
-			if v[i] {
-				return 1
-			}
-			return 0
-		}
+		return func(i int) int64 { return int64(b2u(v[i])) }
 	}
 	return nil
 }
@@ -429,35 +209,10 @@ func mergeScalar(dst, src *scalarPart, sign int64) {
 // the rows matched by the pipeline's predicate, without materializing
 // positions or a filtered BAT. Results are byte-identical to
 // SelectPositions + Gather + the BAT aggregate; when the gate cannot
-// prove that (NaN/mixed-type predicates, float aggregate columns), it
-// executes exactly that fallback.
+// promise that (NaN/mixed-type predicates, float aggregate columns),
+// it executes exactly that fallback.
 func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *FusedInfo, error) {
-	b, ix, err := p.s.capture(p.pred)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	defer ix.mu.Unlock()
-	ab, err := p.s.Get(agg)
-	if err != nil {
-		return Value{}, nil, err
-	}
-	if ab.Len() != b.Len() {
-		return Value{}, nil, fmt.Errorf("monet: fused aggregate: %q has %d rows, %q has %d", p.pred, b.Len(), agg, ab.Len())
-	}
-	cIdxSelects.Inc()
-	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
-	sp.SetAttr("level", "physical")
-	sp.SetAttr("bat", p.pred)
-	defer sp.Finish()
-	stages := "select→" + op
-
-	fs, reason := ix.fuseLocked(b.tail, p.lo, p.hi)
 	var sign int64
-	readerNeeded := op != "count"
-	valAt := intReader(ab.tail)
-	if reason == "" && readerNeeded && valAt == nil {
-		reason = fmt.Sprintf("inexact or non-integer aggregate column %v", ab.TailType())
-	}
 	switch op {
 	case "min":
 		sign = -1
@@ -467,23 +222,36 @@ func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *Fused
 	default:
 		return Value{}, nil, fmt.Errorf("monet: fused aggregate: unknown op %q", op)
 	}
+	ab, err := p.s.Get(agg)
+	if err != nil {
+		return Value{}, nil, err
+	}
+	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
+	sp.SetAttr("level", "physical")
+	sp.SetAttr("bat", p.pred)
+	defer sp.Finish()
+	b, pl, reason, err := p.s.planSelect(p.pred, p.lo, p.hi, true)
+	if err != nil {
+		return Value{}, nil, err
+	}
+	if ab.Len() != b.Len() {
+		return Value{}, nil, fmt.Errorf("monet: fused aggregate: %q has %d rows, %q has %d", p.pred, b.Len(), agg, ab.Len())
+	}
+	stages := "select→" + op
+	var valAt func(i int) int64
+	if op != "count" {
+		if valAt = intReader(ab.tail); valAt == nil && reason == "" {
+			reason = fmt.Sprintf("inexact or non-integer aggregate column %v", ab.TailType())
+		}
+	}
 	if reason != "" {
-		v, info, err := p.fallbackAggregate(ix, b, ab, op, sp)
-		fi := &FusedInfo{Fused: false, Stages: stages, Fallback: reason, Access: info}
-		cFusedFallbacks.Inc()
-		sp.SetAttr("fused", fi.String())
-		return v, fi, err
+		idx := pl.positions(sp)
+		v, err := aggregatePositions(ab, idx, op)
+		return v, pl.finish(sp, stages, reason, len(idx), 0), err
 	}
 
-	total := p.consumeScalar(fs, sp, op, valAt, sign)
-	fs.info.Matched = int(total.count)
-	fi := &FusedInfo{Fused: true, Stages: stages, Access: fs.info}
-	cFusedPipelines.Inc()
-	cFusedRows.Add(total.count)
-	sp.SetAttr("access", fs.info.String())
-	sp.SetAttr("fused", fi.String())
-	sp.Resources().AddScanned(scannedRows(fs.info))
-
+	total := consumeScalar(pl, sp, valAt, sign)
+	fi := pl.finish(sp, stages, "", int(total.count), pl.ms.slots())
 	switch op {
 	case "count":
 		return NewInt(total.count), fi, nil
@@ -513,145 +281,61 @@ func typedInt(t Type, k int64) Value {
 	return NewInt(k)
 }
 
-// consumeScalar runs the fused scalar-aggregate consumer over the
-// prepared source and returns the morsel-order merge of the partials.
-func (p *Pipeline) consumeScalar(fs *fusedSource, sp *obs.Span, op string, valAt func(i int) int64, sign int64) scalarPart {
-	var total scalarPart
+// consumeScalar runs the fused scalar-aggregate consumer over the plan
+// and returns the morsel-order merge of the partials. valAt is nil for
+// count; sign is ±1 for max/min and 0 for the sums.
+func consumeScalar(pl *selectPlan, sp *obs.Span, valAt func(i int) int64, sign int64) scalarPart {
 	consume := func(part *scalarPart, lo, hi int) {
+		part.count += int64(hi - lo)
+		if valAt == nil {
+			return
+		}
 		for i := lo; i < hi; i++ {
-			part.count++
-			if valAt == nil {
-				continue
-			}
 			v := valAt(i)
-			switch op {
-			case "sum", "avg":
+			if sign == 0 {
 				part.sum += float64(v)
-			case "min", "max":
-				if !part.bestOK || sign*(v-part.best) > 0 {
-					part.best = v
-					part.bestOK = true
-				}
+			} else if !part.bestOK || sign*(v-part.best) > 0 {
+				part.best = v
+				part.bestOK = true
 			}
 		}
 	}
-	if fs.pos != nil {
-		// Crack path: the index answered with its cached position list;
-		// consume it in-register, run by run, without gathering.
-		runs := RunsOf(fs.pos)
-		for _, r := range runs {
-			consume(&total, r.Start, r.Start+r.Len)
-		}
-		cFusedRuns.Add(int64(len(runs)))
-		return total
-	}
-	nm := numMorsels(fs.col.Len())
-	if fs.morsels != nil {
-		nm = len(fs.morsels)
-	}
-	parts := make([]scalarPart, nm)
-	var runsSeen int64
-	fs.forEachMorsel(sp, func(k, lo, hi int) {
-		a := GetArena()
-		starts := a.Ints((hi-lo)/2 + 1)
-		lens := a.Ints((hi-lo)/2 + 1)
-		nr := fs.matchRuns(lo, hi, starts, lens)
+	var total scalarPart
+	parts := make([]scalarPart, pl.ms.slots())
+	pl.eachMorsel(sp, func(k, lo, hi int) {
 		part := &parts[k]
-		for r := 0; r < nr; r++ {
-			consume(part, starts[r], starts[r]+lens[r])
-		}
-		PutArena(a)
+		pl.morselRuns(k, lo, hi, func(s, e int) { consume(part, s, e) })
 	})
 	for m := range parts {
 		mergeScalar(&total, &parts[m], sign)
-		runsSeen++
 	}
-	cFusedRuns.Add(runsSeen)
 	return total
 }
 
 // SelectRuns returns the qualifying rows of the named BAT's tail range
-// select as maximal runs instead of a position slice. On the fused
-// path each morsel emits its runs in-register (arena scratch, no
-// per-position allocation) and adjacent morsel boundaries merge, so a
-// 50%-selective scan over a clustered column returns a handful of
-// runs where SelectPositions would allocate half a million ints. The
-// result is always exactly RunsOf(SelectPositions(...)).
+// select as maximal runs instead of a position slice: the kernel's
+// match bitmap is read off as runs directly, so a 50%-selective scan
+// over a clustered column returns a handful of runs where
+// SelectPositions would allocate half a million ints. The result is
+// always exactly RunsOf(SelectPositions(...)).
 func (s *Store) SelectRuns(name string, lo, hi Value) ([]Run, *FusedInfo, error) {
 	return s.SelectRunsCtx(context.Background(), name, lo, hi)
 }
 
 // SelectRunsCtx is SelectRuns under a trace context: the select
 // records a "monet.select" span whose access and fused attrs describe
-// the pipeline, with fused morsel child spans for parallel scans.
+// the pipeline, with morsel child spans for parallel scans.
 func (s *Store) SelectRunsCtx(ctx context.Context, name string, lo, hi Value) ([]Run, *FusedInfo, error) {
-	b, ix, err := s.capture(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer ix.mu.Unlock()
-	cIdxSelects.Inc()
 	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", name)
 	defer sp.Finish()
-
-	fs, reason := ix.fuseLocked(b.tail, lo, hi)
-	if reason != "" {
-		idx, info := ix.selectLocked(b.tail, lo, hi, sp)
-		fi := &FusedInfo{Fused: false, Stages: "select→runs", Fallback: reason, Access: info}
-		cFusedFallbacks.Inc()
-		sp.SetAttr("access", info.String())
-		sp.SetAttr("fused", fi.String())
-		sp.Resources().AddScanned(scannedRows(info))
-		return RunsOf(idx), fi, nil
+	_, pl, reason, err := s.planSelect(name, lo, hi, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	var runs []Run
-	matched := 0
-	if fs.pos != nil {
-		runs = RunsOf(fs.pos)
-		matched = len(fs.pos)
-	} else {
-		nm := numMorsels(fs.col.Len())
-		if fs.morsels != nil {
-			nm = len(fs.morsels)
-		}
-		parts := make([][]Run, nm)
-		fs.forEachMorsel(sp, func(k, mlo, mhi int) {
-			a := GetArena()
-			starts := a.Ints((mhi-mlo)/2 + 1)
-			lens := a.Ints((mhi-mlo)/2 + 1)
-			nr := fs.matchRuns(mlo, mhi, starts, lens)
-			if nr > 0 {
-				// Copy out of the arena: the runs outlive the morsel.
-				part := make([]Run, nr)
-				for r := 0; r < nr; r++ {
-					part[r] = Run{Start: starts[r], Len: lens[r]}
-				}
-				parts[k] = part
-			}
-			PutArena(a)
-		})
-		for _, part := range parts {
-			for _, r := range part {
-				matched += r.Len
-				if n := len(runs); n > 0 && runs[n-1].Start+runs[n-1].Len == r.Start {
-					runs[n-1].Len += r.Len
-					continue
-				}
-				runs = append(runs, r)
-			}
-		}
-	}
-	fs.info.Matched = matched
-	fi := &FusedInfo{Fused: true, Stages: "select→runs", Access: fs.info}
-	cFusedPipelines.Inc()
-	cFusedRows.Add(int64(matched))
-	cFusedRuns.Add(int64(len(runs)))
-	sp.SetAttr("access", fs.info.String())
-	sp.SetAttr("fused", fi.String())
-	sp.Resources().AddScanned(scannedRows(fs.info))
-	return runs, fi, nil
+	runs, matched := pl.runs(sp)
+	return runs, pl.finish(sp, "select→runs", reason, matched, len(runs)), nil
 }
 
 // FusedDecision reports, without executing the pipeline or building
@@ -665,23 +349,8 @@ func (s *Store) FusedDecision(pred, agg string, lo, hi Value, op string) string 
 	if err != nil {
 		return "fallback(" + err.Error() + ")"
 	}
-	defer ix.mu.Unlock()
-	col := b.tail
-	reason := ""
-	switch {
-	case lo.Typ != col.Type() || hi.Typ != col.Type():
-		reason = "mixed-type bounds"
-	case isNaNValue(lo) || isNaNValue(hi):
-		reason = "nan bound"
-	case ix.unsafe:
-		reason = "nan in column"
-	default:
-		switch col.(type) {
-		case *strColumn, *intColumn, *oidColumn, *floatColumn:
-		default:
-			reason = fmt.Sprintf("unfusable predicate column type %v", col.Type())
-		}
-	}
+	reason := ix.fuseReason(b.tail, lo, hi)
+	ix.mu.Unlock()
 	if reason == "" && op != "count" {
 		ab, err := s.Get(agg)
 		switch {
@@ -697,42 +366,28 @@ func (s *Store) FusedDecision(pred, agg string, lo, hi Value, op string) string 
 	return "fused"
 }
 
-// fallbackAggregate is the operator-at-a-time reference path the gate
-// falls back to: materialize the qualifying positions through the
-// adaptive select, gather the aggregate column, aggregate the result.
-func (p *Pipeline) fallbackAggregate(ix *batIndex, b, ab *BAT, op string, sp *obs.Span) (Value, *AccessInfo, error) {
-	idx, info := ix.selectLocked(b.tail, p.lo, p.hi, sp)
-	sp.SetAttr("access", info.String())
-	sp.Resources().AddScanned(scannedRows(info))
+// aggregatePositions is the operator-at-a-time reference the gate
+// falls back to once the qualifying positions are materialized: gather
+// the aggregate column, aggregate the result.
+func aggregatePositions(ab *BAT, idx []int, op string) (Value, error) {
 	if op == "count" {
-		return NewInt(int64(len(idx))), info, nil
+		return NewInt(int64(len(idx))), nil
 	}
 	wrap := &BAT{head: &voidColumn{n: len(idx)}, tail: ab.tail.Gather(idx)}
 	switch op {
 	case "sum":
 		s, err := wrap.Sum()
-		if err != nil {
-			return Value{}, info, err
-		}
-		return NewFloat(s), info, nil
+		return NewFloat(s), err
 	case "avg":
 		s, err := wrap.Avg()
-		if err != nil {
-			return Value{}, info, err
-		}
-		return NewFloat(s), info, nil
-	case "min":
-		v, ok := wrap.Min()
-		if !ok {
-			return Value{}, info, fmt.Errorf("monet: fused aggregate: min over empty selection")
-		}
-		return v, info, nil
-	case "max":
-		v, ok := wrap.Max()
-		if !ok {
-			return Value{}, info, fmt.Errorf("monet: fused aggregate: max over empty selection")
-		}
-		return v, info, nil
+		return NewFloat(s), err
 	}
-	return Value{}, info, fmt.Errorf("monet: fused aggregate: unknown op %q", op)
+	v, ok := wrap.Min()
+	if op == "max" {
+		v, ok = wrap.Max()
+	}
+	if !ok {
+		return Value{}, fmt.Errorf("monet: fused aggregate: %s over empty selection", op)
+	}
+	return v, nil
 }

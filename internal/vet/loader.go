@@ -171,7 +171,8 @@ func (l *Loader) parseDir(dir string) (files, testFiles []*ast.File, err error) 
 }
 
 // ModulePackages lists the import paths of every package under the
-// module root, skipping testdata and hidden directories.
+// module root, skipping testdata and hidden directories and — like the
+// go tool — every directory that is the root of another module.
 func (l *Loader) ModulePackages() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.ModRoot, func(path string, d os.DirEntry, err error) error {
@@ -183,6 +184,9 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		}
 		name := d.Name()
 		if name == "testdata" || (len(name) > 1 && (name[0] == '.' || name[0] == '_')) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != l.ModRoot {
 			return filepath.SkipDir
 		}
 		ents, err := os.ReadDir(path)

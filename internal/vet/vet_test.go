@@ -55,6 +55,9 @@ func TestModulePackagesListsKnownPaths(t *testing.T) {
 		if strings.Contains(p, "testdata") {
 			t.Errorf("testdata package listed: %s", p)
 		}
+		if p == "cobra/bench" {
+			t.Errorf("nested module listed as a package of this one: %s", p)
+		}
 		if _, ok := want[p]; ok {
 			want[p] = true
 		}
