@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cobra/internal/benchfmt"
@@ -18,10 +19,13 @@ import (
 	"cobra/internal/hmm"
 	"cobra/internal/mil"
 	"cobra/internal/monet"
+	"cobra/internal/obs"
 	"cobra/internal/qcache"
 	"cobra/internal/query"
 	"cobra/internal/server"
 	"cobra/internal/stream"
+	"cobra/internal/synth"
+	"cobra/internal/wal"
 )
 
 // microBench is one harness entry: the operation plus the kernel pool
@@ -56,6 +60,9 @@ func runMicro(*f1.Lab) error {
 		{"StreamFanout/s1", 0, benchStreamFanout(1)},
 		{"StreamFanout/s100", 0, benchStreamFanout(100)},
 		{"StreamFanout/s1000", 0, benchStreamFanout(1000)},
+		{"LiveStep/nojournal", 0, benchLiveStep("")},
+		{"LiveStep/interval", 0, benchLiveStep("interval")},
+		{"LiveStep/always", 0, benchLiveStep("always")},
 		{"UncachedQuery1M", 0, benchUncachedQuery1M},
 		{"CachedQuery1M", 0, benchCachedQuery1M},
 		{"CacheMissEvict", 0, benchCacheMissEvict},
@@ -118,6 +125,9 @@ func runMicro(*f1.Lab) error {
 		}
 		fmt.Printf("  %-28s %12.0f ns/op %8d allocs/op %10d B/op (%d iterations, width %d)\n",
 			res.Name, res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.Iterations, res.Width)
+		if rate, ok := r.Extra["rows/s"]; ok {
+			fmt.Printf("  %-28s %12.0f rows/s appended\n", res.Name, rate)
+		}
 		results = append(results, res)
 	}
 	printSpeedups(results)
@@ -258,6 +268,76 @@ func benchStreamFanout(n int) func(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// liveStepFeatures extracts the race the LiveStep benchmarks air, once
+// for all three: extraction costs seconds, a tick microseconds.
+var liveStepFeatures = sync.OnceValues(func() (*f1.Features, error) {
+	return f1.Extract(synth.GenerateRace(synth.GermanGP, 120, 42), f1.Options{Seed: 42})
+})
+
+// benchLiveStep times one f1.LiveIngestor.Step of 0.2 broadcast
+// seconds — the tick of the end-to-end live_durable workload: two rows
+// into each of 19 feature series, the events that completed and the
+// duration watermark, as one kernel commit — with no journal or with a
+// write-ahead log under the given sync policy. When the race has fully
+// aired the store, the log and the ingestor are replaced off the clock.
+func benchLiveStep(walSync string) func(b *testing.B) {
+	return func(b *testing.B) {
+		f, err := liveStepFeatures()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var (
+			ing *f1.LiveIngestor
+			mgr *wal.Manager
+			dir string
+		)
+		closeLog := func() {
+			if mgr != nil {
+				if err := mgr.Close(); err != nil {
+					b.Fatal(err)
+				}
+				os.RemoveAll(dir)
+			}
+		}
+		fresh := func() {
+			closeLog()
+			store := monet.NewStore()
+			if walSync != "" {
+				policy, err := wal.ParseSyncPolicy(walSync)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if dir, err = os.MkdirTemp("", "cobra-bench-livestep-"); err != nil {
+					b.Fatal(err)
+				}
+				if mgr, err = wal.Open(dir, store, wal.Options{Sync: policy}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if ing, err = f1.NewLiveIngestorFrom(cobra.NewCatalog(store), "live", f); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fresh()
+		defer closeLog()
+		rows := obs.C("monet.store.append_rows")
+		rows0 := rows.Value()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ing.Done() {
+				b.StopTimer()
+				fresh()
+				b.StartTimer()
+			}
+			if _, err := ing.Step(0.2); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(rows.Value()-rows0)/b.Elapsed().Seconds(), "rows/s")
 	}
 }
 

@@ -219,7 +219,9 @@ func main() {
 				}
 				w, err := ing.Step(*feedStep)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "cobra-server: live feed: %v\n", err)
+					// A chunk commits whole or not at all, so on error w is
+					// still the watermark of the last committed one.
+					fmt.Fprintf(os.Stderr, "cobra-server: live feed stopped: %v; %s is intact at its last committed watermark %.1fs\n", err, *feed, w)
 					return
 				}
 				subs.Advance(context.Background())

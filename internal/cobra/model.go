@@ -119,14 +119,19 @@ func (c *Catalog) PutVideo(v Video) error {
 	if v.Name == "" || v.Duration <= 0 {
 		return errors.New("cobra: video needs a name and positive duration")
 	}
+	return c.store.PutCtx(c.ctx(), videoBAT(), c.videosWith(v))
+}
+
+// videosWith returns a copy of the raw-layer video table in which v
+// replaces (or adds) the entry of its name.
+func (c *Catalog) videosWith(v Video) *monet.BAT {
 	b, err := c.store.Get(videoBAT())
 	if err != nil {
 		b = monet.NewBAT(monet.StrT, monet.StrT)
 	}
 	b = b.Filter(func(h, _ monet.Value) bool { return h.Str() != v.Name })
 	b.MustInsert(monet.NewStr(v.Name), monet.NewStr(fmt.Sprintf("%g|%g", v.Duration, v.FPS)))
-	c.store.PutCtx(c.ctx(), videoBAT(), b)
-	return nil
+	return b
 }
 
 // Video returns a registered video.
@@ -170,9 +175,10 @@ func (c *Catalog) PutFeature(f Feature) error {
 	for _, v := range f.Values {
 		b.MustInsert(monet.VoidValue(), monet.NewFloat(v))
 	}
-	c.store.PutCtx(c.ctx(), featureBAT(f.Video, f.Name), b)
-	c.store.PutCtx(c.ctx(), featureBAT(f.Video, f.Name)+"/rate", rateBAT(f.SampleRate))
-	return nil
+	if err := c.store.PutCtx(c.ctx(), featureBAT(f.Video, f.Name), b); err != nil {
+		return err
+	}
+	return c.store.PutCtx(c.ctx(), featureBAT(f.Video, f.Name)+"/rate", rateBAT(f.SampleRate))
 }
 
 func rateBAT(rate float64) *monet.BAT {
@@ -317,7 +323,9 @@ func (c *Catalog) PutEvents(video string, events []Event) error {
 		cols["attrs"].MustInsert(oid, monet.NewStr(encodeAttrs(e.Attrs)))
 	}
 	for col, b := range cols {
-		c.store.PutCtx(c.ctx(), eventBAT(video, col), b)
+		if err := c.store.PutCtx(c.ctx(), eventBAT(video, col), b); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -383,8 +391,7 @@ func (c *Catalog) PutObject(o Object) error {
 	}
 	b = b.Filter(func(h, _ monet.Value) bool { return h.Str() != o.Name })
 	b.MustInsert(monet.NewStr(o.Name), monet.NewStr(sb.String()))
-	c.store.PutCtx(c.ctx(), objectBAT(o.Video, "appearances"), b)
-	return nil
+	return c.store.PutCtx(c.ctx(), objectBAT(o.Video, "appearances"), b)
 }
 
 // Objects returns the video's object-layer entities of a class

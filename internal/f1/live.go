@@ -9,11 +9,13 @@ import (
 )
 
 // LiveIngestor drives a synthetic race through the catalog as a live
-// broadcast: each Step advances the synth feed, appends the feature
-// samples for the clips that fully aired, appends the events and
-// captions that completed, and moves the video's duration watermark.
-// All appends are copy-on-write kernel appends, so queries running
-// concurrently see consistent snapshots.
+// broadcast: each Step advances the synth feed and commits one live
+// chunk — the feature samples of the clips that fully aired, the
+// events and captions that completed, and the video's duration
+// watermark — as a single atomic, write-ahead kernel batch. The commit
+// is copy-on-write, so queries running concurrently see consistent
+// snapshots, and all-or-nothing, so the store is always at a whole-tick
+// watermark.
 //
 // Feature extraction runs once, up front, over the whole race — the
 // pipeline is deterministic, so extracting clip-by-clip would produce
@@ -30,6 +32,9 @@ type LiveIngestor struct {
 	names    []string // sorted series names, for deterministic appends
 	clips    int      // total clips in the full race
 	clipRows int      // clips appended so far
+
+	committed float64 // watermark of the last committed chunk
+	err       error   // sticky: the feed is past the store, so no later Step may commit
 }
 
 // NewLiveIngestor extracts the race's features and registers the
@@ -40,6 +45,14 @@ func NewLiveIngestor(cat *cobra.Catalog, video string, race *synth.Race, seed in
 	if err != nil {
 		return nil, fmt.Errorf("f1: live extract: %w", err)
 	}
+	return NewLiveIngestorFrom(cat, video, f)
+}
+
+// NewLiveIngestorFrom is NewLiveIngestor over features extracted
+// earlier: it airs f.Race. Extraction dominates the constructor, so
+// callers that air one race into several stores (benchmarks, crash
+// tests) extract once.
+func NewLiveIngestorFrom(cat *cobra.Catalog, video string, f *Features) (*LiveIngestor, error) {
 	series := map[string][]float64{
 		"keywords": f.Keywords, "pauserate": f.PauseRate,
 		"steavg": f.STEAvg, "stedyn": f.STEDyn, "stemax": f.STEMax,
@@ -63,7 +76,7 @@ func NewLiveIngestor(cat *cobra.Catalog, video string, race *synth.Race, seed in
 		return nil, err
 	}
 	return &LiveIngestor{
-		cat: cat, video: video, feed: synth.NewFeed(race),
+		cat: cat, video: video, feed: synth.NewFeed(f.Race),
 		series: series, names: names, clips: f.N,
 	}, nil
 }
@@ -77,27 +90,29 @@ func (l *LiveIngestor) Watermark() float64 { return l.feed.Now() }
 // Done reports whether the whole race has aired.
 func (l *LiveIngestor) Done() bool { return l.feed.Done() }
 
-// Step airs the next dt seconds of broadcast: feature samples for
-// clips that finished airing, completed events and captions, then the
-// duration watermark. It returns the new watermark.
+// Step airs the next dt seconds of broadcast and commits what aired as
+// one catalog chunk. It returns the new watermark. On error nothing of
+// the tick was applied — the store is intact at the last committed
+// watermark, which is returned instead — and the ingestor is spent:
+// its feed has moved past the store, so every later Step fails too.
 func (l *LiveIngestor) Step(dt float64) (watermark float64, err error) {
+	if l.err != nil {
+		return l.committed, l.err
+	}
 	ch := l.feed.Advance(dt)
 	w := ch.To
+	chunk := cobra.LiveChunk{Duration: w}
 	// Clips fully contained in the aired prefix.
 	n := int(w/ClipDur + 1e-9)
 	if n > l.clips {
 		n = l.clips
 	}
 	if n > l.clipRows {
-		for _, name := range l.names {
-			vals := l.series[name][l.clipRows:n]
-			if _, err := l.cat.AppendFeatureSamples(l.video, name, 1/ClipDur, vals); err != nil {
-				return w, err
-			}
+		chunk.Features = make([]cobra.FeatureSamples, len(l.names))
+		for i, name := range l.names {
+			chunk.Features[i] = cobra.FeatureSamples{Name: name, Rate: 1 / ClipDur, Values: l.series[name][l.clipRows:n]}
 		}
-		l.clipRows = n
 	}
-	var events []cobra.Event
 	for _, e := range ch.Events {
 		attrs := map[string]string{}
 		if e.Driver != "" {
@@ -109,7 +124,7 @@ func (l *LiveIngestor) Step(dt float64) (watermark float64, err error) {
 		if len(attrs) == 0 {
 			attrs = nil
 		}
-		events = append(events, cobra.Event{
+		chunk.Events = append(chunk.Events, cobra.Event{
 			Video: l.video, Type: string(e.Type),
 			Interval:   cobra.Interval{Start: e.Start, End: e.End},
 			Confidence: 1,
@@ -118,7 +133,7 @@ func (l *LiveIngestor) Step(dt float64) (watermark float64, err error) {
 	}
 	for _, c := range ch.Captions {
 		for _, word := range c.Words {
-			events = append(events, cobra.Event{
+			chunk.Events = append(chunk.Events, cobra.Event{
 				Video: l.video, Type: EventCaption,
 				Interval:   cobra.Interval{Start: c.Start, End: c.End},
 				Confidence: 1,
@@ -126,15 +141,11 @@ func (l *LiveIngestor) Step(dt float64) (watermark float64, err error) {
 			})
 		}
 	}
-	if len(events) > 0 {
-		if _, err := l.cat.AppendEvents(l.video, events); err != nil {
-			return w, err
-		}
+	if _, err := l.cat.AppendLive(l.video, chunk); err != nil {
+		l.err = fmt.Errorf("f1: live chunk up to %.1fs: %w", w, err)
+		return l.committed, l.err
 	}
-	if w > 0 {
-		if err := l.cat.SetDuration(l.video, w); err != nil {
-			return w, err
-		}
-	}
+	l.clipRows = max(l.clipRows, n)
+	l.committed = w
 	return w, nil
 }

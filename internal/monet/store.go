@@ -13,14 +13,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"cobra/internal/obs"
 )
 
-// cJournalErr counts journal write failures observed by the store. A
-// non-zero value means durability is degraded: some mutations were
-// applied in memory but could not be logged.
+// cJournalErr counts journal write failures observed by the store.
+// Each one is a mutation that was rejected: write-ahead means a record
+// that could not be logged is never applied.
 var cJournalErr = obs.C("monet.store.journal_errors")
 
 // Journal receives a record for every store-level mutation before it
@@ -28,36 +27,48 @@ var cJournalErr = obs.C("monet.store.journal_errors")
 // (internal/wal) implements it with a write-ahead log; a nil journal
 // keeps the store purely in-memory, as in the original Monet kernel.
 //
-// Journal methods are invoked while the store's write lock is held, so
-// implementations observe mutations in exactly the order they are
-// applied and must not call back into the Store.
+// Journal methods are invoked while the store's writer mutex is held
+// (and the readers' lock is not), so implementations observe mutations
+// one at a time, in exactly the order they are applied, and must not
+// call back into the Store. A non-nil error rejects the mutation. The
+// arguments must be serialized or copied before the call returns.
 type Journal interface {
 	// JournalPut records the registration (or replacement) of a whole
-	// BAT under name. The BAT must be serialized or copied before the
-	// call returns; it may be mutated afterwards.
+	// BAT under name.
 	JournalPut(name string, b *BAT) error
 	// JournalAppend records the append of one (head, tail) association
 	// to the named BAT.
 	JournalAppend(name string, h, t Value) error
 	// JournalDrop records the removal of the named BAT.
 	JournalDrop(name string) error
+	// JournalBatch records a whole write batch as one atomic record:
+	// after a crash either every entry of it is recovered or none is.
+	JournalBatch(w *WriteBatch) error
 }
 
 // Store is a named catalog of BATs: the kernel's database. It is safe
 // for concurrent use. With a Journal attached (SetJournal), every
-// mutation is logged before it is applied, giving the write-ahead
-// discipline the durability layer builds on.
+// mutation is logged before it is applied — and is not applied when
+// logging fails — giving the write-ahead discipline the durability
+// layer builds on.
 //
-// Every mutation of a named BAT (Put, Append, Drop) bumps that name's
-// epoch counter, which lazily invalidates the adaptive access-path
-// structures (zone maps, crackers, dictionaries) kept per name; see
-// accesspath.go. Recovery goes through Put, so restored BATs arrive
-// with fresh epochs and indexes rebuild on first use.
+// Every mutation of a named BAT (Put, Append, Drop, Commit) bumps that
+// name's epoch counter, which lazily invalidates the adaptive
+// access-path structures (zone maps, crackers, dictionaries) kept per
+// name; see accesspath.go. Recovery goes through Put, so restored BATs
+// arrive with fresh epochs and indexes rebuild on first use.
 type Store struct {
-	mu      sync.RWMutex
-	bats    map[string]*BAT
-	epochs  map[string]uint64
+	// wmu serializes writers (Put, Append, Drop, Commit, Checkpoint)
+	// and guards journal. A writer validates and journals holding only
+	// wmu, then takes mu for the in-memory swap, so readers never wait
+	// behind a log write and the log order is the apply order. Lock
+	// order: wmu before mu; never the reverse.
+	wmu     sync.Mutex
 	journal Journal
+
+	mu     sync.RWMutex
+	bats   map[string]*BAT
+	epochs map[string]uint64
 
 	// idxMu guards indexes. Lock order: mu before idxMu before the
 	// per-index batIndex.mu; never the reverse.
@@ -115,16 +126,15 @@ func (s *Store) Epochs(names []string) []uint64 {
 // Attach after recovery has replayed historical mutations, so replay
 // itself is not re-logged.
 func (s *Store) SetJournal(j Journal) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.journal = j
 }
 
 // Put registers (or replaces) a BAT under the given name. With a
 // journal attached the mutation is logged first; a journal error is
-// returned (and counted in monet.store.journal_errors) but the
-// in-memory mutation still applies, so callers that ignore the error
-// keep the original main-memory semantics.
+// returned (and counted in monet.store.journal_errors) and the
+// mutation is not applied.
 func (s *Store) Put(name string, b *BAT) error {
 	return s.PutCtx(context.Background(), name, b)
 }
@@ -134,26 +144,23 @@ func (s *Store) Put(name string, b *BAT) error {
 // WAL-wait resource counter. The Journal interface itself stays
 // context-free.
 func (s *Store) PutCtx(ctx context.Context, name string, b *BAT) error {
-	res := obs.SpanFromContext(ctx).Resources()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.logged(ctx, func(j Journal) error { return j.JournalPut(name, b) }); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if s.journal != nil {
-		jStart := time.Now()
-		if err = s.journal.JournalPut(name, b); err != nil {
-			cJournalErr.Inc()
-		}
-		res.AddWALWait(time.Since(jStart))
-	}
 	s.bats[name] = b
 	s.bumpEpochLocked(name)
-	return err
+	return nil
 }
 
 // Append appends one (head, tail) association to the named BAT,
 // journaling the mutation when a journal is attached. It is the
 // durable counterpart of Get-then-Insert: direct BAT mutation bypasses
-// the journal and is lost on crash.
+// the journal and is lost on crash. Like Commit it is copy-on-write:
+// a *BAT fetched before the call never sees the new row.
 func (s *Store) Append(name string, h, t Value) error {
 	return s.AppendCtx(context.Background(), name, h, t)
 }
@@ -161,26 +168,23 @@ func (s *Store) Append(name string, h, t Value) error {
 // AppendCtx is Append under a trace context; see PutCtx for the
 // WAL-wait attribution contract.
 func (s *Store) AppendCtx(ctx context.Context, name string, h, t Value) error {
-	res := obs.SpanFromContext(ctx).Resources()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.bats[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchBAT, name)
-	}
-	if err := b.Insert(h, t); err != nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	b, err := s.Get(name)
+	if err != nil {
 		return err
 	}
-	s.bumpEpochLocked(name)
-	if s.journal != nil {
-		jStart := time.Now()
-		err := s.journal.JournalAppend(name, h, t)
-		res.AddWALWait(time.Since(jStart))
-		if err != nil {
-			cJournalErr.Inc()
-			return err
-		}
+	nb := b.successor()
+	if err := nb.Insert(h, t); err != nil {
+		return err
 	}
+	if err := s.logged(ctx, func(j Journal) error { return j.JournalAppend(name, h, t) }); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bats[name] = nb
+	s.bumpEpochLocked(name)
 	return nil
 }
 
@@ -204,8 +208,7 @@ func (s *Store) Has(name string) bool {
 }
 
 // Drop removes the BAT registered under name, if any. Like Put, the
-// mutation is journaled first and a journal error is reported but does
-// not undo the in-memory drop.
+// mutation is journaled first and a journal error rejects it.
 func (s *Store) Drop(name string) error {
 	return s.DropCtx(context.Background(), name)
 }
@@ -213,21 +216,17 @@ func (s *Store) Drop(name string) error {
 // DropCtx is Drop under a trace context; see PutCtx for the WAL-wait
 // attribution contract.
 func (s *Store) DropCtx(ctx context.Context, name string) error {
-	res := obs.SpanFromContext(ctx).Resources()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.logged(ctx, func(j Journal) error { return j.JournalDrop(name) }); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if s.journal != nil {
-		jStart := time.Now()
-		if err = s.journal.JournalDrop(name); err != nil {
-			cJournalErr.Inc()
-		}
-		res.AddWALWait(time.Since(jStart))
-	}
 	delete(s.bats, name)
 	s.bumpEpochLocked(name)
 	s.dropIndex(name)
-	return err
+	return nil
 }
 
 // Names returns the sorted names of all registered BATs.
@@ -293,7 +292,11 @@ func (b *BAT) WriteTo(w io.Writer) (int64, error) {
 	if err := writeU32(cw, uint32(b.Len())); err != nil {
 		return cw.n, err
 	}
-	for i := 0; i < b.Len(); i++ {
+	n := b.Len()
+	if b.head.Type() == Void && b.tail.Type() == Void {
+		n = 0 // no bytes stand behind the rows of a [void,void] BAT
+	}
+	for i := 0; i < n; i++ {
 		// Serialize by declared column type: a void column boxes its
 		// elements as OIDs, which the reader skips entirely.
 		if b.head.Type() != Void {
@@ -312,6 +315,7 @@ func (b *BAT) WriteTo(w io.Writer) (int64, error) {
 
 // ReadBAT deserializes a BAT from the kernel snapshot format.
 func ReadBAT(r io.Reader) (*BAT, error) {
+	avail := available(r)
 	br := bufio.NewReader(r)
 	magic, err := readU32(br)
 	if err != nil {
@@ -325,11 +329,20 @@ func ReadBAT(r io.Reader) (*BAT, error) {
 		return nil, err
 	}
 	ht, tt := Type(types>>8), Type(types&0xff)
+	if types > 0xffff || ht > BlobT || tt > BlobT {
+		return nil, fmt.Errorf("monet: bad snapshot column types %#x", types)
+	}
 	n, err := readU32(br)
 	if err != nil {
 		return nil, err
 	}
-	b := NewBATCap(ht, tt, int(n))
+	if ht == Void && tt == Void {
+		// No bytes stand behind these rows: do not loop over a count.
+		return &BAT{head: &voidColumn{n: int(n)}, tail: &voidColumn{n: int(n)}}, nil
+	}
+	// The count comes from disk: preallocate no more rows than the
+	// input could hold, and let append grow the rest.
+	b := NewBATCap(ht, tt, int(min(int64(n), avail/(minWidth(ht)+minWidth(tt)))))
 	for i := uint32(0); i < n; i++ {
 		h, err := ReadValue(br, ht)
 		if err != nil {
@@ -357,14 +370,18 @@ func (s *Store) Snapshot(dir string) error {
 }
 
 // Checkpoint writes an atomic snapshot of the store to dir while
-// holding the store's write lock, so no mutation can interleave with
-// the snapshot. If prepare is non-nil it runs under the same lock
-// before any state is written — the durability layer uses it to rotate
-// the write-ahead log at the exact point the snapshot captures, making
-// "snapshot + later segments" a consistent recovery pair.
+// holding the writer mutex, so no mutation — and no journal record —
+// can interleave with the snapshot, and a read lock, so queries keep
+// running while it is written. If prepare is non-nil it runs under the
+// same locks before any state is written — the durability layer uses
+// it to rotate the write-ahead log at the exact point the snapshot
+// captures, making "snapshot + later segments" a consistent recovery
+// pair.
 func (s *Store) Checkpoint(dir string, prepare func() error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if prepare != nil {
 		if err := prepare(); err != nil {
 			return err
@@ -460,7 +477,9 @@ func (s *Store) LoadSnapshot(dir string) error {
 		if err != nil {
 			return fmt.Errorf("monet: loading %s: %w", e.Name(), err)
 		}
-		s.Put(decodeBATFileName(e.Name()), b)
+		if err := s.Put(decodeBATFileName(e.Name()), b); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -578,26 +597,64 @@ func ReadValue(r io.Reader, t Type) (Value, error) {
 		}
 		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
 	case StrT:
-		n, err := readU32(r)
-		if err != nil {
-			return Value{}, err
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return Value{}, err
-		}
-		return NewStr(string(buf)), nil
+		buf, err := readBytes(r)
+		return NewStr(string(buf)), err
 	case BlobT:
-		n, err := readU32(r)
-		if err != nil {
-			return Value{}, err
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return Value{}, err
-		}
-		return NewBlob(buf), nil
+		buf, err := readBytes(r)
+		return NewBlob(buf), err
 	default:
 		return Value{}, fmt.Errorf("monet: cannot deserialize %v", t)
 	}
+}
+
+// maxTrustedLen bounds what a length field read from disk may make the
+// reader allocate before the bytes behind it have actually arrived.
+const maxTrustedLen = 1 << 16
+
+// available bounds the bytes r can still deliver: exactly for in-memory
+// readers and files (which is what snapshots and WAL records are read
+// from), maxTrustedLen for anything that cannot say.
+func available(r io.Reader) int64 {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return int64(v.Len())
+	case *os.File:
+		if fi, err := v.Stat(); err == nil {
+			return fi.Size()
+		}
+	}
+	return maxTrustedLen
+}
+
+// minWidth is the least number of bytes one value of type t occupies
+// in the snapshot format.
+func minWidth(t Type) int64 {
+	switch t {
+	case Void:
+		return 0
+	case StrT, BlobT:
+		return 4
+	default:
+		return 8
+	}
+}
+
+// readBytes reads a u32 length prefix and that many bytes. A length
+// beyond maxTrustedLen is read incrementally, so a corrupt prefix
+// costs an error, not a multi-gigabyte allocation.
+func readBytes(r io.Reader) ([]byte, error) {
+	n, err := readU32(r)
+	if err != nil {
+		return nil, err
+	}
+	if n <= maxTrustedLen {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(buf) != int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
 }

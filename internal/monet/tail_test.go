@@ -191,13 +191,17 @@ func TestAppendColumnsJournaled(t *testing.T) {
 		[][]Value{{NewFloat(1), NewFloat(2)}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.appends) != 2 {
-		t.Fatalf("journaled %d appends, want 2", len(j.appends))
+	// One record for the whole chunk, never one per row.
+	if len(j.appends) != 0 || j.batches != 1 || j.batchRows != 2 {
+		t.Fatalf("journaled %d appends and %d batches of %d rows, want 0 appends and 1 batch of 2 rows",
+			len(j.appends), j.batches, j.batchRows)
 	}
 }
 
 type recordingJournal struct {
-	appends []string
+	appends   []string
+	batches   int
+	batchRows int
 }
 
 func (j *recordingJournal) JournalPut(name string, b *BAT) error { return nil }
@@ -206,3 +210,10 @@ func (j *recordingJournal) JournalAppend(name string, h, t Value) error {
 	return nil
 }
 func (j *recordingJournal) JournalDrop(name string) error { return nil }
+func (j *recordingJournal) JournalBatch(w *WriteBatch) error {
+	j.batches++
+	for i := range w.Entries() {
+		j.batchRows += w.Entries()[i].Rows()
+	}
+	return nil
+}

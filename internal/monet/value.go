@@ -11,8 +11,9 @@
 //
 // Unlike the 2002 Monet, the Store can be made durable: a Journal
 // attached via SetJournal receives every store-level mutation (Put,
-// Append, Drop) before it becomes visible, which internal/wal uses to
-// write-ahead log the kernel and recover it after a crash.
+// Append, Drop, or an atomic multi-BAT Commit) before it becomes
+// visible, which internal/wal uses to write-ahead log the kernel and
+// recover it after a crash.
 package monet
 
 import (

@@ -9,15 +9,17 @@ import (
 )
 
 // StoreLock enforces the monet.Journal contract documented on the
-// interface: journal methods are invoked while the store's write lock
-// is held, so an implementation that calls back into the store —
-// directly or through a field — self-deadlocks. The check flags any
-// (*monet.Store) method call inside a method named Journal*.
+// interface: journal methods are invoked while the store's writer
+// mutex is held, so an implementation that calls back into the store
+// to mutate it — directly or through a field — self-deadlocks (and a
+// read would see the store before the mutation being journaled). The
+// check flags any (*monet.Store) method call inside a method named
+// Journal*.
 var StoreLock = &vet.Analyzer{
 	Name: "storelock",
 	Code: "CV004",
 	Doc: "report monet.Store calls inside Journal* methods, which run " +
-		"under the store's write lock and would deadlock",
+		"under the store's writer mutex and would deadlock",
 	Run: runStoreLock,
 }
 
@@ -47,7 +49,7 @@ func checkJournalBody(pass *vet.Pass, fn *ast.FuncDecl) {
 		}
 		if isMonetStore(pass.TypeOf(sel.X)) {
 			pass.Reportf(call.Pos(),
-				"%s runs under the store's write lock: calling (*monet.Store).%s deadlocks",
+				"%s runs under the store's writer mutex: calling (*monet.Store).%s deadlocks",
 				fn.Name.Name, sel.Sel.Name)
 		}
 		return true

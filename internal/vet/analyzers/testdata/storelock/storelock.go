@@ -1,7 +1,11 @@
 // Package storelock is the storelock analyzer's fixture.
 package storelock
 
-import "cobra/internal/monet"
+import (
+	"context"
+
+	"cobra/internal/monet"
+)
 
 // badJournal calls back into the store from journal hooks.
 type badJournal struct {
@@ -24,6 +28,11 @@ func (j *badJournal) JournalDrop(name string) error {
 	return nil
 }
 
+// JournalBatch implements monet.Journal.
+func (j *badJournal) JournalBatch(w *monet.WriteBatch) error {
+	return j.store.Commit(context.Background(), w) // want "deadlocks"
+}
+
 // goodJournal touches only its own state.
 type goodJournal struct {
 	names []string
@@ -42,6 +51,12 @@ func (j *goodJournal) JournalAppend(name string, h, t monet.Value) error {
 
 // JournalDrop implements monet.Journal.
 func (j *goodJournal) JournalDrop(name string) error {
+	return nil
+}
+
+// JournalBatch implements monet.Journal.
+func (j *goodJournal) JournalBatch(w *monet.WriteBatch) error {
+	j.names = append(j.names, w.Entries()[0].Name)
 	return nil
 }
 

@@ -5,16 +5,18 @@
 // Three mechanisms cooperate:
 //
 //   - A write-ahead log (Log): every store mutation — BAT create or
-//     replace, single-association append, BAT drop — is encoded as a
-//     length-prefixed, CRC32-checksummed record and appended to a
-//     segmented log before it becomes visible. Group commit batches
-//     concurrent fsyncs, and segments rotate at a size threshold.
+//     replace, single-association append, BAT drop, or an atomic
+//     multi-BAT batch commit — is encoded as one length-prefixed,
+//     CRC32-checksummed record and appended to a segmented log before
+//     it becomes visible; a record that cannot be logged rejects its
+//     mutation. Group commit batches concurrent fsyncs, and segments
+//     rotate at a size threshold.
 //
 //   - Checkpointing (Manager.Checkpoint): an atomic snapshot of the
-//     whole store (temp directory + rename) is written under the
-//     store's write lock, the log rotates at the same instant, and the
-//     CURRENT pointer file flips to the new snapshot; older segments
-//     become garbage.
+//     whole store (temp directory + rename) is written with writers
+//     held off (readers keep running), the log rotates at the same
+//     instant, and the CURRENT pointer file flips to the new snapshot;
+//     older segments become garbage.
 //
 //   - Crash recovery (Open): the latest snapshot named by CURRENT is
 //     loaded and the remaining log segments are replayed in order.
@@ -127,12 +129,14 @@ type Log struct {
 	dir  string
 	opts LogOptions
 
-	mu      sync.Mutex // guards file state and the buffered tail
+	mu      sync.Mutex // guards file state and the frame buffer
 	f       *os.File
 	seq     uint64 // sequence number of the open segment
 	size    int64  // bytes written to the open segment
 	written uint64 // LSN (count) of records appended
 	closed  bool
+	frame   []byte // reused header+payload buffer of the record being appended
+	werr    error  // sticky write failure: the segment may end in a torn record
 
 	syncMu  sync.Mutex // serializes group commit
 	synced  uint64     // LSN covered by the last fsync
@@ -240,41 +244,70 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 // appenders); under SyncInterval and SyncNone it returns once the
 // record is handed to the OS.
 func (l *Log) Append(payload []byte) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return os.ErrClosed
-	}
-	frame := int64(8 + len(payload))
-	if l.size > 0 && l.size+frame > l.opts.SegmentBytes {
-		if err := l.openSegmentLocked(l.seq + 1); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-		cRotations.Inc()
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	if _, err := l.f.Write(payload); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.size += frame
-	l.written++
-	lsn := l.written
-	l.mu.Unlock()
+	return l.AppendRecord(func(dst []byte) ([]byte, error) { return append(dst, payload...), nil })
+}
 
-	cRecords.Inc()
-	cBytes.Add(frame)
+// maxKeptFrame is the largest frame buffer kept between appends; a
+// record beyond it (a whole-BAT put of a long series) gives its buffer
+// back to the collector.
+const maxKeptFrame = 1 << 20
+
+// AppendRecord is Append for a record encoded on the spot: encode
+// extends dst with the payload, straight into the log's reused frame
+// buffer, and header and payload reach the file in one write. After a
+// failed write the segment may end in a torn record that would hide
+// everything appended behind it, so the log fails every later append
+// with the same error until it is reopened (recovery repairs the tear).
+func (l *Log) AppendRecord(encode func(dst []byte) ([]byte, error)) error {
+	lsn, err := l.write(encode)
+	if err != nil {
+		return err
+	}
 	if l.opts.Sync == SyncAlways {
 		return l.syncTo(lsn)
 	}
 	return nil
+}
+
+// write frames one record into the open segment, rotating first when
+// it would not fit, and returns the record's LSN.
+func (l *Log) write(encode func(dst []byte) ([]byte, error)) (lsn uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, os.ErrClosed
+	}
+	if l.werr != nil {
+		return 0, l.werr
+	}
+	if cap(l.frame) < 8 {
+		l.frame = make([]byte, 8, 4096)
+	}
+	buf, err := encode(l.frame[:8])
+	if err != nil {
+		return 0, err
+	}
+	if cap(buf) <= maxKeptFrame {
+		l.frame = buf
+	}
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-8))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
+	frame := int64(len(buf))
+	if l.size > 0 && l.size+frame > l.opts.SegmentBytes {
+		if err := l.openSegmentLocked(l.seq + 1); err != nil {
+			return 0, err
+		}
+		cRotations.Inc()
+	}
+	if _, err := l.f.Write(buf); err != nil {
+		l.werr = fmt.Errorf("wal: segment %d: %w", l.seq, err)
+		return 0, l.werr
+	}
+	l.size += frame
+	l.written++
+	cRecords.Inc()
+	cBytes.Add(frame)
+	return l.written, nil
 }
 
 // Sync flushes and fsyncs everything appended so far.
