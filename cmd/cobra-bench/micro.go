@@ -57,9 +57,11 @@ func runMicro(*f1.Lab) error {
 		{"COQLQuery", 0, benchCOQLQuery},
 		{"SelectAgg1M", 1, benchUnfusedSelectAgg1M},
 		{"DictEq1M", 1, benchDictEq1M},
-		{"StreamFanout/s1", 0, benchStreamFanout(1)},
-		{"StreamFanout/s100", 0, benchStreamFanout(100)},
-		{"StreamFanout/s1000", 0, benchStreamFanout(1000)},
+		{"StreamFanout/s1", 0, benchStreamFanout(1, 1)},
+		{"StreamFanout/s100", 0, benchStreamFanout(1, 100)},
+		{"StreamFanout/s1000", 0, benchStreamFanout(1, 1000)},
+		{"StreamFanout/c100x10", 0, benchStreamFanout(100, 10)},
+		{"StreamFanout/c1000x1", 0, benchStreamFanout(1000, 1)},
 		{"LiveStep/nojournal", 0, benchLiveStep("")},
 		{"LiveStep/interval", 0, benchLiveStep("interval")},
 		{"LiveStep/always", 0, benchLiveStep("always")},
@@ -199,31 +201,37 @@ func printCacheSpeedup(results []benchfmt.Result) {
 	}
 }
 
-// printStreamRates turns each StreamFanout/sN result into the
-// streaming headline number: notifications delivered per second at
-// that subscriber fan-out (one live append pushes one notification to
-// every subscriber).
+// printStreamRates turns each StreamFanout result into the streaming
+// headline number: notifications delivered per second at that
+// subscriber fan-out (one live append pushes one notification to every
+// subscriber). sN is N subscribers to one query, cAxB is A distinct
+// queries with B subscribers each.
 func printStreamRates(results []benchfmt.Result) {
 	for _, r := range results {
-		subs, ok := strings.CutPrefix(r.Name, "StreamFanout/s")
+		shape, ok := strings.CutPrefix(r.Name, "StreamFanout/")
 		if !ok || r.NsPerOp <= 0 {
 			continue
 		}
-		var n int
-		if _, err := fmt.Sscanf(subs, "%d", &n); err != nil {
-			continue
+		classes, copies := 1, 0
+		if _, err := fmt.Sscanf(shape, "s%d", &copies); err != nil {
+			if _, err := fmt.Sscanf(shape, "c%dx%d", &classes, &copies); err != nil {
+				continue
+			}
 		}
-		fmt.Printf("  %-20s %10.0f notifications/sec (%d subscribers)\n",
-			r.Name, float64(n)/(r.NsPerOp/1e9), n)
+		n := classes * copies
+		fmt.Printf("  %-20s %10.0f notifications/sec (%d subscribers, %d evaluated per append)\n",
+			r.Name, float64(n)/(r.NsPerOp/1e9), n, classes)
 	}
 }
 
-// benchStreamFanout times one live append propagated through n
-// standing subscriptions: the event append, the watermark move, the
-// epoch-gated re-evaluation of every subscription, and draining every
-// subscriber queue. The LAST window keeps each pushed result set
-// small and distinct between steps so no push is suppressed.
-func benchStreamFanout(n int) func(b *testing.B) {
+// benchStreamFanout times one live append propagated through standing
+// subscriptions — classes distinct queries, copies subscribers each:
+// the event append, the watermark move, the epoch-gated re-evaluation
+// of every class, the push to every member, and draining every
+// subscriber queue. The LAST windows (5 to 6 s, one per class) keep
+// each pushed result set small and distinct between steps so no push
+// is suppressed.
+func benchStreamFanout(classes, copies int) func(b *testing.B) {
 	return func(b *testing.B) {
 		cat := cobra.NewCatalog(monet.NewStore())
 		if err := cat.PutVideo(cobra.Video{Name: "live", Duration: 0.1, FPS: 10}); err != nil {
@@ -233,9 +241,11 @@ func benchStreamFanout(n int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		m := stream.NewManager(query.NewEngine(cobra.NewPreprocessor(cat)))
+		n := classes * copies
 		subs := make([]*stream.Subscription, n)
 		for i := range subs {
-			s, err := m.Subscribe("SELECT SEGMENTS FROM live WHERE EVENT('passing') LAST 5 S", nil)
+			q := fmt.Sprintf("SELECT SEGMENTS FROM live WHERE EVENT('passing') LAST %g S", 5+float64(i/copies)/float64(classes))
+			s, err := m.Subscribe(q, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

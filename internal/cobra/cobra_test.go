@@ -3,6 +3,7 @@ package cobra
 import (
 	"encoding/xml"
 	"errors"
+	"strings"
 	"testing"
 
 	"cobra/internal/monet"
@@ -40,6 +41,36 @@ func TestVideoRegistry(t *testing.T) {
 	}
 	if err := c.PutVideo(Video{Name: "", Duration: 1}); err == nil {
 		t.Fatal("empty name accepted")
+	}
+}
+
+// TestVideoEntryDecode pins the "<duration>|<fps>" entry: what %g
+// writes — fractions, exponents, a live feed's inexact watermarks —
+// reads back exactly, and a damaged entry is reported, not zeroed.
+func TestVideoEntryDecode(t *testing.T) {
+	c := newCat(t)
+	for _, v := range []Video{
+		{Name: "a", Duration: 30.100000000000293, FPS: 25},
+		{Name: "b", Duration: 1e-7, FPS: 29.97},
+		{Name: "c", Duration: 1.5e21, FPS: 0},
+	} {
+		if err := c.PutVideo(v); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Video(v.Name)
+		if err != nil || got != v {
+			t.Fatalf("Video(%q) = %+v, %v; want %+v", v.Name, got, err, v)
+		}
+	}
+	for _, entry := range []string{"", "12", "12|", "|25", "12|x", "x|25", "12|25|3"} {
+		b := monet.NewBAT(monet.StrT, monet.StrT)
+		b.MustInsert(monet.NewStr("bad"), monet.NewStr(entry))
+		if err := c.Store().Put(VideosBATName(), b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Video("bad"); err == nil || !strings.Contains(err.Error(), "corrupt video entry") {
+			t.Fatalf("entry %q: err = %v, want corrupt video entry", entry, err)
+		}
 	}
 }
 

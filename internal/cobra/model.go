@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cobra/internal/monet"
@@ -144,8 +145,15 @@ func (c *Catalog) Video(name string) (Video, error) {
 	if !ok {
 		return Video{}, fmt.Errorf("%w: video %q", ErrNotFound, name)
 	}
-	var dur, fps float64
-	if _, err := fmt.Sscanf(v.Str(), "%g|%g", &dur, &fps); err != nil {
+	// The entry is "<duration>|<fps>" (videosWith). Every standing and
+	// one-shot evaluation decodes one, so no fmt scanner.
+	d, f, _ := strings.Cut(v.Str(), "|")
+	dur, err := strconv.ParseFloat(d, 64)
+	if err != nil {
+		return Video{}, fmt.Errorf("cobra: corrupt video entry %q: %w", name, err)
+	}
+	fps, err := strconv.ParseFloat(f, 64)
+	if err != nil {
 		return Video{}, fmt.Errorf("cobra: corrupt video entry %q: %w", name, err)
 	}
 	return Video{Name: name, Duration: dur, FPS: fps}, nil

@@ -22,19 +22,32 @@ import (
 // SUBSCRIBE notification is byte-identical to a one-shot query at the
 // same watermark — is checked against this rendering.
 func FormatResult(r Result) string {
-	return fmt.Sprintf("%.1f %.1f %.3f %s", r.Interval.Start, r.Interval.End, r.Confidence, formatAttrs(r.Attrs))
+	buf := make([]byte, 0, 48)
+	buf = strconv.AppendFloat(buf, r.Interval.Start, 'f', 1, 64)
+	buf = append(buf, ' ')
+	buf = strconv.AppendFloat(buf, r.Interval.End, 'f', 1, 64)
+	buf = append(buf, ' ')
+	buf = strconv.AppendFloat(buf, r.Confidence, 'f', 3, 64)
+	buf = append(buf, ' ')
+	return string(appendAttrs(buf, r.Attrs))
 }
 
-func formatAttrs(attrs map[string]string) string {
+func appendAttrs(buf []byte, attrs map[string]string) []byte {
 	if len(attrs) == 0 {
-		return "-"
+		return append(buf, '-')
 	}
 	parts := make([]string, 0, len(attrs))
 	for k, v := range attrs {
 		parts = append(parts, k+"="+v)
 	}
 	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	for i, p := range parts {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, p...)
+	}
+	return buf
 }
 
 // Catalog exposes the engine's catalog. The subscription manager reads
@@ -43,10 +56,10 @@ func formatAttrs(attrs map[string]string) string {
 func (e *Engine) Catalog() *cobra.Catalog { return e.pre.Catalog() }
 
 // eventLeaf accumulates the type-filtered event rows an EVENT or TEXT
-// condition has consumed, in append (row) order. Each re-evaluation
-// reads only rows past the watermark; sorting the accumulated rows
-// stably by start time reproduces Catalog.Events' ordering exactly
-// (ties keep append order on both paths).
+// condition has consumed, kept in start order with ties in append (row)
+// order — exactly Catalog.Events' ordering. Each re-evaluation reads
+// only rows past the watermark and merges them in stably, so a leaf
+// costs what the new rows cost, not the whole history again.
 type eventLeaf struct {
 	rows int
 	evs  []cobra.Event
@@ -74,10 +87,13 @@ type featureLeaf struct {
 // byte-identity guarantee.
 //
 // An Incremental is not safe for concurrent use; the subscription
-// manager serializes evaluations per subscription.
+// manager owns one per class of identical standing queries and
+// serializes its evaluations.
 type Incremental struct {
 	eng *Engine
 	q   *Query
+	// duration is the video duration the last Eval read.
+	duration float64
 
 	events   map[Cond]*eventLeaf
 	features map[*FeatureCond]*featureLeaf
@@ -96,6 +112,10 @@ func NewIncremental(eng *Engine, q *Query) *Incremental {
 
 // Query returns the parsed standing query.
 func (inc *Incremental) Query() *Query { return inc.q }
+
+// Duration returns the video duration the last Eval evaluated at: the
+// watermark of its result.
+func (inc *Incremental) Duration() float64 { return inc.duration }
 
 // DepNames returns the kernel BAT names whose epochs gate
 // re-evaluation: if none has advanced since the last Eval, the
@@ -124,6 +144,7 @@ func (inc *Incremental) Eval(ctx context.Context, span *obs.Span) ([]Result, err
 	if err != nil {
 		return nil, err
 	}
+	inc.duration = v.Duration
 	if q.Where == nil {
 		whole := []Result{{Interval: cobra.Interval{Start: 0, End: v.Duration}, Confidence: 1}}
 		return postProcess(q, v.Duration, whole), nil
@@ -233,7 +254,7 @@ func (inc *Incremental) evalCond(ctx context.Context, cat *cobra.Catalog, video 
 
 // evalBoth evaluates a binary condition's operands sequentially. The
 // one-shot engine fans the pair out on the kernel pool; standing
-// queries get their parallelism across subscriptions instead, and
+// queries get their parallelism across query classes instead, and
 // sequential evaluation keeps the per-node leaf caches free of locks.
 func (inc *Incremental) evalBoth(ctx context.Context, cat *cobra.Catalog, video string, duration float64, l, r Cond, span *obs.Span) ([]Result, []Result, error) {
 	lRes, lErr := inc.evalCond(ctx, cat, video, duration, l, span)
@@ -242,7 +263,8 @@ func (inc *Incremental) evalBoth(ctx context.Context, cat *cobra.Catalog, video 
 }
 
 // eventRows returns the accumulated events of one type in start order,
-// reading only rows appended since the leaf's watermark.
+// reading only rows appended since the leaf's watermark. The slice is
+// the leaf's own: callers read it and filter into fresh slices.
 func (inc *Incremental) eventRows(cat *cobra.Catalog, video, typ string, key Cond, span *obs.Span) []cobra.Event {
 	leaf := inc.events[key]
 	if leaf == nil {
@@ -255,11 +277,32 @@ func (inc *Incremental) eventRows(cat *cobra.Catalog, video, typ string, key Con
 	scan.SetAttr("access", "tail from="+strconv.Itoa(leaf.rows))
 	scan.Resources().AddScanned(len(fresh))
 	scan.Finish()
-	leaf.evs = append(leaf.evs, fresh...)
+	leaf.evs = mergeByStart(leaf.evs, fresh)
 	leaf.rows = upTo
-	out := append([]cobra.Event(nil), leaf.evs...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Interval.Start < out[j].Interval.Start })
-	return out
+	return leaf.evs
+}
+
+// mergeByStart merges the appended tail into the start-ordered events,
+// in place from the back: an old event stays ahead of a new one with
+// the same start, so the result is the stable sort of all rows in
+// append order, and only events that start after the tail's earliest
+// one move.
+func mergeByStart(evs, tail []cobra.Event) []cobra.Event {
+	sort.SliceStable(tail, func(i, j int) bool { return tail[i].Interval.Start < tail[j].Interval.Start })
+	i, j := len(evs)-1, len(tail)-1
+	evs = append(evs, tail...)
+	for k := len(evs) - 1; j >= 0 && i >= 0; k-- {
+		if evs[i].Interval.Start > tail[j].Interval.Start {
+			evs[k] = evs[i]
+			i--
+		} else {
+			evs[k] = tail[j]
+			j--
+		}
+	}
+	// Tail events left over (i < 0) start before every old one.
+	copy(evs, tail[:j+1])
+	return evs
 }
 
 // featureRows advances a feature leaf's run-detection state over the

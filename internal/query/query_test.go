@@ -91,6 +91,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// The lexer slices string tokens out of the source and sizes its token
+// slice from the source length: the text between the quotes must come
+// through byte for byte, and a source denser in tokens than the estimate
+// must still lex completely.
+func TestLexStringsAndDenseSource(t *testing.T) {
+	toks, err := lex(`'pit stop' "it's" '' 'say "x"'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"pit stop", "it's", "", `say "x"`}
+	if len(toks) != len(want)+1 || toks[len(want)].kind != tEOF {
+		t.Fatalf("tokens = %+v", toks)
+	}
+	for i, w := range want {
+		if toks[i].kind != tString || toks[i].text != w {
+			t.Errorf("token %d = %+v, want string %q", i, toks[i], w)
+		}
+	}
+	if _, err := lex(`EVENT('open`); err == nil {
+		t.Error("unterminated string should fail")
+	}
+	dense := "((((((((((((((((((((((((((((((((,,,,,,,,,,,,,,,,"
+	toks, err = lex(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != len(dense)+1 {
+		t.Fatalf("%d tokens from %d punctuation bytes", len(toks), len(dense))
+	}
+	for i := range dense {
+		if toks[i].kind != tPunct || toks[i].text != dense[i:i+1] || toks[i].pos != i {
+			t.Fatalf("token %d = %+v", i, toks[i])
+		}
+	}
+}
+
 // testEngine builds a populated catalog with a passthrough
 // preprocessor.
 func testEngine(t *testing.T) *Engine {

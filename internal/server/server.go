@@ -430,6 +430,8 @@ func (s *Server) execStream(conn net.Conn, st *connState, line string) bool {
 				}
 				st.mu.Lock()
 				fmt.Fprintf(st.w, "EVENT %s %d %g %d\n", n.SubID, n.Seq, n.Watermark, len(n.Lines))
+				// n.Lines is shared with every subscriber of the same
+				// query, on this and other connections: read, never written.
 				for _, l := range n.Lines {
 					fmt.Fprintln(st.w, l)
 				}

@@ -20,17 +20,28 @@
 // and must re-evaluate the moment the epoch moves. Sharing entries
 // would let a standing query pin results the cache considers stale.
 //
-// Re-evaluation itself is incremental: each subscription owns a
-// query.Incremental whose leaf caches restrict physical scans to rows
-// appended since the previous evaluation (see that type for the
-// equivalence argument). Every evaluation runs under its own
-// "stream.eval" trace pushed to obs.DefaultTraces, so TRACEDUMP
-// covers standing queries alongside one-shot ones.
+// Evaluation is shared and incremental: subscriptions whose parsed
+// query has the same query.Canonical() text form one class, and the
+// class — not the subscription — owns the query.Incremental (leaf
+// caches that restrict physical scans to rows appended since the
+// previous evaluation), the dependency epochs and the last rendered
+// result. A tick evaluates each class at most once and hands a changed
+// result to every member's own queue as the same immutable Lines slice;
+// a class of one is simply the unshared case of the same path. Every
+// evaluation runs under its own "stream.eval" trace; the ones that
+// pushed a change or failed go to obs.DefaultTraces, so TRACEDUMP
+// covers standing queries without their no-change re-evaluations
+// evicting every one-shot trace from the ring.
+//
+// Lock order: Manager.mu, then class.evalMu, then Subscription.mu; the
+// manager's lock is never held across an evaluation.
 package stream
 
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 
 	"cobra/internal/monet"
@@ -38,10 +49,12 @@ import (
 	"cobra/internal/query"
 )
 
-// Streaming metrics: standing-query count, how many re-evaluations the
-// epoch gate admitted versus skipped, and delivery/drop volume.
+// Streaming metrics: standing-query and class counts, how many class
+// re-evaluations the epoch gate admitted versus skipped, and per-member
+// delivery/drop volume.
 var (
 	gSubs    = obs.G("stream.subscriptions")
+	gClasses = obs.G("stream.classes")
 	cEvals   = obs.C("stream.evals")
 	cSkipped = obs.C("stream.evals_skipped")
 	cErrors  = obs.C("stream.eval.errors")
@@ -65,6 +78,7 @@ type Notification struct {
 	// Watermark is the video duration the result was evaluated at.
 	Watermark float64
 	// Lines is the rendered result set (query.FormatResult per segment).
+	// Every member of a class receives the same slice: read-only.
 	Lines []string
 }
 
@@ -80,16 +94,9 @@ type Subscription struct {
 	// be dropped together.
 	Owner any
 
-	inc  *query.Incremental
-	deps []string
-
-	// evalMu serializes re-evaluations of this subscription; the
-	// Incremental's leaf caches are not concurrency-safe.
-	evalMu    sync.Mutex
-	epochs    map[string]uint64
-	seq       int
-	lastLines []string
-	primed    bool
+	class *class
+	// seq counts this member's pushes; guarded by class.evalMu.
+	seq int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -167,8 +174,29 @@ func (s *Subscription) close() {
 	s.cond.Broadcast()
 }
 
-// Manager owns the subscription table and drives re-evaluation. One
-// manager serves one engine/catalog.
+// class is one distinct standing query: every subscription whose
+// parsed query canonicalizes to key. It is evaluated once per tick for
+// all of them.
+type class struct {
+	key  string
+	inc  *query.Incremental
+	deps []string
+	// refs counts subscriptions registered or registering on the class;
+	// guarded by Manager.mu. The class leaves the table at zero.
+	refs int
+
+	// evalMu serializes evaluations and joins (the Incremental's leaf
+	// caches are not concurrency-safe) and guards the fields below.
+	evalMu  sync.Mutex
+	members []*Subscription
+	epochs  map[string]uint64
+	// primed says lines holds a result: what every member last received.
+	primed bool
+	lines  []string
+}
+
+// Manager owns the subscription and class tables and drives
+// re-evaluation. One manager serves one engine/catalog.
 type Manager struct {
 	eng *query.Engine
 
@@ -176,22 +204,26 @@ type Manager struct {
 	// subscriptions (DefaultQueueCap when zero).
 	QueueCap int
 
-	mu     sync.Mutex
-	subs   map[string]*Subscription
-	nextID int
+	mu      sync.Mutex
+	subs    map[string]*Subscription
+	classes map[string]*class
+	nextID  int
 }
 
 // NewManager returns an empty subscription manager over the engine.
 func NewManager(eng *query.Engine) *Manager {
-	return &Manager{eng: eng, subs: map[string]*Subscription{}}
+	return &Manager{eng: eng, subs: map[string]*Subscription{}, classes: map[string]*class{}}
 }
 
 // Subscribe parses and registers a standing query, returning the live
-// subscription. The first evaluation happens synchronously when the
-// queried video already exists, so subscribers immediately receive the
-// current result set as notification #1; on a video registered but not
-// yet evaluable (e.g. a live feed that has not ticked), the first
-// Advance delivers it instead.
+// subscription. It joins the class of its canonical query text under
+// the class's evaluation lock, where the class is brought up to date
+// (an epoch-gated evaluation whose change, if any, goes to every
+// member) and the joiner receives the class's current result as its
+// notification #1 — no evaluation when the class is fresh, no gap or
+// duplicate for anyone. On a class with no result yet (e.g. a live
+// feed that has not ticked), the first Advance that evaluates delivers
+// #1 instead.
 func (m *Manager) Subscribe(src string, owner any) (*Subscription, error) {
 	q, err := query.Parse(src)
 	if err != nil {
@@ -200,26 +232,35 @@ func (m *Manager) Subscribe(src string, owner any) (*Subscription, error) {
 	if _, err := m.eng.Catalog().Video(q.Video); err != nil {
 		return nil, err
 	}
-	inc := query.NewIncremental(m.eng, q)
-	m.mu.Lock()
-	m.nextID++
-	s := &Subscription{
-		ID:    fmt.Sprintf("s%d", m.nextID),
-		Query: src,
-		Owner: owner,
-		inc:   inc,
-		deps:  inc.DepNames(),
-		cap:   m.QueueCap,
-	}
+	key := q.Canonical()
+	s := &Subscription{Query: src, Owner: owner, cap: m.QueueCap}
 	if s.cap <= 0 {
 		s.cap = DefaultQueueCap
 	}
 	s.cond = sync.NewCond(&s.mu)
-	m.subs[s.ID] = s
-	n := len(m.subs)
+
+	m.mu.Lock()
+	c := m.classes[key]
+	if c == nil {
+		inc := query.NewIncremental(m.eng, q)
+		c = &class{key: key, inc: inc, deps: inc.DepNames()}
+		m.classes[key] = c
+		gClasses.Set(int64(len(m.classes)))
+	}
+	c.refs++ // pins the class in the table until this subscription leaves
+	m.nextID++
+	s.ID = fmt.Sprintf("s%d", m.nextID)
+	s.class = c
 	m.mu.Unlock()
-	gSubs.Set(int64(n))
-	m.evaluate(context.Background(), s)
+
+	m.evaluate(context.Background(), c, s)
+
+	// Listed only once it is a member: Unsubscribe never meets a
+	// subscription its class does not know yet.
+	m.mu.Lock()
+	m.subs[s.ID] = s
+	gSubs.Set(int64(len(m.subs)))
+	m.mu.Unlock()
 	return s, nil
 }
 
@@ -228,16 +269,13 @@ func (m *Manager) Unsubscribe(id string) bool {
 	m.mu.Lock()
 	s, ok := m.subs[id]
 	if ok {
-		delete(m.subs, id)
+		m.dropLocked(s)
 	}
-	n := len(m.subs)
 	m.mu.Unlock()
-	if !ok {
-		return false
+	if ok {
+		s.leave()
 	}
-	gSubs.Set(int64(n))
-	s.close()
-	return true
+	return ok
 }
 
 // UnsubscribeOwner cancels every subscription tagged with the owner
@@ -246,19 +284,42 @@ func (m *Manager) Unsubscribe(id string) bool {
 func (m *Manager) UnsubscribeOwner(owner any) int {
 	m.mu.Lock()
 	var victims []*Subscription
-	for id, s := range m.subs {
+	for _, s := range m.subs {
 		if s.Owner == owner {
-			delete(m.subs, id)
+			m.dropLocked(s)
 			victims = append(victims, s)
 		}
 	}
-	n := len(m.subs)
 	m.mu.Unlock()
-	gSubs.Set(int64(n))
 	for _, s := range victims {
-		s.close()
+		s.leave()
 	}
 	return len(victims)
+}
+
+// dropLocked removes s from the tables; the last member leaving deletes
+// its class, leaf state and all. Called with m.mu held.
+func (m *Manager) dropLocked(s *Subscription) {
+	delete(m.subs, s.ID)
+	gSubs.Set(int64(len(m.subs)))
+	c := s.class
+	if c.refs--; c.refs == 0 {
+		delete(m.classes, c.key)
+		gClasses.Set(int64(len(m.classes)))
+	}
+}
+
+// leave closes a subscription dropped from the tables, then takes it
+// off its class's member list. A fan-out in between finds the queue
+// closed.
+func (s *Subscription) leave() {
+	s.close()
+	c := s.class
+	c.evalMu.Lock()
+	defer c.evalMu.Unlock()
+	if i := slices.Index(c.members, s); i >= 0 {
+		c.members = slices.Delete(c.members, i, i+1)
+	}
 }
 
 // Get returns a subscription by ID.
@@ -281,24 +342,26 @@ func (m *Manager) List() []*Subscription {
 	return out
 }
 
-// Advance re-evaluates standing queries after an ingest batch. Only
-// subscriptions with a changed kernel dependency epoch are evaluated
-// (the rest count as skips); evaluations fan out on the shared kernel
-// pool. It returns how many notifications were pushed.
+// Advance re-evaluates standing queries after an ingest batch: one
+// task per class on the shared kernel pool. Only classes with a changed
+// kernel dependency epoch are evaluated (the rest count as skips), and
+// only a changed result is pushed, to every member. It returns how many
+// notifications were pushed.
 func (m *Manager) Advance(ctx context.Context) int {
-	subs := m.List()
-	if len(subs) == 0 {
+	m.mu.Lock()
+	classes := make([]*class, 0, len(m.classes))
+	for _, c := range m.classes {
+		classes = append(classes, c)
+	}
+	m.mu.Unlock()
+	if len(classes) == 0 {
 		return 0
 	}
-	pushed := make([]int, len(subs))
+	pushed := make([]int, len(classes))
 	batch := monet.DefaultPool().Batch()
-	for i, s := range subs {
-		i, s := i, s
-		batch.Submit(func() {
-			if m.evaluate(ctx, s) {
-				pushed[i] = 1
-			}
-		})
+	for i, c := range classes {
+		i, c := i, c
+		batch.Submit(func() { pushed[i] = m.evaluate(ctx, c, nil) })
 	}
 	batch.Wait()
 	total := 0
@@ -308,87 +371,111 @@ func (m *Manager) Advance(ctx context.Context) int {
 	return total
 }
 
-// evaluate runs one epoch-gated incremental evaluation of a
-// subscription, reporting whether a notification was pushed.
-func (m *Manager) evaluate(ctx context.Context, s *Subscription) bool {
-	s.evalMu.Lock()
-	defer s.evalMu.Unlock()
-	if s.Closed() {
-		return false
+// evaluate runs one epoch-gated incremental evaluation of a class and
+// fans a changed result out to its members. A joiner becomes a member
+// first, so a change reaches it with everyone else; when the class had
+// nothing new it is handed the class's current result instead. Either
+// way that is its notification #1. It reports how many notifications
+// were pushed.
+func (m *Manager) evaluate(ctx context.Context, c *class, joiner *Subscription) int {
+	c.evalMu.Lock()
+	defer c.evalMu.Unlock()
+	if joiner != nil {
+		c.members = append(c.members, joiner)
 	}
+	if len(c.members) == 0 {
+		return 0 // an Advance still held a class whose last member has left
+	}
+	pushed := m.refresh(ctx, c)
+	if joiner != nil && joiner.seq == 0 && c.primed {
+		// No dependency has moved since c.lines was rendered, so it is
+		// also the result at the video's current duration.
+		w := c.inc.Duration()
+		if v, err := m.eng.Catalog().Video(c.inc.Query().Video); err == nil {
+			w = v.Duration
+		}
+		c.deliver(joiner, w)
+		pushed++
+	}
+	return pushed
+}
+
+// refresh is evaluate's class step: gate, evaluate, render, compare,
+// fan out. Called with c.evalMu held and at least one member.
+func (m *Manager) refresh(ctx context.Context, c *class) int {
+	epochs := make(map[string]uint64, len(c.deps))
+	stale := !c.primed
 	store := m.eng.Catalog().Store()
-	epochs := make(map[string]uint64, len(s.deps))
-	changed := !s.primed
-	for _, dep := range s.deps {
+	for _, dep := range c.deps {
 		_, ep := store.Watermark(dep)
 		epochs[dep] = ep
-		if s.epochs[dep] != ep {
-			changed = true
+		if c.epochs[dep] != ep {
+			stale = true
 		}
 	}
-	if !changed {
+	if !stale {
 		cSkipped.Inc()
-		return false
+		return 0
 	}
 
+	lead := c.members[0]
 	root := obs.StartTrace("stream.eval")
 	root.SetAttr("level", "conceptual")
-	root.SetAttr("query", s.Query)
-	root.SetAttr("subscription", s.ID)
+	root.SetAttr("query", lead.Query)
+	root.SetAttr("subscription", lead.ID)
+	root.SetAttr("members", strconv.Itoa(len(c.members)))
 	cEvals.Inc()
-	res, err := s.inc.Eval(obs.ContextWithSpan(ctx, root), root)
-	errStr := ""
+	res, err := c.inc.Eval(obs.ContextWithSpan(ctx, root), root)
+	pushed, changed := 0, false
 	if err != nil {
 		cErrors.Inc()
-		errStr = err.Error()
-		root.SetAttr("error", errStr)
+		root.SetAttr("error", err.Error())
+		// The epochs stay as they were (and a class that never succeeded
+		// stays un-primed), so the next Advance retries even if no epoch
+		// moves (e.g. a feed series that appears later).
+	} else {
+		lines := make([]string, len(res))
+		for i, r := range res {
+			lines[i] = query.FormatResult(r)
+		}
+		c.epochs = epochs
+		if changed = !c.primed || !slices.Equal(lines, c.lines); changed {
+			c.primed = true
+			c.lines = lines
+			for _, s := range c.members {
+				c.deliver(s, c.inc.Duration())
+			}
+			pushed = len(c.members)
+		}
 	}
 	stat := root.Resources().Stat()
 	d := root.Finish()
 	hEvalLat.Observe(d)
-	obs.DefaultTraces.Add(obs.Trace{
-		ID:       root.TraceID(),
-		Query:    "SUBSCRIBE[" + s.ID + "] " + s.Query,
-		Start:    root.StartTime(),
-		Duration: d,
-		Err:      errStr,
-		Res:      stat,
-		Root:     root,
-	})
-	if err != nil {
-		// Leave the subscription un-primed so the next Advance retries
-		// even if no epoch moves (e.g. a feed series that appears later).
-		return false
+	// Only an evaluation with something new to say — a changed result
+	// or a failure — reaches the trace ring: the rest would evict every
+	// one-shot query's trace from it many times a tick.
+	if err != nil || changed {
+		errStr := ""
+		if err != nil {
+			errStr = err.Error()
+		}
+		obs.DefaultTraces.Add(obs.Trace{
+			ID:       root.TraceID(),
+			Query:    "SUBSCRIBE[" + lead.ID + "] " + lead.Query,
+			Start:    root.StartTime(),
+			Duration: d,
+			Err:      errStr,
+			Res:      stat,
+			Root:     root,
+		})
 	}
-
-	lines := make([]string, len(res))
-	for i, r := range res {
-		lines[i] = query.FormatResult(r)
-	}
-	s.epochs = epochs
-	if s.primed && equalLines(lines, s.lastLines) {
-		return false
-	}
-	s.primed = true
-	s.lastLines = lines
-	s.seq++
-	w := 0.0
-	if v, err := m.eng.Catalog().Video(s.inc.Query().Video); err == nil {
-		w = v.Duration
-	}
-	s.push(Notification{SubID: s.ID, Seq: s.seq, Watermark: w, Lines: lines})
-	cNotifs.Inc()
-	return true
+	return pushed
 }
 
-func equalLines(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// deliver pushes the class's current lines to one member as its next
+// notification. Called with c.evalMu held.
+func (c *class) deliver(s *Subscription, watermark float64) {
+	s.seq++
+	s.push(Notification{SubID: s.ID, Seq: s.seq, Watermark: watermark, Lines: c.lines})
+	cNotifs.Inc()
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -205,7 +206,7 @@ func TestFanOutDeterminism(t *testing.T) {
 		}
 		for j := range got[i] {
 			a, b := got[i][j], got[0][j]
-			if a.Seq != b.Seq || a.Watermark != b.Watermark || !equalLines(a.Lines, b.Lines) {
+			if a.Seq != b.Seq || a.Watermark != b.Watermark || !slices.Equal(a.Lines, b.Lines) {
 				t.Fatalf("subscriber %d notification %d differs from subscriber 0", i, j)
 			}
 		}
