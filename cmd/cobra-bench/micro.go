@@ -65,6 +65,8 @@ func runMicro(*f1.Lab) error {
 		{"LiveStep/nojournal", 0, benchLiveStep("")},
 		{"LiveStep/interval", 0, benchLiveStep("interval")},
 		{"LiveStep/always", 0, benchLiveStep("always")},
+		{"Extract30s/w1", 1, benchExtract30s},
+		{"Extract30s/w2", 2, benchExtract30s},
 		{"UncachedQuery1M", 0, benchUncachedQuery1M},
 		{"CachedQuery1M", 0, benchCachedQuery1M},
 		{"CacheMissEvict", 0, benchCacheMissEvict},
@@ -277,6 +279,19 @@ func benchStreamFanout(classes, copies int) func(b *testing.B) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// benchExtract30s times f1.Extract over a 30 s race: every §5.2-5.4
+// feature, caption recognition included. At width 1 the audio and video
+// chains run one after the other, wider they run side by side.
+func benchExtract30s(b *testing.B) {
+	race := synth.GenerateRace(synth.GermanGP, 30, 7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f1.Extract(race, f1.Options{Seed: 7}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -178,6 +178,8 @@ func (a *Analyzer) AnalyzeFrames(samples []float64) []FrameFeatures {
 	out := make([]FrameFeatures, nFrames)
 	re := make([]float64, a.nfft)
 	im := make([]float64, a.nfft)
+	half := a.nfft / 2
+	power := make([]float64, half+1)
 	for f := 0; f < nFrames; f++ {
 		start := f * a.frameLen
 		end := start + a.winLen
@@ -204,8 +206,6 @@ func (a *Analyzer) AnalyzeFrames(samples []float64) []FrameFeatures {
 		lowHi := int(882 / a.binHz)
 		midHi := int(2205 / a.binHz)
 		var low, mid, full float64
-		half := a.nfft / 2
-		power := make([]float64, half+1)
 		for b := 0; b <= half; b++ {
 			p := (re[b]*re[b] + im[b]*im[b]) / float64(a.nfft)
 			power[b] = p
@@ -281,15 +281,17 @@ func (a *Analyzer) Clips(frames []FrameFeatures) []ClipFeatures {
 	fpc := a.FramesPerClip()
 	nClips := len(frames) / fpc
 	out := make([]ClipFeatures, nClips)
+	// Per-clip scratch, reused clip to clip.
+	steLow := make([]float64, fpc)
+	steMid := make([]float64, fpc)
+	mfcc := make([]float64, fpc)
+	pitches := make([]float64, 0, fpc)
 	for c := 0; c < nClips; c++ {
 		chunk := frames[c*fpc : (c+1)*fpc]
 		cf := &out[c]
 		cf.Time = float64(c) * a.cfg.ClipDur
 
-		steLow := make([]float64, len(chunk))
-		steMid := make([]float64, len(chunk))
-		mfcc := make([]float64, len(chunk))
-		var pitches []float64
+		pitches = pitches[:0]
 		silent := 0
 		for i, fr := range chunk {
 			steLow[i] = fr.STELow

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"cobra/internal/cobra"
 	"cobra/internal/dbn"
 	"cobra/internal/eval"
+	"cobra/internal/monet"
 	"cobra/internal/rules"
 	"cobra/internal/synth"
 )
@@ -103,6 +105,65 @@ func (c *Corpus) features(video string) (*Features, error) {
 	}
 	c.feats[video] = f
 	return f, nil
+}
+
+// Prefetch extracts the features of the named videos side by side on
+// the shared kernel pool (one after another at width 1) and caches
+// them, so the engines later run for those videos find their features
+// ready. The races are independent, so the cached features are the
+// ones one-at-a-time extraction gives. It returns each video's
+// extraction wall time; a video extracted earlier took none here.
+func (c *Corpus) Prefetch(videos []string) (map[string]time.Duration, error) {
+	took := make(map[string]time.Duration, len(videos))
+	var todo []string
+	var races []*synth.Race
+	c.mu.Lock()
+	for _, v := range videos {
+		if _, ok := c.feats[v]; ok {
+			took[v] = 0
+			continue
+		}
+		race, ok := c.races[v]
+		if !ok {
+			c.mu.Unlock()
+			return nil, fmt.Errorf("f1: no raw material for video %q", v)
+		}
+		todo = append(todo, v)
+		races = append(races, race)
+	}
+	c.mu.Unlock()
+
+	feats := make([]*Features, len(todo))
+	errs := make([]error, len(todo))
+	durs := make([]time.Duration, len(todo))
+	pool := monet.DefaultPool()
+	batch := pool.Batch()
+	for i, race := range races {
+		task := func() {
+			start := time.Now()
+			feats[i], errs[i] = Extract(race, Options{Seed: c.cfg.Seed})
+			durs[i] = time.Since(start)
+		}
+		if pool.Workers() > 1 {
+			batch.Submit(task)
+		} else {
+			task() // width 1 is the serial case
+		}
+	}
+	batch.Wait()
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, v := range todo {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("f1: extracting %s: %w", v, errs[i])
+		}
+		if _, ok := c.feats[v]; !ok {
+			c.feats[v] = feats[i]
+		}
+		took[v] = durs[i]
+	}
+	return took, nil
 }
 
 // trainingVideo returns the video the networks are trained on (the

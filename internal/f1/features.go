@@ -11,6 +11,7 @@ import (
 	"cobra/internal/audio"
 	"cobra/internal/eval"
 	"cobra/internal/keyword"
+	"cobra/internal/monet"
 	"cobra/internal/synth"
 	"cobra/internal/video"
 	"cobra/internal/vtext"
@@ -76,14 +77,27 @@ type Options struct {
 	Seed int64
 }
 
-// Extract runs the full §5.2-5.4 pipeline over a simulated race.
+// Extract runs the full §5.2-5.4 pipeline over a simulated race. On a
+// pool wider than one worker the audio chain runs as a task on the
+// shared kernel pool beside the video chain: both only read the race
+// (rendering is pure in it) and they fill disjoint fields of the
+// result, so the output is the serial one bit for bit.
 func Extract(race *synth.Race, opt Options) (*Features, error) {
 	n := int(race.Duration / ClipDur)
 	f := &Features{Race: race, N: n}
-	if err := f.extractAudio(race); err != nil {
-		return nil, err
+	var audioErr error
+	audioChain := func() {
+		if audioErr = f.extractAudio(race); audioErr == nil {
+			f.extractKeywords(race, opt.Seed)
+		}
 	}
-	f.extractKeywords(race, opt.Seed)
+	pool := monet.DefaultPool()
+	batch := pool.Batch()
+	if pool.Workers() > 1 {
+		batch.Submit(audioChain)
+	} else {
+		audioChain() // width 1 is the serial case
+	}
 	f.PartOfRace = make([]float64, n)
 	for i := range f.PartOfRace {
 		f.PartOfRace[i] = float64(i) / float64(n)
@@ -94,6 +108,10 @@ func Extract(race *synth.Race, opt Options) (*Features, error) {
 		for _, p := range []*[]float64{&f.Replay, &f.ColorDiff, &f.Semaphore, &f.Dust, &f.Sand, &f.Motion, &f.Passing} {
 			*p = make([]float64, n)
 		}
+	}
+	batch.Wait()
+	if audioErr != nil {
+		return nil, audioErr
 	}
 	return f, nil
 }

@@ -175,6 +175,7 @@ type DVEDetector struct {
 	// Events records frame indices at which a completed DVE ended.
 	Events []int
 	frame  int
+	cols   []float64 // wipeFront's per-column scratch, reused frame to frame
 }
 
 // NewDVEDetector returns a detector with calibrated defaults.
@@ -185,7 +186,10 @@ func NewDVEDetector() *DVEDetector {
 // Feed processes the motion field between the previous and current
 // frame; it returns true when a completed DVE is recognized.
 func (d *DVEDetector) Feed(mf *MotionField) bool {
-	front := wipeFront(mf, d.Threshold)
+	if cap(d.cols) < mf.BlocksX {
+		d.cols = make([]float64, mf.BlocksX)
+	}
+	front := wipeFront(mf, d.Threshold, d.cols[:mf.BlocksX])
 	d.frame++
 	detected := false
 	if front >= 0 {
@@ -201,9 +205,10 @@ func (d *DVEDetector) Feed(mf *MotionField) bool {
 }
 
 // wipeFront returns the block column with maximal residual if the
-// residual is concentrated in a narrow band, else -1.
-func wipeFront(mf *MotionField, threshold float64) int {
-	cols := make([]float64, mf.BlocksX)
+// residual is concentrated in a narrow band, else -1. cols is scratch
+// of length mf.BlocksX; its contents are overwritten.
+func wipeFront(mf *MotionField, threshold float64, cols []float64) int {
+	clear(cols)
 	for y := 0; y < mf.BlocksY; y++ {
 		for x := 0; x < mf.BlocksX; x++ {
 			cols[x] += mf.ZeroSADs[y*mf.BlocksX+x]
