@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/doclint [-analyzers dir:catalogue.md] ./internal/monet ./internal/wal ...
+//	go run ./cmd/doclint [-analyzers dir:catalogue.md] [-observability doc.md] ./internal/monet ./internal/wal ...
 //
 // For every named package directory it checks that the package has a
 // package comment and that each exported top-level declaration — func,
@@ -20,6 +20,16 @@
 // a "### CVnnn `name`" heading in the markdown file, and every such
 // heading must correspond to a declared analyzer — so the catalogue
 // can neither lag behind a new analyzer nor describe a removed one.
+//
+// -observability doc.md checks the metric and span tables of the
+// observability guide against the code: every backquoted name in the
+// first column of a "| metric |" table must be a string literal passed
+// to obs.C/G/H or a Registry's Counter/Gauge/Histogram, and every name
+// in a "| span |" table a literal passed to StartChild/StartTrace, in
+// the module's non-test Go files. A span name may end in "*", which
+// matches any literal, or literal prefix of a concatenation, that
+// starts with the rest — so a row can neither name a metric or span
+// nothing records nor outlive the code that recorded it.
 package main
 
 import (
@@ -28,17 +38,22 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
 func main() {
 	analyzersSpec := flag.String("analyzers", "",
 		"dir:markdown — cross-check every vet.Analyzer under dir against CVnnn headings in markdown")
+	obsDoc := flag.String("observability", "",
+		"markdown — check every metric and span table row against the names the code records")
 	flag.Parse()
-	if flag.NArg() == 0 && *analyzersSpec == "" {
-		fmt.Fprintln(os.Stderr, "usage: doclint [-analyzers dir:catalogue.md] <package-dir>...")
+	if flag.NArg() == 0 && *analyzersSpec == "" && *obsDoc == "" {
+		fmt.Fprintln(os.Stderr, "usage: doclint [-analyzers dir:catalogue.md] [-observability doc.md] <package-dir>...")
 		os.Exit(2)
 	}
 	bad := 0
@@ -61,6 +76,154 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	if *obsDoc != "" {
+		if n := lintObservability(".", *obsDoc); n > 0 {
+			fmt.Fprintf(os.Stderr, "doclint: %d observability-table row(s) name nothing the code records\n", n)
+			os.Exit(1)
+		}
+	}
+}
+
+// docTableHeader matches the header row of a metric or span table.
+var docTableHeader = regexp.MustCompile(`^\|\s*(metric|span)\s*\|`)
+
+// backquoted matches one backquoted name in a table cell.
+var backquoted = regexp.MustCompile("`([^`]+)`")
+
+// lintObservability checks the metric and span tables of md against
+// the names recorded by the non-test Go files under root and returns
+// the count of rows naming nothing.
+func lintObservability(root, md string) int {
+	data, err := os.ReadFile(md)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		return 1
+	}
+	metrics, spans, err := recordedNames(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		return 1
+	}
+	bad := 0
+	table := ""
+	for i, line := range strings.Split(string(data), "\n") {
+		if m := docTableHeader.FindStringSubmatch(line); m != nil {
+			table = m[1]
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			table = ""
+			continue
+		}
+		if table == "" || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		first := strings.SplitN(line[1:], "|", 2)[0]
+		for _, m := range backquoted.FindAllStringSubmatch(first, -1) {
+			name := m[1]
+			ok := false
+			switch table {
+			case "metric":
+				ok = metrics[name]
+			case "span":
+				ok = spanRecorded(spans, name)
+			}
+			if !ok {
+				fmt.Printf("%s:%d: %s %q is not recorded by any non-test Go code\n", md, i+1, table, name)
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
+// spanRecorded reports whether a documented span name — exact, or a
+// prefix ending in "*" — matches a recorded span name or prefix.
+func spanRecorded(spans map[string]bool, name string) bool {
+	prefix, wild := strings.CutSuffix(name, "*")
+	for s, isPrefix := range spans {
+		if wild && strings.HasPrefix(s, prefix) || !wild && !isPrefix && s == name {
+			return true
+		}
+	}
+	return false
+}
+
+// recordedNames collects, from every non-test Go file under root
+// outside nested modules, testdata and hidden directories, the string
+// literals passed as the first argument of metric constructors
+// (metrics) and of span starters (spans; true marks the literal left
+// operand of a concatenation, a name prefix).
+func recordedNames(root string) (metrics, spans map[string]bool, err error) {
+	metrics, spans = map[string]bool{}, map[string]bool{}
+	metricFuncs := map[string]bool{"C": true, "G": true, "H": true, "Counter": true, "Gauge": true, "Histogram": true}
+	spanFuncs := map[string]bool{"StartChild": true, "StartTrace": true}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || fileExists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			var fn string
+			switch f := call.Fun.(type) {
+			case *ast.Ident:
+				fn = f.Name
+			case *ast.SelectorExpr:
+				fn = f.Sel.Name
+			}
+			switch {
+			case metricFuncs[fn]:
+				if s, ok := stringLit(call.Args[0]); ok {
+					metrics[s] = true
+				}
+			case spanFuncs[fn]:
+				if s, ok := stringLit(call.Args[0]); ok {
+					spans[s] = false
+				} else if bin, ok := call.Args[0].(*ast.BinaryExpr); ok && bin.Op == token.ADD {
+					if s, ok := stringLit(bin.X); ok {
+						spans[s] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	return metrics, spans, err
+}
+
+// stringLit unquotes a string literal expression.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
+// fileExists reports whether path names an existing file.
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 // catalogueHeading matches one analyzer's section heading in the

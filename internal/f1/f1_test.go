@@ -1,21 +1,33 @@
 package f1
 
 import (
+	"sync"
 	"testing"
 
 	"cobra/internal/eval"
 	"cobra/internal/synth"
 )
 
-// testLab builds a small-scale lab shared by the package tests.
+var (
+	sharedLabOnce sync.Once
+	sharedLab     *Lab
+)
+
+// testLab returns the small-scale lab shared by the package tests. It
+// is built once, so each race is simulated and extracted once for the
+// whole package: the experiments only read the lab's config and its
+// memoised races and features, and none of the tests runs in parallel.
 func testLab(t *testing.T) *Lab {
 	t.Helper()
-	cfg := DefaultExpConfig()
-	cfg.RaceDur = 220
-	cfg.TrainDur = 120
-	cfg.TrainSegments = 6
-	cfg.EMIterations = 4
-	return NewLab(cfg)
+	sharedLabOnce.Do(func() {
+		cfg := DefaultExpConfig()
+		cfg.RaceDur = 220
+		cfg.TrainDur = 120
+		cfg.TrainSegments = 6
+		cfg.EMIterations = 4
+		sharedLab = NewLab(cfg)
+	})
+	return sharedLab
 }
 
 func TestExtractShapes(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package mil implements an interpreter for a subset of MIL, the Monet
 // Interface Language the paper uses at the physical level (Figs. 4 and
-// 5b). Moa operations are rewritten into MIL procedures; extension
+// 5b). In the paper Moa operations are rewritten into MIL; extension
 // modules (HMM, DBN engines) register builtin functions the way MEL
 // modules extend Monet.
 //

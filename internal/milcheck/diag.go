@@ -7,10 +7,9 @@
 // that flags write-write and read-write conflicts on variables shared
 // across branches (the paper's Fig. 4 threadcnt pattern).
 //
-// The checker is wired in at three layers of the stack: moa plan
-// emission is proven type-correct in tests, the COQL engine and the
-// server validate plans at EXPLAIN / CHECK time, and cmd/milcheck
-// lints .mil files from the command line.
+// The checker is wired in at two layers of the stack: the COQL engine
+// and the server validate plans at EXPLAIN / CHECK time, and
+// cmd/milcheck lints .mil files from the command line.
 package milcheck
 
 import (

@@ -246,7 +246,7 @@ func (s *Store) capture(name string) (*BAT, *batIndex, error) {
 // SelectPositions returns the ascending positions of the named BAT
 // whose tail lies in [lo, hi], routed through the cost gate, plus a
 // description of the access path taken. It is the primitive behind
-// SelectRange/UselectRange and the COQL condition evaluator.
+// SelectRange and the COQL condition evaluator.
 func (s *Store) SelectPositions(name string, lo, hi Value) ([]int, *AccessInfo, error) {
 	return s.SelectPositionsCtx(context.Background(), name, lo, hi)
 }
@@ -318,17 +318,6 @@ func (s *Store) SelectRange(name string, lo, hi Value) (*BAT, *AccessInfo, error
 	}
 	idx := pl.positions(nil)
 	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, pl.info, nil
-}
-
-// UselectRange is the adaptive counterpart of BAT.Uselect: the
-// qualifying heads over a void tail.
-func (s *Store) UselectRange(name string, lo, hi Value) (*BAT, *AccessInfo, error) {
-	b, pl, _, err := s.planSelect(name, lo, hi, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := pl.positions(nil)
-	return &BAT{head: b.head.Gather(idx), tail: &voidColumn{n: len(idx)}}, pl.info, nil
 }
 
 // PlanAccess reports the access path the next select with these

@@ -1,6 +1,7 @@
 package monet
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -398,7 +399,7 @@ func TestPlanAccessHasNoSideEffects(t *testing.T) {
 	}
 }
 
-func TestUselectRangeAndSelectRangeShapes(t *testing.T) {
+func TestSelectRangeShapes(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize
 	s.Put("col", modIntBAT(n, 100))
@@ -408,6 +409,12 @@ func TestUselectRangeAndSelectRangeShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameBAT(t, got, want)
+}
+
+// sameBAT checks two [head, tail] BATs row for row.
+func sameBAT(t *testing.T, got, want *BAT) {
+	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("SelectRange %d rows, scan %d", got.Len(), want.Len())
 	}
@@ -416,18 +423,53 @@ func TestUselectRangeAndSelectRangeShapes(t *testing.T) {
 			t.Fatalf("row %d: [%v,%v] != [%v,%v]", i, got.Head(i), got.Tail(i), want.Head(i), want.Tail(i))
 		}
 	}
-	u, _, err := s.UselectRange("col", lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wu := mustGet(t, s, "col").Uselect(lo, hi)
-	if u.Len() != wu.Len() || u.TailType() != Void {
-		t.Fatalf("UselectRange [%v,%v]#%d, want [%v,void]#%d", u.HeadType(), u.TailType(), u.Len(), wu.HeadType(), wu.Len())
-	}
-	for i := 0; i < u.Len(); i++ {
-		if !Equal(u.Head(i), wu.Head(i)) {
-			t.Fatalf("head %d: %v != %v", i, u.Head(i), wu.Head(i))
+}
+
+// TestSelectRangeGraduatesToCrack: repeating one range select through
+// SelectRange graduates the column to the cracker by the fourth query,
+// with every answer equal to a plain scan.
+func TestSelectRangeGraduatesToCrack(t *testing.T) {
+	s := NewStore()
+	s.Put("col", modIntBAT(3*MorselSize, 1000))
+	lo, hi := NewInt(100), NewInt(199)
+	want := mustGet(t, s, "col").Select(lo, hi)
+	var last *AccessInfo
+	for q := 0; q < 4; q++ {
+		got, info, err := s.SelectRange("col", lo, hi)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameBAT(t, got, want)
+		last = info
+	}
+	if last.Path != PathCrack {
+		t.Fatalf("4th repeated select path = %v, want crack", last.Path)
+	}
+}
+
+// TestSelectRangeUsesDictForStrings: a repeated string equality select
+// through SelectRange is answered by the dictionary.
+func TestSelectRangeUsesDictForStrings(t *testing.T) {
+	s := NewStore()
+	n := 3 * MorselSize
+	b := NewBATCap(Void, StrT, n)
+	for i := 0; i < n; i++ {
+		b.MustInsert(VoidValue(), NewStr(fmt.Sprintf("label-%02d", i%40)))
+	}
+	s.Put("col", b)
+	eq := NewStr("label-05")
+	want := b.Select(eq, eq)
+	var last *AccessInfo
+	for q := 0; q < 2; q++ {
+		got, info, err := s.SelectRange("col", eq, eq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBAT(t, got, want)
+		last = info
+	}
+	if last.Path != PathDict {
+		t.Fatalf("repeated string select path = %v, want dict", last.Path)
 	}
 }
 

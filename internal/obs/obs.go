@@ -1,8 +1,8 @@
 // Package obs is the dependency-free telemetry substrate of the Cobra
 // VDBMS: atomic counters and gauges, striped latency histograms with
 // quantile estimation, hierarchical trace spans, and a slow-query log.
-// Every level of the stack (COQL engine, preprocessor, Moa algebra,
-// MIL interpreter, Monet kernel, HMM/DBN engines, and the wal
+// Every level of the stack (COQL engine, preprocessor, condition
+// evaluator, MIL interpreter, Monet kernel, HMM/DBN engines, and the wal
 // durability subsystem with its record/byte counters, fsync latency
 // histogram and recovery gauges) records into the package-level
 // Default registry; the server exposes it over the TCP protocol
@@ -150,7 +150,7 @@ func H(name string) *Histogram { return Default.Histogram(name) }
 // Timer starts a timer recording into the Default registry's named
 // histogram on invocation of the returned func:
 //
-//	defer obs.Timer("moa.select_range")()
+//	defer obs.Timer("dbn.filter.latency")()
 func Timer(name string) func() {
 	h := H(name)
 	start := time.Now()

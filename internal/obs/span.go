@@ -185,7 +185,7 @@ func (s *Span) Attrs() []Attr {
 // Render formats the span tree as indented text, one span per line:
 //
 //	coql.query 1.82ms level=conceptual query="SELECT ..."
-//	  moa.eval 1.71ms level=logical
+//	  coql.eval 1.71ms level=logical
 //	    monet.scan 1.60ms level=physical rows=42
 func (s *Span) Render() string {
 	var b strings.Builder

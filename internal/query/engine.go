@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -42,10 +41,6 @@ type Engine struct {
 	pre *cobra.Preprocessor
 	// MinQuality is the quality floor passed to the preprocessor.
 	MinQuality float64
-	// NoIndex forces feature conditions down the legacy full-load
-	// path, bypassing the kernel's adaptive access paths. Used by
-	// equivalence tests and as an escape hatch.
-	NoIndex bool
 }
 
 // NewEngine returns a query engine over the preprocessor.
@@ -68,7 +63,7 @@ func (e *Engine) RunTraced(src string) ([]Result, *obs.Span, error) {
 // RunTracedCtx parses and executes a COQL statement as one trace: the
 // root "coql.query" span gets a process-unique trace ID and a shared
 // resource accumulator, and the span handle rides ctx down through the
-// preprocessor, the moa condition evaluator, and the monet kernel's
+// preprocessor, the COQL condition evaluator, and the monet kernel's
 // morsel fan-outs. The span tree covers all three levels of the stack:
 // conceptual (parse, preprocessing, method selection), logical
 // (condition-tree evaluation) and physical (kernel selects with their
@@ -136,38 +131,11 @@ func (e *Engine) Execute(q *Query) ([]Result, error) {
 }
 
 // executeTraced is Execute with an optional (nil-safe) parent span;
-// ctx carries the trace for the kernel layers below.
+// ctx carries the trace for the kernel layers below. A one-shot query
+// is one evaluation of the standing-query evaluator, keeping no leaf
+// state between calls.
 func (e *Engine) executeTraced(ctx context.Context, q *Query, span *obs.Span) ([]Result, error) {
-	reqs := requirements(q.Where)
-	ensSp := span.StartChild("preprocess.ensure")
-	ensSp.SetAttr("level", "conceptual")
-	plan, err := e.pre.EnsureTraced(q.Video, reqs, e.MinQuality, ensSp)
-	if plan != nil {
-		ensSp.SetAttr("satisfied", strconv.Itoa(len(plan.Satisfied)))
-		ensSp.SetAttr("ran", strconv.Itoa(len(plan.Ran)))
-	}
-	ensSp.Finish()
-	if err != nil && !errors.Is(err, cobra.ErrNoExtractor) {
-		return nil, err
-	}
-	cat := e.pre.Catalog()
-	v, err := cat.Video(q.Video)
-	if err != nil {
-		return nil, err
-	}
-	if q.Where == nil {
-		whole := []Result{{Interval: cobra.Interval{Start: 0, End: v.Duration}, Confidence: 1}}
-		return postProcess(q, v.Duration, whole), nil
-	}
-	evalSp := span.StartChild("moa.eval")
-	evalSp.SetAttr("level", "logical")
-	res, err := e.eval(ctx, cat, q.Video, v.Duration, q.Where, evalSp)
-	evalSp.SetAttr("segments", strconv.Itoa(len(res)))
-	evalSp.Finish()
-	if err != nil {
-		return nil, err
-	}
-	return postProcess(q, v.Duration, res), nil
+	return (&Incremental{eng: e, q: q, oneShot: true}).Eval(ctx, span)
 }
 
 // postProcess applies the query's trailing-window filter, ordering and
@@ -255,142 +223,6 @@ func scanSpan(parent *obs.Span, bat string) *obs.Span {
 	return sp
 }
 
-func (e *Engine) eval(ctx context.Context, cat *cobra.Catalog, video string, duration float64, c Cond, span *obs.Span) ([]Result, error) {
-	switch n := c.(type) {
-	case *EventCond:
-		leaf := span.StartChild("eval:event")
-		leaf.SetAttr("level", "logical")
-		leaf.SetAttr("type", n.Type)
-		defer leaf.Finish()
-		scan := scanSpan(leaf, "cobra/event/"+video+"/*")
-		evs := cat.Events(video, n.Type)
-		scan.SetAttr("rows", strconv.Itoa(len(evs)))
-		scan.Resources().AddScanned(len(evs))
-		scan.Finish()
-		var out []Result
-		for _, ev := range evs {
-			if !attrsMatch(ev.Attrs, n.Attrs) {
-				continue
-			}
-			out = append(out, Result{Interval: ev.Interval, Confidence: ev.Confidence, Attrs: ev.Attrs})
-		}
-		return out, nil
-
-	case *ObjectCond:
-		leaf := span.StartChild("eval:object")
-		leaf.SetAttr("level", "logical")
-		leaf.SetAttr("name", n.Name)
-		defer leaf.Finish()
-		scan := scanSpan(leaf, "cobra/object/"+video+"/appearances")
-		obj, err := cat.Object(video, n.Name)
-		scan.Finish()
-		if err != nil {
-			return nil, nil // object never appears: empty result
-		}
-		var out []Result
-		for _, iv := range obj.Appearances {
-			out = append(out, Result{Interval: iv, Confidence: 1,
-				Attrs: map[string]string{"object": obj.Name, "class": obj.Class}})
-		}
-		return out, nil
-
-	case *TextCond:
-		leaf := span.StartChild("eval:text")
-		leaf.SetAttr("level", "logical")
-		leaf.SetAttr("word", n.Word)
-		defer leaf.Finish()
-		scan := scanSpan(leaf, "cobra/event/"+video+"/*")
-		evs := cat.Events(video, CaptionEventType)
-		scan.SetAttr("rows", strconv.Itoa(len(evs)))
-		scan.Resources().AddScanned(len(evs))
-		scan.Finish()
-		var out []Result
-		for _, ev := range evs {
-			if strings.EqualFold(ev.Attr("word"), n.Word) {
-				out = append(out, Result{Interval: ev.Interval, Confidence: ev.Confidence, Attrs: ev.Attrs})
-			}
-		}
-		return out, nil
-
-	case *FeatureCond:
-		leaf := span.StartChild("eval:feature")
-		leaf.SetAttr("level", "logical")
-		leaf.SetAttr("feature", n.Name)
-		defer leaf.Finish()
-		if out, ok := e.indexedFeatureRuns(ctx, cat, video, n, leaf); ok {
-			return out, nil
-		}
-		scan := scanSpan(leaf, "cobra/feature/"+video+"/"+n.Name)
-		scan.SetAttr("access", "path=scan (legacy)")
-		f, err := cat.Feature(video, n.Name)
-		if err == nil {
-			scan.SetAttr("rows", strconv.Itoa(len(f.Values)))
-			scan.Resources().AddScanned(len(f.Values))
-		}
-		scan.Finish()
-		if err != nil {
-			return nil, err
-		}
-		return featureRuns(f, n.Op, n.Val)
-
-	case *NotCond:
-		op := span.StartChild("eval:not")
-		op.SetAttr("level", "logical")
-		defer op.Finish()
-		x, err := e.eval(ctx, cat, video, duration, n.X, op)
-		if err != nil {
-			return nil, err
-		}
-		return complement(x, duration), nil
-
-	case *AndCond:
-		op := span.StartChild("eval:and")
-		op.SetAttr("level", "logical")
-		defer op.Finish()
-		l, r, err := e.evalPair(ctx, cat, video, duration, n.L, n.R, op)
-		if err != nil {
-			return nil, err
-		}
-		return intersect(l, r), nil
-
-	case *OrCond:
-		op := span.StartChild("eval:or")
-		op.SetAttr("level", "logical")
-		defer op.Finish()
-		l, r, err := e.evalPair(ctx, cat, video, duration, n.L, n.R, op)
-		if err != nil {
-			return nil, err
-		}
-		return append(l, r...), nil
-
-	case *TemporalCond:
-		op := span.StartChild("eval:temporal")
-		op.SetAttr("level", "logical")
-		op.SetAttr("rel", n.Rel)
-		defer op.Finish()
-		l, r, err := e.evalPair(ctx, cat, video, duration, n.L, n.R, op)
-		if err != nil {
-			return nil, err
-		}
-		return temporalSemijoin(l, r, n.Rel, n.Gap)
-	}
-	return nil, fmt.Errorf("query: unknown condition %T", c)
-}
-
-// evalPair evaluates the two operands of a binary condition as tasks
-// on the shared kernel pool, so independent subtrees of the condition
-// tree overlap (catalog reads go through the store's read lock and
-// spans are concurrency-safe). Errors from both sides are joined.
-func (e *Engine) evalPair(ctx context.Context, cat *cobra.Catalog, video string, duration float64, l, r Cond, span *obs.Span) ([]Result, []Result, error) {
-	var lRes, rRes []Result
-	var lErr, rErr error
-	batch := monet.DefaultPool().Batch()
-	batch.Submit(func() { lRes, lErr = e.eval(ctx, cat, video, duration, l, span) })
-	batch.Submit(func() { rRes, rErr = e.eval(ctx, cat, video, duration, r, span) })
-	batch.Wait()
-	return lRes, rRes, errors.Join(lErr, rErr)
-}
-
 func attrsMatch(have, want map[string]string) bool {
 	for k, v := range want {
 		if !strings.EqualFold(have[k], v) {
@@ -401,13 +233,13 @@ func attrsMatch(have, want map[string]string) bool {
 }
 
 // minRunDur is the noise floor for feature runs: threshold crossings
-// shorter than this are discarded, on both evaluation paths.
+// shorter than this are discarded, whichever access path found them.
 const minRunDur = 0.3
 
 // featureBounds converts a COQL comparison into the inclusive range
 // the kernel's select understands; ok=false when the operator has no
 // range form or the bound would not survive the float successor trick
-// (NaN and infinite thresholds stay on the legacy path).
+// (NaN and infinite thresholds stay on the sample-by-sample path).
 func featureBounds(op string, val float64) (lo, hi float64, ok bool) {
 	if math.IsNaN(val) || math.IsInf(val, 0) {
 		return 0, 0, false
@@ -433,16 +265,13 @@ func featureBounds(op string, val float64) (lo, hi float64, ok bool) {
 // positions come back as maximal runs — on the fused path no
 // intermediate position list is materialized at all, and zone map,
 // cracker or dictionary answer the predicate without loading the
-// column into Go values. ok=false falls back to the legacy full-load
-// path — when indexing is disabled, the operator has no range form,
-// or the unfused kernel answered with a plain scan (a scan's Compare
-// treats NaN as matching any range, so only fused loops — whose gate
-// proves the column NaN-free — and NaN-free indexed paths are
-// guaranteed equivalent to the legacy float comparison).
-func (e *Engine) indexedFeatureRuns(ctx context.Context, cat *cobra.Catalog, video string, n *FeatureCond, leaf *obs.Span) ([]Result, bool) {
-	if e.NoIndex {
-		return nil, false
-	}
+// column into Go values. ok=false falls back to the sample-by-sample
+// run detection of featureRows — when the operator has no range
+// form, or the unfused kernel answered with a plain scan (a scan's
+// Compare treats NaN as matching any range, so only fused loops —
+// whose gate proves the column NaN-free — and NaN-free indexed paths
+// are guaranteed equivalent to the float comparison).
+func indexedFeatureRuns(ctx context.Context, cat *cobra.Catalog, video string, n *FeatureCond, leaf *obs.Span) ([]Result, bool) {
 	lo, hi, ok := featureBounds(n.Op, n.Val)
 	if !ok {
 		return nil, false
@@ -464,7 +293,7 @@ func (e *Engine) indexedFeatureRuns(ctx context.Context, cat *cobra.Catalog, vid
 }
 
 // resultsFromRuns converts the kernel's qualifying-position runs into
-// segments, with boundaries and noise floor identical to featureRuns:
+// segments, with boundaries and noise floor identical to featureRows:
 // a run of consecutive positions a..b spans [a*step, (b+1)*step).
 func resultsFromRuns(runs []monet.Run, rate float64) []Result {
 	step := 1 / rate
@@ -497,39 +326,6 @@ func featureTest(op string, val float64) func(float64) bool {
 		}
 		return false
 	}
-}
-
-// featureRuns converts threshold-satisfying runs of a feature series
-// into segments (runs shorter than 0.3 s are noise).
-func featureRuns(f cobra.Feature, op string, val float64) ([]Result, error) {
-	test := featureTest(op, val)
-	step := 1 / f.SampleRate
-	var out []Result
-	open := false
-	start := 0.0
-	for i, v := range f.Values {
-		t := float64(i) * step
-		if test(v) {
-			if !open {
-				open = true
-				start = t
-			}
-			continue
-		}
-		if open {
-			open = false
-			if t-start >= minRunDur {
-				out = append(out, Result{Interval: cobra.Interval{Start: start, End: t}, Confidence: 1})
-			}
-		}
-	}
-	if open {
-		end := float64(len(f.Values)) * step
-		if end-start >= minRunDur {
-			out = append(out, Result{Interval: cobra.Interval{Start: start, End: end}, Confidence: 1})
-		}
-	}
-	return out, nil
 }
 
 // intersect pairs overlapping segments from both sides, returning the

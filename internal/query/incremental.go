@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"cobra/internal/cobra"
+	"cobra/internal/monet"
 	"cobra/internal/obs"
 )
 
@@ -65,11 +66,11 @@ type eventLeaf struct {
 	evs  []cobra.Event
 }
 
-// featureLeaf carries featureRuns' run-detection state machine across
-// watermarks: rows consumed, whether a run is open and where it
-// started, and the closed runs found so far. The state machine is
-// prefix-composable, so feeding it the appended tail yields the same
-// runs as re-scanning the full series.
+// featureLeaf carries the run-detection state machine of a feature
+// condition across watermarks: rows consumed, whether a run is open
+// and where it started, and the closed runs found so far. The state
+// machine is prefix-composable, so feeding it the appended tail yields
+// the same runs as scanning the full series from row 0.
 type featureLeaf struct {
 	rows   int
 	open   bool
@@ -77,21 +78,30 @@ type featureLeaf struct {
 	closed []Result
 }
 
-// Incremental evaluates one parsed COQL query repeatedly over a
+// Incremental is the COQL condition evaluator: the one walker that
+// turns a condition tree into segments, for standing and one-shot
+// queries alike.
+//
+// A standing Incremental evaluates one parsed query repeatedly over a
 // growing video, re-scanning only rows appended since the previous
 // evaluation. Leaf conditions cache per-node state (event rows in
 // append order, feature run-detection state); combination operators
-// recompute over the cached leaf sets with the same code the one-shot
-// engine uses, so every Eval returns exactly what Engine.Execute would
-// return at the same watermark — the basis for the streaming path's
-// byte-identity guarantee.
+// recompute over the cached leaf sets, so every Eval returns exactly
+// what Engine.Execute would return at the same watermark — the basis
+// for the streaming path's byte-identity guarantee.
 //
-// An Incremental is not safe for concurrent use; the subscription
-// manager owns one per class of identical standing queries and
-// serializes its evaluations.
+// A one-shot Incremental (Engine.Execute) keeps no leaf state: its
+// leaves read from row 0, feature leaves try the kernel's indexed
+// access paths first, and binary operands run side by side on the
+// kernel pool.
+//
+// A standing Incremental is not safe for concurrent use; the
+// subscription manager owns one per class of identical standing
+// queries and serializes its evaluations.
 type Incremental struct {
-	eng *Engine
-	q   *Query
+	eng     *Engine
+	q       *Query
+	oneShot bool
 	// duration is the video duration the last Eval read.
 	duration float64
 
@@ -126,15 +136,19 @@ func (inc *Incremental) DepNames() []string {
 	return DepNamesOf(inc.q)
 }
 
-// Eval re-evaluates the standing query at the current watermark. The
-// span (nil-safe) receives the same child structure as a one-shot
-// execution, with tail scans annotated by their starting row.
+// Eval evaluates the query at the current watermark. The span
+// (nil-safe) receives the same child structure in both modes, with
+// scans annotated by the row they started from.
 func (inc *Incremental) Eval(ctx context.Context, span *obs.Span) ([]Result, error) {
 	q := inc.q
 	reqs := requirements(q.Where)
 	ensSp := span.StartChild("preprocess.ensure")
 	ensSp.SetAttr("level", "conceptual")
-	_, err := inc.eng.pre.EnsureTraced(q.Video, reqs, inc.eng.MinQuality, ensSp)
+	plan, err := inc.eng.pre.EnsureTraced(q.Video, reqs, inc.eng.MinQuality, ensSp)
+	if plan != nil {
+		ensSp.SetAttr("satisfied", strconv.Itoa(len(plan.Satisfied)))
+		ensSp.SetAttr("ran", strconv.Itoa(len(plan.Ran)))
+	}
 	ensSp.Finish()
 	if err != nil && !errors.Is(err, cobra.ErrNoExtractor) {
 		return nil, err
@@ -149,9 +163,11 @@ func (inc *Incremental) Eval(ctx context.Context, span *obs.Span) ([]Result, err
 		whole := []Result{{Interval: cobra.Interval{Start: 0, End: v.Duration}, Confidence: 1}}
 		return postProcess(q, v.Duration, whole), nil
 	}
-	evalSp := span.StartChild("moa.eval")
+	evalSp := span.StartChild("coql.eval")
 	evalSp.SetAttr("level", "logical")
-	evalSp.SetAttr("mode", "incremental")
+	if !inc.oneShot {
+		evalSp.SetAttr("mode", "incremental")
+	}
 	res, err := inc.evalCond(ctx, cat, q.Video, v.Duration, q.Where, evalSp)
 	evalSp.SetAttr("segments", strconv.Itoa(len(res)))
 	evalSp.Finish()
@@ -161,12 +177,13 @@ func (inc *Incremental) Eval(ctx context.Context, span *obs.Span) ([]Result, err
 	return postProcess(q, v.Duration, res), nil
 }
 
-// evalCond mirrors Engine.eval node for node. Event, text and feature
-// leaves read only the appended tail through their caches; object
-// leaves delegate to the one-shot path (the object layer is not
-// append-streamed); combination operators reuse the engine's set
-// algebra verbatim, which is what makes incremental output provably
-// identical to a full re-scan.
+// evalCond evaluates a condition tree bottom-up over segment sets.
+// Event, text and feature leaves read only the rows past their
+// watermark (row 0 for a one-shot query); object leaves read the whole
+// object, since the object layer is not append-streamed; combination
+// operators run the same set algebra over the leaf sets in both
+// modes, which is what makes standing output identical to a one-shot
+// evaluation.
 func (inc *Incremental) evalCond(ctx context.Context, cat *cobra.Catalog, video string, duration float64, c Cond, span *obs.Span) ([]Result, error) {
 	switch n := c.(type) {
 	case *EventCond:
@@ -203,10 +220,30 @@ func (inc *Incremental) evalCond(ctx context.Context, cat *cobra.Catalog, video 
 		leaf.SetAttr("level", "logical")
 		leaf.SetAttr("feature", n.Name)
 		defer leaf.Finish()
+		if inc.oneShot {
+			if out, ok := indexedFeatureRuns(ctx, cat, video, n, leaf); ok {
+				return out, nil
+			}
+		}
 		return inc.featureRows(cat, video, n, leaf)
 
 	case *ObjectCond:
-		return inc.eng.eval(ctx, cat, video, duration, n, span)
+		leaf := span.StartChild("eval:object")
+		leaf.SetAttr("level", "logical")
+		leaf.SetAttr("name", n.Name)
+		defer leaf.Finish()
+		scan := scanSpan(leaf, "cobra/object/"+video+"/appearances")
+		obj, err := cat.Object(video, n.Name)
+		scan.Finish()
+		if err != nil {
+			return nil, nil // object never appears: empty result
+		}
+		var out []Result
+		for _, iv := range obj.Appearances {
+			out = append(out, Result{Interval: iv, Confidence: 1,
+				Attrs: map[string]string{"object": obj.Name, "class": obj.Class}})
+		}
+		return out, nil
 
 	case *NotCond:
 		op := span.StartChild("eval:not")
@@ -252,24 +289,39 @@ func (inc *Incremental) evalCond(ctx context.Context, cat *cobra.Catalog, video 
 	return nil, fmt.Errorf("query: unknown condition %T", c)
 }
 
-// evalBoth evaluates a binary condition's operands sequentially. The
-// one-shot engine fans the pair out on the kernel pool; standing
-// queries get their parallelism across query classes instead, and
-// sequential evaluation keeps the per-node leaf caches free of locks.
+// evalBoth evaluates a binary condition's operands. A one-shot query
+// runs them as tasks on the shared kernel pool, so independent
+// subtrees overlap (catalog reads go through the store's read lock,
+// spans are concurrency-safe, and one-shot leaves share no state).
+// Standing queries get their parallelism across query classes instead
+// and evaluate in order, which keeps the per-node leaf caches free of
+// locks. Errors from both sides are joined.
 func (inc *Incremental) evalBoth(ctx context.Context, cat *cobra.Catalog, video string, duration float64, l, r Cond, span *obs.Span) ([]Result, []Result, error) {
-	lRes, lErr := inc.evalCond(ctx, cat, video, duration, l, span)
-	rRes, rErr := inc.evalCond(ctx, cat, video, duration, r, span)
+	var lRes, rRes []Result
+	var lErr, rErr error
+	if inc.oneShot {
+		batch := monet.DefaultPool().Batch()
+		batch.Submit(func() { lRes, lErr = inc.evalCond(ctx, cat, video, duration, l, span) })
+		batch.Submit(func() { rRes, rErr = inc.evalCond(ctx, cat, video, duration, r, span) })
+		batch.Wait()
+	} else {
+		lRes, lErr = inc.evalCond(ctx, cat, video, duration, l, span)
+		rRes, rErr = inc.evalCond(ctx, cat, video, duration, r, span)
+	}
 	return lRes, rRes, errors.Join(lErr, rErr)
 }
 
 // eventRows returns the accumulated events of one type in start order,
 // reading only rows appended since the leaf's watermark. The slice is
-// the leaf's own: callers read it and filter into fresh slices.
+// the leaf's own: callers read it and filter into fresh slices. A
+// one-shot query reads from row 0 into a leaf it does not keep.
 func (inc *Incremental) eventRows(cat *cobra.Catalog, video, typ string, key Cond, span *obs.Span) []cobra.Event {
 	leaf := inc.events[key]
 	if leaf == nil {
 		leaf = &eventLeaf{}
-		inc.events[key] = leaf
+		if !inc.oneShot {
+			inc.events[key] = leaf
+		}
 	}
 	scan := scanSpan(span, "cobra/event/"+video+"/*")
 	fresh, upTo := cat.EventsSince(video, typ, leaf.rows)
@@ -289,6 +341,9 @@ func (inc *Incremental) eventRows(cat *cobra.Catalog, video, typ string, key Con
 // one move.
 func mergeByStart(evs, tail []cobra.Event) []cobra.Event {
 	sort.SliceStable(tail, func(i, j int) bool { return tail[i].Interval.Start < tail[j].Interval.Start })
+	if len(evs) == 0 {
+		return tail
+	}
 	i, j := len(evs)-1, len(tail)-1
 	evs = append(evs, tail...)
 	for k := len(evs) - 1; j >= 0 && i >= 0; k-- {
@@ -307,13 +362,16 @@ func mergeByStart(evs, tail []cobra.Event) []cobra.Event {
 
 // featureRows advances a feature leaf's run-detection state over the
 // appended samples and returns all runs found so far, including the
-// provisional run still open at the watermark (exactly what a full
-// featureRuns scan would report).
+// provisional run still open at the watermark (exactly what a scan of
+// the full series from row 0 reports). A one-shot query runs the state
+// machine from row 0 in a leaf it does not keep.
 func (inc *Incremental) featureRows(cat *cobra.Catalog, video string, n *FeatureCond, span *obs.Span) ([]Result, error) {
 	st := inc.features[n]
 	if st == nil {
 		st = &featureLeaf{}
-		inc.features[n] = st
+		if !inc.oneShot {
+			inc.features[n] = st
+		}
 	}
 	scan := scanSpan(span, "cobra/feature/"+video+"/"+n.Name)
 	vals, rate, total, err := cat.FeatureTail(video, n.Name, st.rows)

@@ -35,16 +35,22 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full live-feed equivalence sweep in -short mode")
 	}
+	// Extraction is byte-identical at every pool width, so the race is
+	// extracted once and aired into a fresh catalog per width.
+	race := synth.GenerateRace(synth.GermanGP, 120, 42)
+	feats, err := f1.Extract(race, f1.Options{Seed: 7})
+	if err != nil {
+		t.Fatalf("Extract: %v", err)
+	}
 	for _, width := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			prev := monet.SetDefaultPoolWorkers(width)
 			defer monet.SetDefaultPoolWorkers(prev)
 
 			cat := cobra.NewCatalog(monet.NewStore())
-			race := synth.GenerateRace(synth.GermanGP, 120, 42)
-			ing, err := f1.NewLiveIngestor(cat, "live-gp", race, 7)
+			ing, err := f1.NewLiveIngestorFrom(cat, "live-gp", feats)
 			if err != nil {
-				t.Fatalf("NewLiveIngestor: %v", err)
+				t.Fatalf("NewLiveIngestorFrom: %v", err)
 			}
 			eng := NewEngine(cobra.NewPreprocessor(cat))
 

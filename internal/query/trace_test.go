@@ -47,7 +47,7 @@ func levelsIn(root *obs.Span) map[string]bool {
 
 // TestRunTracedSpansAllLevels is the tracing acceptance test: one
 // traced COQL query must yield a span tree covering all three DBMS
-// levels — conceptual (coql.query), logical (moa.eval / eval:feature)
+// levels — conceptual (coql.query), logical (coql.eval / eval:feature)
 // and physical (monet.select with the cost-gate access path, plus
 // morsel spans carrying queue-wait attribution) — with per-query
 // resources attached and the trace retained in the default ring.
@@ -106,9 +106,9 @@ func TestRunTracedSpansAllLevels(t *testing.T) {
 		}
 	}
 
-	// Logical level: the moa evaluation and the feature leaf.
-	if got := collectSpans(root, "moa.eval"); len(got) != 1 || got[0].Attr("level") != "logical" {
-		t.Fatalf("moa.eval spans = %v\n%s", got, root.Render())
+	// Logical level: the condition evaluation and the feature leaf.
+	if got := collectSpans(root, "coql.eval"); len(got) != 1 || got[0].Attr("level") != "logical" {
+		t.Fatalf("coql.eval spans = %v\n%s", got, root.Render())
 	}
 	leaves := collectSpans(root, "eval:feature")
 	if len(leaves) != 1 {

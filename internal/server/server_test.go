@@ -214,7 +214,7 @@ func TestTraceOverWire(t *testing.T) {
 		"# 1 segments",
 		"coql.query ",
 		"level=conceptual",
-		"moa.eval ",
+		"coql.eval ",
 		"level=logical",
 		"monet.scan ",
 		"level=physical",
