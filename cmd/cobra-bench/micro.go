@@ -442,19 +442,24 @@ func benchJoin1M(b *testing.B) {
 
 // benchUnfusedSelectAgg1M is the operator-at-a-time select→aggregate
 // the fused pipeline is judged against, like for like: the same stored
-// column, the same cost gate and the same warmed index state as
+// column, the same access-path gate and the same warmed index state as
 // FusedSelectAgg1M, but materializing the filtered BAT (the gathered
 // intermediate the paper's MIL chains produce) and then summing it.
 // ~10% selectivity over 1M int rows.
 func benchUnfusedSelectAgg1M(b *testing.B) {
 	store := fusedAggStore(b)
+	val, err := store.Get("bench/val")
+	if err != nil {
+		b.Fatal(err)
+	}
 	lo, hi := monet.NewInt(100), monet.NewInt(199)
+	ctx := context.Background()
 	sum := func() {
-		sel, _, err := store.SelectRange("bench/val", lo, hi)
-		if err == nil {
-			_, err = sel.Sum()
+		sel, _, ok := store.SelectRange(ctx, "bench/val", val, lo, hi, false)
+		if !ok {
+			b.Fatal("bench/val replaced mid-benchmark")
 		}
-		if err != nil {
+		if _, err := sel.Sum(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -496,7 +501,7 @@ func fusedAggStore(b *testing.B) *monet.Store {
 // benchFusedSelectAgg1M times the fused select→sum pipeline over the
 // same workload as SelectAgg1M: no position slice, no gathered
 // intermediate — each morsel feeds its qualifying runs straight into
-// the sum, and the store's cost gate (the same one, warmed the same
+// the sum, and the store's access-path gate (the same one, warmed the same
 // way) answers the predicate.
 func benchFusedSelectAgg1M(b *testing.B) {
 	store := fusedAggStore(b)
@@ -535,30 +540,27 @@ func benchDictGroupAgg1M(b *testing.B) {
 }
 
 // The access-path ablation: the same 1M-row float column and the same
-// eight ranges per selectivity, answered with the gate held on each of
-// its roads in turn and then left alone —
+// eight ranges per selectivity, answered with the gate held on the
+// scan and on the zone map, and then left alone —
 //
 //	TypedScan1M      the full typed scan (a NaN row appended to the
 //	                 column marks it unsafe, which pins the scan)
-//	ZoneMapSelect1M  zone-map pruning only (crack threshold out of reach)
-//	CrackSelect1M    the cracker, pinned by Crack() and converged on the
-//	                 eight ranges by the warm-up
-//	GateSelect1M     the cost gate's own choice on a warmed column
+//	ZoneMapSelect1M  zone-map pruning, the gate's one numeric road
+//	GateSelect1M     the gate's own choice on a warmed column
 //
 // over two layouts: "shuffled" (uniform values in row order, where a
-// zone map cannot prune and the cracker is at home) and "clustered"
-// (ascending values, the time-ordered telemetry layout zone maps
-// reward), at 0.1 %, 1 %, 10 % and 50 % selectivity, all at pool width
-// 1. The gate's one constant (monet crackCostPerMatch) is read off this
-// table: at each selectivity and layout GateSelect1M should sit within
-// 1.25x of the best of the other three.
+// zone map cannot prune) and "clustered" (ascending values, the
+// time-ordered telemetry layout zone maps reward), at 0.1 %, 1 %, 10 %
+// and 50 % selectivity, all at pool width 1. At each selectivity and
+// layout GateSelect1M should sit within 1.25x of the best of the other
+// two.
 var (
 	ablationLayouts = []string{"shuffled", "clustered"}
 	ablationSels    = []struct {
 		tag   string
 		share float64
 	}{{"s0.1", 0.001}, {"s1", 0.01}, {"s10", 0.10}, {"s50", 0.50}}
-	ablationPaths = []string{"TypedScan1M", "ZoneMapSelect1M", "CrackSelect1M", "GateSelect1M"}
+	ablationPaths = []string{"TypedScan1M", "ZoneMapSelect1M", "GateSelect1M"}
 )
 
 const ablationRanges = 8
@@ -575,7 +577,8 @@ func ablationValues(layout string) []float64 {
 	return vals
 }
 
-// ablationStore stores vals as "bench/val" and holds the gate on path.
+// ablationStore stores vals as "bench/val", pinned to the scan for
+// TypedScan1M.
 func ablationStore(b *testing.B, path string, vals []float64) *monet.Store {
 	store := monet.NewStore()
 	bat := monet.NewBATCap(monet.Void, monet.FloatT, len(vals)+1)
@@ -587,11 +590,6 @@ func ablationStore(b *testing.B, path string, vals []float64) *monet.Store {
 	}
 	if err := store.Put("bench/val", bat); err != nil {
 		b.Fatal(err)
-	}
-	if path == "CrackSelect1M" {
-		if _, err := store.Crack("bench/val"); err != nil {
-			b.Fatal(err)
-		}
 	}
 	return store
 }
@@ -609,10 +607,6 @@ func ablationBenches() []microBench {
 				path := path
 				var store *monet.Store // built on the entry's first call, kept across b.N ramps
 				out = append(out, microBench{path + "/" + layout + "/" + sel.tag, 1, func(b *testing.B) {
-					if path == "ZoneMapSelect1M" {
-						prev := monet.SetCrackThreshold(1 << 30)
-						defer monet.SetCrackThreshold(prev)
-					}
 					if store == nil {
 						if vals == nil {
 							vals = ablationValues(layout)
@@ -626,7 +620,7 @@ func ablationBenches() []microBench {
 						}
 					}
 					for i := 0; i < 3*ablationRanges; i++ {
-						sel(i) // warm: zone map built, column hot, pieces cracked
+						sel(i) // warm: zone map built, column hot
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -647,8 +641,8 @@ func printAblation(results []benchfmt.Result) {
 	for _, r := range results {
 		ns[r.Name] = r.NsPerOp
 	}
-	fmt.Println("  | layout | selectivity | typed scan | zone map | crack | gate | gate / best |")
-	fmt.Println("  |---|---|---|---|---|---|---|")
+	fmt.Println("  | layout | selectivity | typed scan | zone map | gate | gate / best |")
+	fmt.Println("  |---|---|---|---|---|---|")
 	for _, layout := range ablationLayouts {
 		for _, sel := range ablationSels {
 			row := fmt.Sprintf("  | %s | %g %% |", layout, sel.share*100)

@@ -234,7 +234,7 @@ func (c *Catalog) FeatureMeta(video, name string) (rate float64, n int, err erro
 
 // FeatureSelect returns the ascending sample positions whose value
 // lies in [lo, hi], routed through the kernel's adaptive access paths
-// (zone map, cracker or scan, chosen by the store's cost gate), along
+// (zone map or scan, chosen by the store's access-path gate), along
 // with the access path taken.
 func (c *Catalog) FeatureSelect(video, name string, lo, hi float64) ([]int, *monet.AccessInfo, error) {
 	return c.FeatureSelectCtx(c.ctx(), video, name, lo, hi)

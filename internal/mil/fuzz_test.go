@@ -3,6 +3,8 @@ package mil
 import (
 	"strings"
 	"testing"
+
+	"cobra/internal/monet"
 )
 
 // FuzzParse exercises the lexer and parser: any input must either
@@ -48,6 +50,21 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
+// fuzzStore holds two small aligned streams, "x" [void,dbl] and "y"
+// [void,int], for the fuzzed programs' bat() calls.
+func fuzzStore() *monet.Store {
+	s := monet.NewStore()
+	x := monet.NewBATCap(monet.Void, monet.FloatT, 64)
+	y := monet.NewBATCap(monet.Void, monet.IntT, 64)
+	for i := 0; i < 64; i++ {
+		x.MustInsert(monet.VoidValue(), monet.NewFloat(float64(i)/64))
+		y.MustInsert(monet.VoidValue(), monet.NewInt(int64(i%10)))
+	}
+	s.Put("x", x)
+	s.Put("y", y)
+	return s
+}
+
 // FuzzRun feeds parsed programs to the interpreter with a small step
 // budget: evaluation must return a value or an error, never panic.
 func FuzzRun(f *testing.F) {
@@ -57,6 +74,14 @@ func FuzzRun(f *testing.F) {
 		"PROC f(int x) : int := { RETURN x; }\nRETURN f(7);",
 		"RETURN 1 / 0;",
 		"PARALLEL { print(1); print(2); }",
+		// The fused chains, the access-path select and the read-only
+		// bat() value.
+		`RETURN bat("x").select(0.2, 0.6).count;`,
+		`RETURN bat("y").select(1, 9).sum;`,
+		`RETURN bat("x").select(0.2, 0.6).mirror.join(bat("y")).avg;`,
+		`VAR s := bat("x").uselect(0.5); RETURN s.count;`,
+		`bat("x").insert(oid(0), 9.5);`,
+		`VAR b := bat("y").copy; b.insert(nil, 4); register("y", b); RETURN bat("y").select(4, 4).count;`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -69,7 +94,7 @@ func FuzzRun(f *testing.F) {
 		if err != nil {
 			return
 		}
-		in := NewInterp(nil)
+		in := NewInterp(fuzzStore())
 		in.MaxSteps = 50000
 		_, _ = in.Run(prog)
 	})

@@ -30,6 +30,11 @@ type Value struct {
 	Atom monet.Value
 	BAT  *monet.BAT
 	Proc *ProcDecl
+	// stored is the store name of a BAT value bat() fetched, or of a
+	// view sharing its columns. Such a value is read-only, and its
+	// selects take the store's access path while the store still holds
+	// that same BAT.
+	stored string
 }
 
 // IsBAT reports whether the value holds a BAT.
@@ -141,12 +146,23 @@ func (in *Interp) Global(name string) (Value, bool) {
 func (in *Interp) Store() *monet.Store { return in.store }
 
 // env is a lexical scope chain. The root scope delegates to the
-// interpreter's locked globals map so PARALLEL branches can share it.
+// interpreter's locked globals map so PARALLEL branches can share it,
+// and carries the run's context: one Interp serves many runs at once,
+// so the trace a run records into belongs to the run, not the Interp.
 type env struct {
 	in     *Interp
 	parent *env
 	vars   map[string]Value
-	mu     *sync.Mutex // non-nil when this scope is shared by PARALLEL branches
+	mu     *sync.Mutex     // non-nil when this scope is shared by PARALLEL branches
+	ctx    context.Context // set on root scopes only
+}
+
+// context returns the context of the run the scope belongs to.
+func (e *env) context() context.Context {
+	for e.parent != nil {
+		e = e.parent
+	}
+	return e.ctx
 }
 
 // unlockPath releases scope locks acquired during an env walk, in
@@ -244,7 +260,7 @@ func (in *Interp) ExecCtx(ctx context.Context, src string) (Value, error) {
 		return Value{}, err
 	}
 	sp.SetAttr("statements", fmt.Sprintf("%d", len(prog.Stmts)))
-	v, err := in.Run(prog)
+	v, err := in.run(obs.ContextWithSpan(ctx, sp), prog)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
@@ -254,10 +270,16 @@ func (in *Interp) ExecCtx(ctx context.Context, src string) (Value, error) {
 
 // Run executes a parsed program.
 func (in *Interp) Run(prog *Program) (Value, error) {
+	return in.run(context.Background(), prog)
+}
+
+// run executes a parsed program under ctx, which the kernel operators
+// it calls record their spans into.
+func (in *Interp) run(ctx context.Context, prog *Program) (Value, error) {
 	defer func(start time.Time) { hRunLat.Observe(time.Since(start)) }(time.Now())
 	cStatements.Add(int64(len(prog.Stmts)))
 	in.steps.Store(0)
-	root := &env{in: in, vars: map[string]Value{}}
+	root := &env{in: in, vars: map[string]Value{}, ctx: ctx}
 	var last Value
 	for _, s := range prog.Stmts {
 		v, err := in.exec(root, s)
@@ -562,7 +584,7 @@ func (in *Interp) evalCall(e *env, ex *Call) (Value, error) {
 	}
 	name := strings.ToLower(ex.Name)
 	if proc, ok := in.proc(name); ok {
-		return in.callProc(proc, args)
+		return in.callProc(e.context(), proc, args)
 	}
 	if fn, ok := in.builtins[name]; ok {
 		v, err := fn(in, args)
@@ -576,11 +598,11 @@ func (in *Interp) evalCall(e *env, ex *Call) (Value, error) {
 	return Value{}, fmt.Errorf("%w: function %q at %d:%d", ErrUndefined, ex.Name, l, c)
 }
 
-func (in *Interp) callProc(proc *ProcDecl, args []Value) (Value, error) {
+func (in *Interp) callProc(ctx context.Context, proc *ProcDecl, args []Value) (Value, error) {
 	if len(args) != len(proc.Params) {
 		return Value{}, fmt.Errorf("mil: proc %s expects %d args, got %d", proc.Name, len(proc.Params), len(args))
 	}
-	scope := &env{in: in, vars: map[string]Value{}}
+	scope := &env{in: in, vars: map[string]Value{}, ctx: ctx}
 	for i, p := range proc.Params {
 		a := args[i]
 		if p.IsBAT && !a.IsBAT() {

@@ -266,44 +266,37 @@ func TestIndexBuiltins(t *testing.T) {
 	store.Put("laps", b)
 	in := NewInterp(store)
 
-	v, err := in.Exec(`crack("laps");`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Atom.Int() < 1 {
-		t.Fatalf("crack pieces = %v", v)
-	}
-	v, err = in.Exec(`zonemap("laps");`)
+	v, err := in.Exec(`zonemap("laps");`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Atom.Int() != 1 { // 1000 rows fit one morsel
 		t.Fatalf("zonemap morsels = %v", v)
 	}
-	v, err = in.Exec(`indexinfo("laps").find("crack");`)
+	v, err = in.Exec(`indexinfo("laps").find("zonemap");`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Atom.Str(); got == "none" || got == "" {
-		t.Fatalf("indexinfo crack = %q", got)
+	if got := v.Atom.Str(); got != "1 morsels" {
+		t.Fatalf("indexinfo zonemap = %q", got)
 	}
-	// Selects keep working against the cracked column.
+	// Selects keep working against the zone-mapped column.
 	v, err = in.Exec(`bat("laps").uselect(10, 19).count;`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Atom.Int() != 100 {
-		t.Fatalf("post-crack uselect count = %v", v)
+		t.Fatalf("uselect count = %v", v)
 	}
-	// Errors: missing BAT, no store, uncrackable type.
-	if _, err := in.Exec(`crack("no/such");`); err == nil {
-		t.Fatal("crack on missing BAT accepted")
+	// Errors: missing BAT, no store.
+	if _, err := in.Exec(`zonemap("no/such");`); err == nil {
+		t.Fatal("zonemap on missing BAT accepted")
 	}
 	if _, err := in.Exec(`indexinfo("no/such");`); err == nil {
 		t.Fatal("indexinfo on missing BAT accepted")
 	}
 	nostore := NewInterp(nil)
-	for _, src := range []string{`crack("x");`, `zonemap("x");`, `indexinfo("x");`} {
+	for _, src := range []string{`zonemap("x");`, `indexinfo("x");`} {
 		if _, err := nostore.Exec(src); err == nil {
 			t.Fatalf("%q without a store accepted", src)
 		}

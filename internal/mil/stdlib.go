@@ -18,7 +18,6 @@ func (in *Interp) installStdlib() {
 	in.Register("print", builtinPrint)
 	in.Register("bat", builtinBAT)
 	in.Register("register", builtinRegister)
-	in.Register("crack", builtinCrack)
 	in.Register("zonemap", builtinZoneMap)
 	in.Register("indexinfo", builtinIndexInfo)
 	in.Register("fusedaggr", builtinFusedAggr)
@@ -220,7 +219,8 @@ func builtinPrint(in *Interp, args []Value) (Value, error) {
 	return Value{}, nil
 }
 
-// builtinBAT fetches a named BAT from the store: bat("name").
+// builtinBAT fetches a named BAT from the store: bat("name"). The
+// value is the store's own BAT, so it is read-only: insert refuses it.
 func builtinBAT(in *Interp, args []Value) (Value, error) {
 	if err := wantAtoms("bat", args, 1); err != nil {
 		return Value{}, err
@@ -228,28 +228,12 @@ func builtinBAT(in *Interp, args []Value) (Value, error) {
 	if in.store == nil {
 		return Value{}, errors.New("bat: no store attached")
 	}
-	b, err := in.store.Get(args[0].Atom.Str())
+	name := args[0].Atom.Str()
+	b, err := in.store.Get(name)
 	if err != nil {
 		return Value{}, err
 	}
-	return BATValue(b), nil
-}
-
-// builtinCrack force-builds the cracker copy of a stored numeric
-// column: crack("name") returns the resulting piece count. Subsequent
-// range selects over the BAT answer from the cracker.
-func builtinCrack(in *Interp, args []Value) (Value, error) {
-	if err := wantAtoms("crack", args, 1); err != nil {
-		return Value{}, err
-	}
-	if in.store == nil {
-		return Value{}, errors.New("crack: no store attached")
-	}
-	n, err := in.store.Crack(args[0].Atom.Str())
-	if err != nil {
-		return Value{}, err
-	}
-	return AtomValue(monet.NewInt(int64(n))), nil
+	return Value{BAT: b, stored: name}, nil
 }
 
 // builtinZoneMap force-builds the per-morsel min/max zone map of a
@@ -288,7 +272,7 @@ func builtinIndexInfo(in *Interp, args []Value) (Value, error) {
 // stored BATs: fusedaggr("pred", lo, hi, "agg", "op") aggregates the
 // rows of BAT "agg" whose aligned "pred" tail lies in [lo, hi],
 // without materializing the selection. op is one of count, sum, avg,
-// min, max. The kernel cost gate silently falls back to the
+// min, max. The fused gate silently falls back to the
 // operator-at-a-time plan when fusion cannot reproduce it exactly.
 func builtinFusedAggr(in *Interp, args []Value) (Value, error) {
 	if err := wantAtoms("fusedaggr", args, 5); err != nil {
@@ -297,12 +281,7 @@ func builtinFusedAggr(in *Interp, args []Value) (Value, error) {
 	if in.store == nil {
 		return Value{}, errors.New("fusedaggr: no store attached")
 	}
-	v, _, err := in.store.Pipeline(args[0].Atom.Str(), args[1].Atom, args[2].Atom).
-		Aggregate(context.Background(), args[3].Atom.Str(), args[4].Atom.Str())
-	if err != nil {
-		return Value{}, err
-	}
-	return AtomValue(v), nil
+	return in.fusedAggregate(context.Background(), args[0].Atom.Str(), args[1].Atom, args[2].Atom, args[3].Atom.Str(), args[4].Atom.Str())
 }
 
 // builtinFusedRuns range-selects a stored BAT through the fused
@@ -328,6 +307,8 @@ func builtinFusedRuns(in *Interp, args []Value) (Value, error) {
 }
 
 // builtinRegister persists a BAT into the store: register("name", b).
+// The store gets a copy, so later inserts into b never reach the
+// stored BAT behind the store's epoch, its indexes and its journal.
 func builtinRegister(in *Interp, args []Value) (Value, error) {
 	if len(args) != 2 || args[0].IsBAT() || !args[1].IsBAT() {
 		return Value{}, errors.New(`register expects ("name", bat)`)
@@ -335,7 +316,9 @@ func builtinRegister(in *Interp, args []Value) (Value, error) {
 	if in.store == nil {
 		return Value{}, errors.New("register: no store attached")
 	}
-	in.store.Put(args[0].Atom.Str(), args[1].BAT)
+	if err := in.store.Put(args[0].Atom.Str(), args[1].BAT.Clone()); err != nil {
+		return Value{}, err
+	}
 	return args[1], nil
 }
 
@@ -353,12 +336,12 @@ func wantAtoms(name string, args []Value, n int) error {
 
 // callNamedProc invokes a declared PROC by name with the given
 // arguments; used by the higher-order BAT methods.
-func (in *Interp) callNamedProc(name string, args []Value) (Value, error) {
+func (in *Interp) callNamedProc(ctx context.Context, name string, args []Value) (Value, error) {
 	proc, ok := in.proc(strings.ToLower(name))
 	if !ok {
 		return Value{}, fmt.Errorf("mil: no PROC %q", name)
 	}
-	return in.callProc(proc, args)
+	return in.callProc(ctx, proc, args)
 }
 
 // evalMethod dispatches method-call syntax. On BATs it maps to kernel
@@ -366,6 +349,9 @@ func (in *Interp) callNamedProc(name string, args []Value) (Value, error) {
 // BATs per MIL. The receiver may also be an undefined identifier used
 // as a type name (not supported — caught by lookup).
 func (in *Interp) evalMethod(e *env, ex *MethodCall) (Value, error) {
+	if ch, ok := matchChain(ex); ok {
+		return in.evalChain(e, ch)
+	}
 	recv, err := in.eval(e, ex.Recv)
 	if err != nil {
 		return Value{}, err
@@ -378,6 +364,12 @@ func (in *Interp) evalMethod(e *env, ex *MethodCall) (Value, error) {
 		}
 		args[i] = v
 	}
+	return in.applyMethod(e, ex, recv, args)
+}
+
+// applyMethod applies the method of ex to an evaluated receiver and
+// arguments.
+func (in *Interp) applyMethod(e *env, ex *MethodCall, recv Value, args []Value) (Value, error) {
 	if !recv.IsBAT() {
 		return Value{}, fmt.Errorf("mil: method %q on non-BAT value %v", ex.Name, recv)
 	}
@@ -394,6 +386,9 @@ func (in *Interp) evalMethod(e *env, ex *MethodCall) (Value, error) {
 	case "insert":
 		if len(args) != 2 || args[0].IsBAT() || args[1].IsBAT() {
 			return wrap(Value{}, errors.New("insert expects (head, tail) atoms"))
+		}
+		if recv.stored != "" {
+			return wrap(Value{}, fmt.Errorf("bat(%q) is read-only: insert into a copy and register it", recv.stored))
 		}
 		h := args[0].Atom
 		if b.HeadType() == monet.Void {
@@ -414,31 +409,30 @@ func (in *Interp) evalMethod(e *env, ex *MethodCall) (Value, error) {
 		u, err := b.KUnion(args[0].BAT)
 		return wrap(BATValue(u), err)
 	case "reverse":
-		return BATValue(b.Reverse()), nil
+		return Value{BAT: b.Reverse(), stored: recv.stored}, nil
 	case "mirror":
-		return BATValue(b.Mirror()), nil
+		return Value{BAT: b.Mirror(), stored: recv.stored}, nil
 	case "mark":
 		base := monet.OID(0)
 		if len(args) == 1 && !args[0].IsBAT() {
 			base = monet.OID(args[0].Atom.Int())
 		}
 		return BATValue(b.Mark(base)), nil
-	case "select":
-		switch len(args) {
-		case 1:
-			return BATValue(b.SelectEq(args[0].Atom)), nil
-		case 2:
-			return BATValue(b.Select(args[0].Atom, args[1].Atom)), nil
+	case "select", "uselect":
+		if len(args) != 1 && len(args) != 2 {
+			return wrap(Value{}, fmt.Errorf("%s expects 1 or 2 bounds", name))
 		}
-		return wrap(Value{}, errors.New("select expects 1 or 2 bounds"))
-	case "uselect":
-		switch len(args) {
-		case 1:
-			return BATValue(b.Uselect(args[0].Atom, args[0].Atom)), nil
-		case 2:
-			return BATValue(b.Uselect(args[0].Atom, args[1].Atom)), nil
+		lo, hi := args[0].Atom, args[len(args)-1].Atom
+		unary := name == "uselect"
+		if recv.stored != "" {
+			if sel, _, ok := in.store.SelectRange(e.context(), recv.stored, b, lo, hi, unary); ok {
+				return BATValue(sel), nil
+			}
 		}
-		return wrap(Value{}, errors.New("uselect expects 1 or 2 bounds"))
+		if unary {
+			return BATValue(b.Uselect(lo, hi)), nil
+		}
+		return BATValue(b.Select(lo, hi)), nil
 	case "join":
 		if len(args) != 1 || !args[0].IsBAT() {
 			return wrap(Value{}, errors.New("join expects a BAT"))
@@ -534,7 +528,7 @@ func (in *Interp) evalMethod(e *env, ex *MethodCall) (Value, error) {
 		}
 		var out *monet.BAT
 		for i := 0; i < b.Len(); i++ {
-			v, err := in.callNamedProc(args[0].Atom.Str(),
+			v, err := in.callNamedProc(e.context(), args[0].Atom.Str(),
 				[]Value{AtomValue(b.Head(i)), AtomValue(b.Tail(i))})
 			if err != nil {
 				return wrap(Value{}, err)
@@ -561,7 +555,7 @@ func (in *Interp) evalMethod(e *env, ex *MethodCall) (Value, error) {
 		}
 		out := monet.NewBAT(b.HeadType(), b.TailType())
 		for i := 0; i < b.Len(); i++ {
-			v, err := in.callNamedProc(args[0].Atom.Str(),
+			v, err := in.callNamedProc(e.context(), args[0].Atom.Str(),
 				[]Value{AtomValue(b.Head(i)), AtomValue(b.Tail(i))})
 			if err != nil {
 				return wrap(Value{}, err)

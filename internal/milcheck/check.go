@@ -765,13 +765,12 @@ func (c *checker) evalCall(ex *mil.Call) VType {
 		args[i] = c.eval(a)
 	}
 
-	// Index builders mutate shared per-BAT index state: they are
-	// serialized on the store's index lock, but the piece layout the
-	// branches observe depends on scheduling, so flag them inside
-	// PARALLEL blocks.
-	if (name == "crack" || name == "zonemap") && len(c.parStack) > 0 {
+	// The index builder writes shared per-BAT index state under the
+	// column's index lock: branches of a PARALLEL block calling it wait
+	// on one another for a single build, so flag it there.
+	if name == "zonemap" && len(c.parStack) > 0 {
 		c.warnf(line, col, "index-in-parallel",
-			"%s() rebuilds shared index state; inside a PARALLEL block the layout branches observe is nondeterministic", name)
+			"zonemap() builds shared index state under the column's index lock; inside a PARALLEL block the branches serialize on it")
 	}
 
 	switch name {

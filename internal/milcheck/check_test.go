@@ -443,14 +443,12 @@ func TestCheckSourceParseError(t *testing.T) {
 }
 
 func TestIndexBuiltinSigs(t *testing.T) {
-	diags := check(t, `print(crack("laps") + zonemap("laps"));
+	diags := check(t, `print(zonemap("laps") + 1);
 VAR ii := indexinfo("laps");
-print(ii.find("crack"));
+print(ii.find("zonemap"));
 `, nil)
 	wantClean(t, diags)
 	// Non-string BAT names and wrong arity are diagnosed.
-	diags = check(t, `print(crack(1));`, nil)
-	wantDiag(t, diags, "bad-call", Error, 1, 7)
 	diags = check(t, `print(zonemap(1.5));`, nil)
 	wantDiag(t, diags, "bad-call", Error, 1, 7)
 	diags = check(t, `print(indexinfo("x", "y").count);`, nil)
@@ -459,7 +457,7 @@ print(ii.find("crack"));
 
 func TestIndexBuildersInParallelWarn(t *testing.T) {
 	src := `PARALLEL {
-  print(crack("a"));
+  print(zonemap("a"));
   print(zonemap("b"));
 }
 print(indexinfo("a").count);

@@ -99,7 +99,6 @@ func stdlibSigs() map[string]Sig {
 			}
 			return AnyAtomType(), ""
 		},
-		"crack":     fixedSig("crack", AtomOf(monet.IntT), wantStr),
 		"zonemap":   fixedSig("zonemap", AtomOf(monet.IntT), wantStr),
 		"indexinfo": fixedSig("indexinfo", BATOf(monet.StrT, monet.StrT), wantStr),
 		"fusedaggr": fixedSig("fusedaggr", AnyAtomType(), wantStr, wantAtom, wantAtom, wantStr, wantStr),

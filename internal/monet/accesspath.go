@@ -2,49 +2,40 @@ package monet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cobra/internal/obs"
 )
 
-// Adaptive access paths: the kernel's self-organizing alternative to a
-// full scan for tail-range selects over named BATs. Three cooperating
-// structures live beside each stored BAT:
+// Adaptive access paths: the kernel's alternative to a full scan for
+// tail-range selects over named BATs. Two structures live beside each
+// stored BAT:
 //
 //   - a zone map of per-morsel min/max summaries, built lazily on the
 //     first indexed select, that prunes whole morsels before the
-//     morsel-parallel scan runs (zonemap.go);
-//   - a cracker copy of numeric tails, incrementally range-partitioned
-//     as a side effect of each select, so hot columns converge toward
-//     sorted and repeated selects become binary search + narrow copy
-//     (crack.go);
+//     morsel-parallel scan runs and takes the morsels it places wholly
+//     inside the range without comparing a row (zonemap.go);
 //   - a dictionary for string tails, so equality and range selects
 //     compare small integer codes and distinct counts come for free
 //     (dict.go).
 //
-// All structures are keyed to the store's per-name mutation epoch:
-// Put/Append/Drop bump the epoch under the write lock, and the next
-// indexed select observes the mismatch and rebuilds from scratch.
-// Results are always byte-identical to the naive scan: every path ends
-// in the typed range-select kernel (rangesel.go) or in a cracker
-// partition of the same values, and a column holding NaN — which no
-// min/max summary or range partition can represent — keeps the full
-// scan.
+// Both are keyed to the store's per-name mutation epoch: Put/Append/
+// Drop bump the epoch under the write lock, and the next indexed
+// select observes the mismatch and rebuilds from scratch. Results are
+// always byte-identical to the naive scan: every path ends in the typed
+// range-select kernel (rangesel.go), and a column holding NaN — which
+// no min/max summary can represent — keeps the full scan.
 
 // Access-path metrics (monet.index.*): how often each structure is
-// built and consulted, how much work pruning saves, and how far the
-// crackers have converged.
+// built and consulted, and how much work pruning saves.
 var (
 	cIdxSelects       = obs.C("monet.index.selects")
 	cIdxInvalidations = obs.C("monet.index.invalidations")
 	cZmBuilds         = obs.C("monet.index.zonemap.builds")
 	cZmScanned        = obs.C("monet.index.zonemap.morsels_scanned")
 	cZmPruned         = obs.C("monet.index.zonemap.morsels_pruned")
-	cCrBuilds         = obs.C("monet.index.crack.builds")
-	cCrCracks         = obs.C("monet.index.crack.cracks")
-	hCrPieces         = obs.H("monet.index.crack.pieces")
 	cDictBuilds       = obs.C("monet.index.dict.builds")
 	cDictHits         = obs.C("monet.index.dict.hits")
 	cDictMisses       = obs.C("monet.index.dict.misses")
@@ -54,16 +45,13 @@ var (
 // would be) executed.
 type AccessPath int
 
-// The access paths the cost gate chooses between.
+// The access paths the gate chooses between.
 const (
-	// PathScan is the full morsel-parallel scan of PR 4.
+	// PathScan is the full morsel-parallel scan.
 	PathScan AccessPath = iota
 	// PathZoneMap scans only the morsels whose [min,max] intersects
 	// the predicate range.
 	PathZoneMap
-	// PathCrack answers from the incrementally range-partitioned
-	// cracker copy of the column.
-	PathCrack
 	// PathDict answers string predicates over dictionary codes.
 	PathDict
 )
@@ -73,8 +61,6 @@ func (p AccessPath) String() string {
 	switch p {
 	case PathZoneMap:
 		return "zonemap"
-	case PathCrack:
-		return "crack"
 	case PathDict:
 		return "dict"
 	}
@@ -83,7 +69,7 @@ func (p AccessPath) String() string {
 
 // AccessInfo describes one (planned or executed) indexed select.
 type AccessInfo struct {
-	// Path is the access path chosen by the cost gate.
+	// Path is the access path chosen by the gate.
 	Path AccessPath
 	// Rows is the size of the scanned BAT.
 	Rows int
@@ -93,20 +79,8 @@ type AccessInfo struct {
 	// pruned morsels are never touched by the scan.
 	MorselsTotal  int
 	MorselsPruned int
-	// CrackPieces is the cracker partition count after the select.
-	CrackPieces int
 	// DictSize is the dictionary entry count (distinct tail values).
 	DictSize int
-	// EstMatched is the cost gate's estimate of the qualifying rows,
-	// made before the select ran; -1 when it had nothing to estimate
-	// from (no zone map yet, or a column the gate does not index).
-	EstMatched int
-	// ScanCost and CrackCost are the gate's estimates, in rows
-	// compared, of answering by scanning the morsels the zone map
-	// leaves and by the cracker; meaningful when EstMatched >= 0.
-	ScanCost, CrackCost int
-	// Note says why the cheaper road was not taken, when it was not.
-	Note string
 }
 
 // String renders the info as the single access-path line EXPLAIN
@@ -116,76 +90,24 @@ func (ai *AccessInfo) String() string {
 	if ai.MorselsTotal > 0 {
 		s += fmt.Sprintf(" morsels=%d pruned=%d", ai.MorselsTotal, ai.MorselsPruned)
 	}
-	if ai.CrackPieces > 0 {
-		s += fmt.Sprintf(" pieces=%d", ai.CrackPieces)
-	}
 	if ai.DictSize > 0 {
 		s += fmt.Sprintf(" dict=%d", ai.DictSize)
-	}
-	if ai.EstMatched >= 0 {
-		chosen, cc, rejected, rc := "scan", ai.ScanCost, "crack", ai.CrackCost
-		if ai.Path == PathCrack {
-			chosen, cc, rejected, rc = rejected, rc, chosen, cc
-		}
-		why := ""
-		if ai.Note != "" {
-			why = ", " + ai.Note
-		}
-		s += fmt.Sprintf(" est_matched=%d chosen=%s(cost≈%d) rejected=%s(cost≈%d%s)", ai.EstMatched, chosen, cc, rejected, rc, why)
 	}
 	return s
 }
 
-// DefaultCrackThreshold is how many indexed selects a numeric column
-// absorbs before the cost gate may invest in a cracker copy: the first
-// selects are served by the (cheap) zone map, and only a column that
-// keeps being filtered is worth the copy and the partitioning passes
-// the gate's per-query costs leave out.
-const DefaultCrackThreshold = 2
-
-// crackCostPerMatch is the cost gate's one constant: answering from
-// the cracker costs about this many compared rows of the typed scan per
-// qualifying position, where the scan costs one per row of every morsel
-// the zone map cannot decide plus one per match to write it. Marking a
-// partition's positions in the answer bitmap and reading them back
-// measures close to 2 (`cobra-bench -run micro`: CrackSelect1M against
-// TypedScan1M and ZoneMapSelect1M at 0.1–50 % selectivity, DESIGN.md
-// §10); the third unit is the margin the cracker has to win by to be
-// worth its 16 bytes per row and the partitioning passes the per-query
-// costs leave out — which is also what keeps a column that is only ever
-// asked half its rows from growing one.
-const crackCostPerMatch = 3
-
-var crackAfter atomic.Int64
-
-func init() { crackAfter.Store(DefaultCrackThreshold) }
-
-// SetCrackThreshold overrides how many indexed selects a numeric
-// column absorbs before it may graduate from zone-map pruning to
-// cracking and returns the previous value. n <= 0 restores the
-// default. It is a tuning knob for benchmarks and experiments;
-// production code should leave the gate at DefaultCrackThreshold.
-func SetCrackThreshold(n int) int {
-	if n <= 0 {
-		n = DefaultCrackThreshold
-	}
-	return int(crackAfter.Swap(int64(n)))
-}
-
 // batIndex is the adaptive index state of one named BAT. All fields
 // are guarded by mu, which is held while a select is planned and while
-// the cracker or dictionary is mutated — never across the read-only
-// scan, so selects on one column scan concurrently. The zone map, the
-// dictionary and a cracker answer are immutable once handed out. epoch
-// records the store epoch the structures were built against.
+// the zone map or dictionary is built — never across the read-only
+// scan, so selects on one column scan concurrently. The zone map and
+// the dictionary are immutable once handed out. epoch records the
+// store epoch the structures were built against.
 type batIndex struct {
 	mu      sync.Mutex
 	epoch   uint64
 	selects int  // indexed selects since the last rebuild
 	unsafe  bool // NaN observed in the column: always the full scan
-	pinned  bool // Crack() forced the cracker: always answer from it
 	zm      *zoneMap
-	cr      cracker
 	dict    *strDict
 }
 
@@ -197,9 +119,7 @@ func (ix *batIndex) syncEpoch(epoch uint64) {
 	ix.epoch = epoch
 	ix.selects = 0
 	ix.unsafe = false
-	ix.pinned = false
 	ix.zm = nil
-	ix.cr = nil
 	ix.dict = nil
 }
 
@@ -243,46 +163,87 @@ func (s *Store) capture(name string) (*BAT, *batIndex, error) {
 	return b, ix, nil
 }
 
+// errNotHeld reports that the store no longer holds the BAT a caller
+// fetched under a name: it was replaced or appended to since.
+var errNotHeld = errors.New("monet: BAT no longer held under its name")
+
 // SelectPositions returns the ascending positions of the named BAT
-// whose tail lies in [lo, hi], routed through the cost gate, plus a
-// description of the access path taken. It is the primitive behind
-// SelectRange and the COQL condition evaluator.
+// whose tail lies in [lo, hi], routed through the access-path gate,
+// plus a description of the access path taken. It is the primitive
+// behind SelectRange and the COQL condition evaluator.
 func (s *Store) SelectPositions(name string, lo, hi Value) ([]int, *AccessInfo, error) {
 	return s.SelectPositionsCtx(context.Background(), name, lo, hi)
 }
 
 // SelectPositionsCtx is SelectPositions under a trace context: when
 // ctx carries a span, the select records a "monet.select" child span
-// holding the cost-gate decision (access attr), morsel child spans for
+// holding the gate's decision (access attr), morsel child spans for
 // parallel scans, and rows-scanned attribution into the trace's shared
 // Resources.
 func (s *Store) SelectPositionsCtx(ctx context.Context, name string, lo, hi Value) ([]int, *AccessInfo, error) {
+	_, idx, info, err := s.selectPositions(ctx, name, nil, lo, hi)
+	return idx, info, err
+}
+
+// selectPositions runs one traced indexed select over the named BAT;
+// a non-nil held makes it fail with errNotHeld unless the store holds
+// exactly that BAT under name.
+func (s *Store) selectPositions(ctx context.Context, name string, held *BAT, lo, hi Value) (*BAT, []int, *AccessInfo, error) {
 	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", name)
 	defer sp.Finish()
-	_, pl, _, err := s.planSelect(name, lo, hi, false)
+	b, pl, _, err := s.planSelect(name, held, lo, hi, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	idx := pl.positions(sp)
-	sp.SetAttr("access", pl.info.String())
+	if sp != nil { // untraced selects skip formatting the access line
+		sp.SetAttr("access", pl.info.String())
+	}
 	sp.Resources().AddScanned(scannedRows(pl.info))
-	return idx, pl.info, nil
+	return b, idx, pl.info, nil
+}
+
+// SelectRange is the access-path counterpart of held.Select(lo, hi) —
+// of held.Uselect(lo, hi) when unary — for a BAT fetched from the
+// store under name: the same result, with the morsels the zone map
+// rules out never scanned. ok is false, and nothing is planned, when
+// the store no longer holds held under name (it was replaced or
+// appended to since it was fetched); the caller then runs the operator
+// on held itself.
+func (s *Store) SelectRange(ctx context.Context, name string, held *BAT, lo, hi Value, unary bool) (sel *BAT, info *AccessInfo, ok bool) {
+	if cur, err := s.Get(name); err != nil || cur != held {
+		return nil, nil, false // checked before the span opens; planSelect checks again under the index lock
+	}
+	b, idx, info, err := s.selectPositions(ctx, name, held, lo, hi)
+	if err != nil {
+		return nil, nil, false
+	}
+	var tail Column = &voidColumn{n: len(idx)}
+	if !unary {
+		tail = b.tail.Gather(idx)
+	}
+	return &BAT{head: b.head.Gather(idx), tail: tail}, info, true
 }
 
 // planSelect plans one range select over a named BAT: it holds the
 // column's index lock only while the gate decides and the index
-// structures are built or cracked, and returns with the lock released,
-// so the scan the plan describes runs beside other selects. With fused
-// set it adds the fused gate's verdict (pipeline.go): a non-empty
-// reason means the caller must report, and run, the operator-at-a-time
-// path over the same plan; a float column is proved NaN-free for it
-// here, by the zone map's build pass.
-func (s *Store) planSelect(name string, lo, hi Value, fused bool) (b *BAT, pl *selectPlan, reason string, err error) {
+// structures are built, and returns with the lock released, so the
+// scan the plan describes runs beside other selects. A non-nil held
+// must be the BAT the store holds under name (else errNotHeld). With
+// fused set it adds the fused gate's verdict (pipeline.go): a
+// non-empty reason means the caller must report, and run, the
+// operator-at-a-time path over the same plan; a float column is proved
+// NaN-free for it here, by the zone map's build pass.
+func (s *Store) planSelect(name string, held *BAT, lo, hi Value, fused bool) (b *BAT, pl *selectPlan, reason string, err error) {
 	b, ix, err := s.capture(name)
 	if err != nil {
 		return nil, nil, "", err
+	}
+	if held != nil && b != held {
+		ix.mu.Unlock()
+		return nil, nil, "", errNotHeld
 	}
 	if fused {
 		if reason = ix.fuseReason(b.tail, lo, hi); reason == "" && !ix.nanFree(b.tail) {
@@ -297,34 +258,21 @@ func (s *Store) planSelect(name string, lo, hi Value, fused bool) (b *BAT, pl *s
 
 // scannedRows estimates tuples examined by one indexed select: the
 // whole column for a scan, only surviving morsels under zone-map
-// pruning, and the matched rows for index answers (crack/dict touch
-// piece boundaries, not tuples).
+// pruning, and the matched rows for a dictionary answer.
 func scannedRows(info *AccessInfo) int {
 	switch info.Path {
 	case PathZoneMap:
 		return (info.MorselsTotal - info.MorselsPruned) * MorselSize
-	case PathCrack, PathDict:
+	case PathDict:
 		return info.Matched
 	}
 	return info.Rows
 }
 
-// SelectRange is the adaptive counterpart of BAT.Select over a stored
-// BAT: same [head, tail] result, access path chosen by the cost gate.
-func (s *Store) SelectRange(name string, lo, hi Value) (*BAT, *AccessInfo, error) {
-	b, pl, _, err := s.planSelect(name, lo, hi, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := pl.positions(nil)
-	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, pl.info, nil
-}
-
 // PlanAccess reports the access path the next select with these
 // bounds would take, without scanning or building anything — the
 // side-effect-free probe EXPLAIN uses. When a zone map already exists
-// the plan includes its prune counts and the gate's estimates for the
-// given range.
+// the plan includes its prune counts for the given range.
 func (s *Store) PlanAccess(name string, lo, hi Value) (*AccessInfo, error) {
 	b, ix, err := s.capture(name)
 	if err != nil {
@@ -332,37 +280,16 @@ func (s *Store) PlanAccess(name string, lo, hi Value) (*AccessInfo, error) {
 	}
 	defer ix.mu.Unlock()
 	p := compileRange(b.tail, lo, hi)
-	d := ix.decide(b.tail, &p)
-	info := d.info(b.Len())
-	if ix.cr != nil {
-		info.CrackPieces = ix.cr.pieces()
+	path := ix.decide(b.tail, &p)
+	ms := morselSet{n: b.Len()}
+	if path == PathZoneMap && ix.zm != nil {
+		ms = ix.zm.classify(&p)
 	}
+	info := accessInfo(path, ms)
 	if ix.dict != nil {
 		info.DictSize = len(ix.dict.keys)
 	}
 	return info, nil
-}
-
-// Crack force-builds the cracker copy of a stored numeric column (the
-// MIL crack() builtin), pins the column's selects to it, and returns
-// its piece count.
-func (s *Store) Crack(name string) (int, error) {
-	b, ix, err := s.capture(name)
-	if err != nil {
-		return 0, err
-	}
-	defer ix.mu.Unlock()
-	if ix.cr == nil {
-		if !ix.nanFree(b.tail) {
-			return 0, fmt.Errorf("monet: cannot crack %q: column contains NaN", name)
-		}
-		if ix.cr = buildCracker(b.tail); ix.cr == nil {
-			return 0, fmt.Errorf("monet: cannot crack %q: tail %v is not a crackable column", name, b.TailType())
-		}
-		cCrBuilds.Inc()
-	}
-	ix.pinned = true
-	return ix.cr.pieces(), nil
 }
 
 // nanFree reports whether col is free of NaN, building the zone map of
@@ -370,11 +297,17 @@ func (s *Store) Crack(name string) (int, error) {
 // yet. The caller holds ix.mu.
 func (ix *batIndex) nanFree(col Column) bool {
 	if _, isFloat := col.(*floatColumn); isFloat && ix.zm == nil && !ix.unsafe {
-		ix.zm = buildZoneMap(col)
-		cZmBuilds.Inc()
-		ix.unsafe = ix.zm.unsafe
+		ix.buildZoneMap(col)
 	}
 	return !ix.unsafe
+}
+
+// buildZoneMap summarizes col into ix.zm, marking ix unsafe when the
+// summary saw a NaN. The caller holds ix.mu.
+func (ix *batIndex) buildZoneMap(col Column) {
+	ix.zm = buildZoneMap(col)
+	cZmBuilds.Inc()
+	ix.unsafe = ix.unsafe || ix.zm.unsafe
 }
 
 // BuildZoneMap force-builds the zone map of a stored column (the MIL
@@ -389,9 +322,7 @@ func (s *Store) BuildZoneMap(name string) (int, error) {
 		return 0, fmt.Errorf("monet: cannot zone-map %q: tail %v has no ordered scalar values", name, b.TailType())
 	}
 	if ix.zm == nil {
-		ix.zm = buildZoneMap(b.tail)
-		cZmBuilds.Inc()
-		ix.unsafe = ix.unsafe || ix.zm.unsafe
+		ix.buildZoneMap(b.tail)
 	}
 	return len(ix.zm.mins), nil
 }
@@ -416,11 +347,6 @@ func (s *Store) IndexInfo(name string) (*BAT, error) {
 	} else {
 		add("zonemap", "none")
 	}
-	if ix.cr != nil {
-		add("crack", fmt.Sprintf("%d pieces (%d cracks)", ix.cr.pieces(), ix.cr.cracks()))
-	} else {
-		add("crack", "none")
-	}
 	if ix.dict != nil {
 		add("dict", fmt.Sprintf("%d entries", len(ix.dict.keys)))
 	} else {
@@ -430,100 +356,57 @@ func (s *Store) IndexInfo(name string) (*BAT, error) {
 	return out, nil
 }
 
-// decision is the cost gate's verdict on one select: the path, and
-// what the zone map (when one exists) says about the range.
-type decision struct {
-	path AccessPath
-	ms   morselSet // the morsels a scan has to visit
-	// est is the estimated number of qualifying rows, -1 when there is
-	// nothing to estimate from; scanCost and crackCost are the two
-	// roads' estimated costs in compared rows.
-	est, scanCost, crackCost int
-	note                     string
-}
-
-// info renders the decision as the AccessInfo of an n-row column.
-func (d *decision) info(n int) *AccessInfo {
-	info := &AccessInfo{Path: d.path, Rows: n, EstMatched: d.est, ScanCost: d.scanCost, CrackCost: d.crackCost, Note: d.note}
-	if d.path == PathZoneMap && d.est >= 0 {
-		info.MorselsTotal = numMorsels(n)
-		if info.MorselsPruned = info.MorselsTotal - len(d.ms.morsels); info.MorselsPruned == 0 {
-			info.Path = PathScan // a zone map that prunes nothing is a scan
+// accessInfo reports a select on path that visits the morsels of ms.
+// A zone map that prunes nothing reports itself as the scan it is.
+func accessInfo(path AccessPath, ms morselSet) *AccessInfo {
+	info := &AccessInfo{Path: path, Rows: ms.n}
+	if path == PathZoneMap && ms.morsels != nil {
+		info.MorselsTotal = numMorsels(ms.n)
+		if info.MorselsPruned = info.MorselsTotal - len(ms.morsels); info.MorselsPruned == 0 {
+			info.Path = PathScan
 		}
 	}
 	return info
 }
 
-// decide is the cost gate: given the column, the compiled predicate
-// and the current index state, decide how the next select would
-// execute. It performs no builds and no scans.
-//
-// Strings go to the dictionary from the second select on. A numeric
-// column's first select builds the zone map; from then on the gate
-// estimates the qualifying rows from it — refined by the cracker's
-// boundaries once a cracker exists — and answers from the cracker only
-// when putting that many positions in order is cheaper than comparing
-// the rows of the morsels the zone map cannot decide. A cracker is
-// built only for a column that has absorbed DefaultCrackThreshold
-// selects and is now asked a range the cracker would win, so a column
-// that only ever sees wide ranges never pays for the copy.
-func (ix *batIndex) decide(col Column, p *rangePred) decision {
-	n := col.Len()
-	d := decision{path: PathScan, ms: morselSet{n: n}, est: -1}
-	if n < ParallelThreshold || ix.unsafe || p.mixed {
+// decide is the gate: given the column, the compiled predicate and
+// the current index state, decide how the next select would execute.
+// It performs no builds and no scans. Strings go to the dictionary
+// from the second select on; a NaN-free numeric column goes through
+// the zone map, which its first select builds.
+func (ix *batIndex) decide(col Column, p *rangePred) AccessPath {
+	if col.Len() < ParallelThreshold || ix.unsafe || p.mixed {
 		// Bounds of another type admit all rows or none: nothing for an
 		// index to do.
-		return d
+		return PathScan
 	}
 	switch col.Type() {
 	case StrT:
 		if ix.dict != nil || ix.selects >= 1 {
-			d.path = PathDict
+			return PathDict
 		}
-		return d
 	case IntT, OIDT, FloatT:
-	default:
-		return d
+		return PathZoneMap
 	}
-	d.path = PathZoneMap
-	if ix.zm != nil {
-		d.ms, d.est, d.scanCost = ix.zm.classify(p)
-		if ix.cr != nil {
-			d.est = min(d.est, ix.cr.bound(p))
-		}
-		d.scanCost += d.est
-		d.crackCost = d.est * crackCostPerMatch
-	}
-	switch {
-	case ix.pinned:
-		d.path, d.note = PathCrack, "pinned by crack()"
-	case ix.zm == nil || d.crackCost >= d.scanCost:
-	case ix.cr != nil || int64(ix.selects) >= crackAfter.Load():
-		d.path = PathCrack
-	default:
-		d.note = "no cracker yet"
-	}
-	return d
+	return PathScan
 }
 
-// plan runs one range select through the gate, building index
-// structures as the policy allows and cracking when the cracker
-// answers. It owns the column's select counter. The caller holds
-// ix.mu and releases it before executing the plan.
+// plan runs one range select through the gate, building the zone map
+// or dictionary the path needs. It owns the column's select counter.
+// The caller holds ix.mu and releases it before executing the plan.
 func (ix *batIndex) plan(col Column, lo, hi Value) *selectPlan {
-	pl := &selectPlan{pred: compileRange(col, lo, hi), lat: hPoolSelectLat, spd: hPoolSelectSpd}
-	d := ix.decide(col, &pl.pred)
-	if d.path == PathZoneMap && ix.zm == nil {
+	pl := &selectPlan{pred: compileRange(col, lo, hi), ms: morselSet{n: col.Len()}, lat: hPoolSelectLat, spd: hPoolSelectSpd}
+	path := ix.decide(col, &pl.pred)
+	if path == PathZoneMap && ix.zm == nil {
 		// A numeric column's first select: summarize it, then decide
-		// again knowing what the summary says.
-		ix.zm = buildZoneMap(col)
-		cZmBuilds.Inc()
-		ix.unsafe = ix.zm.unsafe
-		d = ix.decide(col, &pl.pred)
+		// again knowing whether the summary saw a NaN.
+		ix.buildZoneMap(col)
+		path = ix.decide(col, &pl.pred)
 	}
 	ix.selects++
-	pl.ms, pl.info = d.ms, d.info(col.Len())
-	switch d.path {
+	switch path {
+	case PathZoneMap:
+		pl.ms = ix.zm.classify(&pl.pred)
 	case PathDict:
 		if ix.dict == nil {
 			ix.dict = buildDict(col)
@@ -535,21 +418,14 @@ func (ix *batIndex) plan(col Column, lo, hi Value) *selectPlan {
 		} else {
 			cDictMisses.Inc()
 		}
-		pl.info.DictSize = len(ix.dict.keys)
-	case PathCrack:
-		if ix.cr == nil {
-			ix.cr = buildCracker(col)
-			cCrBuilds.Inc()
-		}
-		before := ix.cr.cracks()
-		pl.ms = morselSet{n: col.Len()} // the answer covers the column, not the zone map's survivors
-		pl.words = ix.cr.selectRange(&pl.pred)
-		cCrCracks.Add(int64(ix.cr.cracks() - before))
-		hCrPieces.ObserveNs(int64(ix.cr.pieces()))
-		pl.info.CrackPieces = ix.cr.pieces()
+	}
+	pl.info = accessInfo(path, pl.ms)
+	switch path {
 	case PathZoneMap:
 		cZmScanned.Add(int64(len(pl.ms.morsels)))
 		cZmPruned.Add(int64(pl.info.MorselsPruned))
+	case PathDict:
+		pl.info.DictSize = len(ix.dict.keys)
 	}
 	return pl
 }

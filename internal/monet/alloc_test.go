@@ -103,6 +103,59 @@ func TestJoinAllocsPerMorsel(t *testing.T) {
 	}
 }
 
+// TestVoidHeadJoinAllocs pins join, semijoin and kdiff against a void
+// head to a fixed allocation count per operation: the probe is a
+// bounds check on the OID and the output two positional gathers, so
+// nothing is allocated per row — where a per-probe position slice once
+// cost one allocation per row (~65k/op here).
+func TestVoidHeadJoinAllocs(t *testing.T) {
+	withWorkers(t, 4, func() {
+		left := NewBATCap(Void, OIDT, allocRows)
+		right := NewBATCap(Void, IntT, allocRows/2)
+		hashed := NewBATCap(OIDT, IntT, allocRows/2) // right's rows under a materialized head
+		for i := 0; i < allocRows; i++ {
+			left.MustInsert(VoidValue(), NewOID(OID((i*7)%allocRows)))
+			if i < allocRows/2 {
+				right.MustInsert(VoidValue(), NewInt(int64(i)))
+				hashed.MustInsert(NewOID(OID(i)), NewInt(int64(i)))
+			}
+		}
+		sel := left.Reverse() // [oid, void]: oid heads probe right's void head
+		for name, op := range map[string]func(other *BAT) (*BAT, error){
+			"join":          left.Join,
+			"semijoin":      sel.Semijoin,
+			"kdiff":         sel.KDiff,
+			"semijoin/void": left.Semijoin, // void heads probe a shorter void head
+			"kdiff/void":    left.KDiff,
+		} {
+			got, err := op(right)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := op(hashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("void-head %s gives %s, the hash probe %s", name, got, want)
+			}
+			for i := 0; i < got.Len(); i++ {
+				if !Equal(got.Head(i), want.Head(i)) || !Equal(got.Tail(i), want.Tail(i)) {
+					t.Fatalf("void-head %s row %d differs from the hash probe", name, i)
+				}
+			}
+			allocs := allocsPerOp(5, func() {
+				if _, err := op(right); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if max := allocBudget(8); allocs > max {
+				t.Fatalf("void-head %s allocates %.0f/op, budget %.0f (per-row probe allocation back?)", name, allocs, max)
+			}
+		}
+	})
+}
+
 // TestFusedAggregateAllocs pins the fused select→sum pipeline's
 // steady-state allocation count: consuming index-answered runs into a
 // scalar must not materialize positions or gather an intermediate.

@@ -164,14 +164,26 @@ func (b *BAT) Filter(pred func(h, t Value) bool) *BAT {
 }
 
 // Join returns the equi-join of b with other over b.tail == other.head,
-// producing [b.head, other.tail]. A hash table is built over
-// other.head; large operands build the table sharded and probe it
+// producing [b.head, other.tail]. Against a void head the probe is a
+// bounds check (voidProbe); otherwise a hash table is built over
+// other.head, and large operands build the table sharded and probe it
 // morsel-parallel, producing the same pair order as the serial
 // nested-probe loop.
 func (b *BAT) Join(other *BAT) (*BAT, error) {
 	opJoin.Inc()
 	if !headCompatible(b.tail.Type(), other.head.Type()) {
 		return nil, fmt.Errorf("%w: join tail %v with head %v", ErrTypeMismatch, b.tail.Type(), other.head.Type())
+	}
+	if in := voidProbe(b.tail, other); in != nil {
+		lIdx := make([]int, 0, b.Len())
+		rIdx := make([]int, 0, b.Len())
+		for i := 0; i < b.Len(); i++ {
+			if j, ok := in(i); ok {
+				lIdx = append(lIdx, i)
+				rIdx = append(rIdx, j)
+			}
+		}
+		return &BAT{head: b.head.Gather(lIdx), tail: other.tail.Gather(rIdx)}, nil
 	}
 	if p, ok := poolFor(b.Len()); ok {
 		return b.joinPar(p, other), nil
@@ -186,6 +198,26 @@ func (b *BAT) Join(other *BAT) (*BAT, error) {
 		}
 	}
 	return out, nil
+}
+
+// voidProbe returns, when other's head is void, the probe of column c
+// (void or oid) against it: a void head holds exactly the OIDs
+// [0, other.Len()) at their own positions, so the OID at row i of c
+// matches position j = that OID when it lies in range — no hash table
+// and no boxed row. It returns nil for any other head.
+func voidProbe(c Column, other *BAT) func(i int) (j int, ok bool) {
+	if other.head.Type() != Void {
+		return nil
+	}
+	n := int64(other.Len())
+	if _, dense := c.(*voidColumn); dense {
+		return func(i int) (int, bool) { return i, int64(i) < n }
+	}
+	at := intReader(c)
+	return func(i int) (int, bool) {
+		k := at(i)
+		return int(k), k >= 0 && k < n
+	}
 }
 
 // joinPar is the morsel-parallel equi-join: each probe morsel emits
@@ -237,8 +269,7 @@ func (b *BAT) Semijoin(other *BAT) (*BAT, error) {
 	if !headCompatible(b.head.Type(), other.head.Type()) {
 		return nil, fmt.Errorf("%w: semijoin head %v with head %v", ErrTypeMismatch, b.head.Type(), other.head.Type())
 	}
-	ht := buildHashIndex(other.head)
-	idx := filterIdx(b.Len(), func(i int) bool { return len(ht.lookup(b.head.Get(i))) > 0 })
+	idx := b.headsIn(other, true)
 	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, nil
 }
 
@@ -249,9 +280,18 @@ func (b *BAT) KDiff(other *BAT) (*BAT, error) {
 	if !headCompatible(b.head.Type(), other.head.Type()) {
 		return nil, fmt.Errorf("%w: kdiff head %v with head %v", ErrTypeMismatch, b.head.Type(), other.head.Type())
 	}
-	ht := buildHashIndex(other.head)
-	idx := filterIdx(b.Len(), func(i int) bool { return len(ht.lookup(b.head.Get(i))) == 0 })
+	idx := b.headsIn(other, false)
 	return &BAT{head: b.head.Gather(idx), tail: b.tail.Gather(idx)}, nil
+}
+
+// headsIn returns the ascending positions of b whose head appears
+// (want) or does not appear (!want) among other's heads.
+func (b *BAT) headsIn(other *BAT, want bool) []int {
+	if in := voidProbe(b.head, other); in != nil {
+		return filterIdx(b.Len(), func(i int) bool { _, ok := in(i); return ok == want })
+	}
+	ht := buildHashIndex(other.head)
+	return filterIdx(b.Len(), func(i int) bool { return (len(ht.lookup(b.head.Get(i))) > 0) == want })
 }
 
 // KUnion returns b with the associations of other appended. Types must
@@ -336,23 +376,19 @@ func (b *BAT) Dump(max int) string {
 	return s + "}"
 }
 
-// hashTable indexes column positions by value.
+// hashTable indexes column positions by value. Void heads are never
+// hashed: every operator probes them through voidProbe.
 type hashTable struct {
 	byInt map[int64][]int
 	byStr map[string][]int
 	byFlt map[float64][]int
-	dense bool // void column: position == value
-	n     int
 }
 
 // newHashTable returns an empty hash table for keys of type t, sized
-// for about capHint entries. Void columns are dense: position == value,
-// so no map is allocated.
+// for about capHint entries.
 func newHashTable(t Type, capHint int) *hashTable {
 	ht := &hashTable{}
 	switch t {
-	case Void:
-		ht.dense = true
 	case OIDT, IntT, BoolT:
 		ht.byInt = make(map[int64][]int, capHint)
 	case FloatT:
@@ -387,21 +423,15 @@ func (ht *hashTable) insert(c Column, i int) {
 // (int, oid, bool) get the compact count-then-fill layout; other types
 // keep the per-key slice table.
 func buildHash(c Column) hashIndex {
-	if c.Type() != Void {
-		if keyAt := intReader(c); keyAt != nil {
-			n := c.Len()
-			return buildCompactInt(keyAt, n, func(visit func(i int)) {
-				for i := 0; i < n; i++ {
-					visit(i)
-				}
-			})
-		}
+	if keyAt := intReader(c); keyAt != nil {
+		n := c.Len()
+		return buildCompactInt(keyAt, n, func(visit func(i int)) {
+			for i := 0; i < n; i++ {
+				visit(i)
+			}
+		})
 	}
 	ht := newHashTable(c.Type(), c.Len())
-	ht.n = c.Len()
-	if ht.dense {
-		return ht
-	}
 	for i := 0; i < c.Len(); i++ {
 		ht.insert(c, i)
 	}
@@ -467,13 +497,6 @@ func (t *compactIntTable) lookup(v Value) []int {
 }
 
 func (ht *hashTable) lookup(v Value) []int {
-	if ht.dense {
-		i := int(v.Int())
-		if v.Typ == OIDT && i >= 0 && i < ht.n {
-			return []int{i}
-		}
-		return nil
-	}
 	switch v.Typ {
 	case OIDT, IntT, BoolT:
 		return ht.byInt[v.Int()]

@@ -98,7 +98,7 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", p.pred)
 	defer sp.Finish()
-	b, pl, reason, err := p.s.planSelect(p.pred, p.lo, p.hi, true)
+	b, pl, reason, err := p.s.planSelect(p.pred, nil, p.lo, p.hi, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -124,9 +124,9 @@ func (p *Pipeline) GroupAggregate(ctx context.Context, group, agg, op string) (*
 		return out, pl.finish(sp, stages, reason, len(idx), 0), err
 	}
 
-	// accumulate folds one dense partial (a morsel, or the whole crack
-	// answer) into arena scratch sized bound — the largest possible
-	// distinct-group count for the ranges it will visit.
+	// accumulate folds one morsel's dense partial into arena scratch
+	// sized bound — the largest possible distinct-group count for the
+	// ranges it will visit.
 	accumulate := func(part *fusedGroupPart, bound int, ranges func(visit func(s, e int))) {
 		a := GetArena()
 		slots := a.IntSlots()
@@ -267,7 +267,7 @@ func (p *Pipeline) JoinProbe(ctx context.Context, other *BAT) (*BAT, *FusedInfo,
 	sp.SetAttr("bat", p.pred)
 	defer sp.Finish()
 	stages := "select→probe"
-	b, pl, reason, err := p.s.planSelect(p.pred, p.lo, p.hi, true)
+	b, pl, reason, err := p.s.planSelect(p.pred, nil, p.lo, p.hi, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -282,14 +282,24 @@ func (p *Pipeline) JoinProbe(ctx context.Context, other *BAT) (*BAT, *FusedInfo,
 	}
 
 	opJoin.Inc()
-	ht := buildHashIndex(other.head)
+	in := voidProbe(b.tail, other)
+	var ht hashIndex
+	if in == nil {
+		ht = buildHashIndex(other.head)
+	}
 	probe := func(lIdx, rIdx *[]int, ranges func(visit func(s, e int))) int {
 		matched := 0
 		ranges(func(s, e int) {
 			for i := s; i < e; i++ {
 				matched++
-				t := b.tail.Get(i)
-				for _, j := range ht.lookup(t) {
+				if in != nil {
+					if j, ok := in(i); ok {
+						*lIdx = append(*lIdx, i)
+						*rIdx = append(*rIdx, j)
+					}
+					continue
+				}
+				for _, j := range ht.lookup(b.tail.Get(i)) {
 					*lIdx = append(*lIdx, i)
 					*rIdx = append(*rIdx, j)
 				}

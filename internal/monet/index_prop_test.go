@@ -8,8 +8,8 @@ import (
 )
 
 // Property test for the adaptive access paths: any interleaving of
-// SelectRange/Append/Put/Drop over a store whose columns end up
-// cracked, zone-mapped and dictionary-encoded must return exactly the
+// SelectPositions/Append/Put/Drop over a store whose columns end up
+// zone-mapped and dictionary-encoded must return exactly the
 // positions the naive serial scan returns — per query, at any pool
 // width. The per-op sequence is serial (the store's documented
 // guarantee for index consistency is reads-after-writes, as for plain
@@ -96,7 +96,7 @@ func TestPropIndexedSelectsMatchNaiveScan(t *testing.T) {
 				s.Put(name, pc.toBAT())
 			}
 			// Hot ranges per name so the workload repeats predicates
-			// and the gate graduates columns to cracker/dict paths.
+			// and the gate moves string columns to the dict path.
 			hot := map[string][2]Value{}
 			for _, name := range names {
 				lo, hi := randBounds(rng, types[name])
@@ -171,7 +171,7 @@ func TestPropIndexedSelectsMatchNaiveScan(t *testing.T) {
 			}
 			// The workload must actually have exercised the index
 			// paths, or the property is vacuous.
-			for _, p := range []AccessPath{PathScan, PathCrack, PathDict} {
+			for _, p := range []AccessPath{PathScan, PathDict} {
 				if !seenPaths[p] {
 					t.Fatalf("property run never took the %v path", p)
 				}

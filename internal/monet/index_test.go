@@ -1,6 +1,8 @@
 package monet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -51,26 +53,40 @@ func clusteredIntBAT(n, vals int) *BAT {
 	return b
 }
 
+// TestAdaptivePathProgression walks each column shape through the
+// gate: a clustered numeric column is pruned by the zone map its first
+// select builds, a cyclic one keeps scanning (the zone map prunes
+// nothing), and a string column moves to the dictionary on its second
+// select — every answer equal to the naive scan.
 func TestAdaptivePathProgression(t *testing.T) {
 	s := NewStore()
 	n := 5 * MorselSize
-	s.Put("col", modIntBAT(n, 1000))
-	lo, hi := NewInt(100), NewInt(199)
-	want := naiveIdx(mustGet(t, s, "col"), lo, hi)
-	wantPaths := []AccessPath{PathZoneMap, PathZoneMap, PathCrack, PathCrack}
-	for q, wp := range wantPaths {
-		idx, info, err := s.SelectPositions("col", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameIdx(t, idx, want)
-		// Cyclic tails defeat pruning, so the zone-map rounds report
-		// themselves as scans; the gate still graduates to cracking.
-		if wp == PathCrack && info.Path != PathCrack {
-			t.Fatalf("query %d: path %v, want crack", q, info.Path)
-		}
-		if wp == PathCrack && info.CrackPieces < 2 {
-			t.Fatalf("query %d: %d pieces, want >= 2", q, info.CrackPieces)
+	s.Put("clustered", clusteredIntBAT(n, 1000))
+	s.Put("cyclic", modIntBAT(n, 1000))
+	labels := NewBATCap(Void, StrT, n)
+	for i := 0; i < n; i++ {
+		labels.MustInsert(VoidValue(), NewStr(fmt.Sprintf("label-%02d", i%40)))
+	}
+	s.Put("labels", labels)
+	for _, c := range []struct {
+		name   string
+		lo, hi Value
+		paths  []AccessPath
+	}{
+		{"clustered", NewInt(100), NewInt(199), []AccessPath{PathZoneMap, PathZoneMap, PathZoneMap}},
+		{"cyclic", NewInt(100), NewInt(199), []AccessPath{PathScan, PathScan, PathScan}},
+		{"labels", NewStr("label-05"), NewStr("label-09"), []AccessPath{PathScan, PathDict, PathDict}},
+	} {
+		want := naiveIdx(mustGet(t, s, c.name), c.lo, c.hi)
+		for q, wp := range c.paths {
+			idx, info, err := s.SelectPositions(c.name, c.lo, c.hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameIdx(t, idx, want)
+			if info.Path != wp {
+				t.Fatalf("%s query %d: path %v, want %v", c.name, q, info.Path, wp)
+			}
 		}
 	}
 }
@@ -105,40 +121,12 @@ func TestZoneMapPrunesClusteredColumn(t *testing.T) {
 	}
 }
 
-func TestCrackConvergesOnRepeatedRanges(t *testing.T) {
-	s := NewStore()
-	n := 8 * MorselSize
-	s.Put("col", modIntBAT(n, 1000))
-	b := mustGet(t, s, "col")
-	ranges := [][2]int64{{100, 199}, {100, 199}, {50, 149}, {700, 899}, {100, 199}, {0, 999}, {999, 0}}
-	for round := 0; round < 3; round++ {
-		for _, r := range ranges {
-			lo, hi := NewInt(r[0]), NewInt(r[1])
-			idx, info, err := s.SelectPositions("col", lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameIdx(t, idx, naiveIdx(b, lo, hi))
-			if info.Path == PathCrack && info.CrackPieces < 2 {
-				t.Fatalf("crack path with %d pieces", info.CrackPieces)
-			}
-		}
-	}
-	pieces, err := s.Crack("col")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Distinct crack bounds: 100, 200, 50, 150, 700, 900, 0, 1000 (as
-	// boundary values); pieces stay bounded by the query bound count.
-	if pieces < 4 || pieces > 16 {
-		t.Fatalf("pieces = %d, want a small partition count", pieces)
-	}
-}
-
-func TestCrackerExtremeBounds(t *testing.T) {
+// TestZoneMapExtremeBounds: bounds at the int64 extremes and outside
+// the column's domain meet the zone map's summaries without overflow.
+func TestZoneMapExtremeBounds(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize
-	s.Put("col", modIntBAT(n, 7))
+	s.Put("col", clusteredIntBAT(n, 7))
 	b := mustGet(t, s, "col")
 	cases := [][2]Value{
 		{NewInt(math.MinInt64), NewInt(math.MaxInt64)},
@@ -146,33 +134,31 @@ func TestCrackerExtremeBounds(t *testing.T) {
 		{NewInt(math.MinInt64), NewInt(3)},
 		{NewInt(6), NewInt(6)},
 		{NewInt(7), NewInt(100)}, // out of domain
-	}
-	if _, err := s.Crack("col"); err != nil {
-		t.Fatal(err)
+		{NewInt(math.MaxInt64), NewInt(math.MinInt64)},
 	}
 	for _, c := range cases {
 		idx, info, err := s.SelectPositions("col", c[0], c[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Path != PathCrack {
-			t.Fatalf("bounds %v..%v: path %v, want crack", c[0], c[1], info.Path)
+		if info.Path == PathDict {
+			t.Fatalf("bounds %v..%v: path %v on an int column", c[0], c[1], info.Path)
 		}
 		sameIdx(t, idx, naiveIdx(b, c[0], c[1]))
 	}
 }
 
-func TestFloatCrackerStrictBounds(t *testing.T) {
+// TestFloatZoneMapStrictBounds: float bounds one ulp inside a value,
+// infinite bounds and an inverted range prune exactly as the scan
+// compares.
+func TestFloatZoneMapStrictBounds(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize
 	b := NewBATCap(Void, FloatT, n)
 	for i := 0; i < n; i++ {
-		b.MustInsert(VoidValue(), NewFloat(float64(i%100)/10))
+		b.MustInsert(VoidValue(), NewFloat(float64(i*100/n)/10))
 	}
 	s.Put("col", b)
-	if _, err := s.Crack("col"); err != nil {
-		t.Fatal(err)
-	}
 	cases := [][2]float64{
 		{2.5, 7.5},
 		{math.Nextafter(2.5, math.Inf(1)), math.Nextafter(7.5, math.Inf(-1))},
@@ -181,16 +167,18 @@ func TestFloatCrackerStrictBounds(t *testing.T) {
 		{math.Inf(-1), math.Inf(1)},
 		{7.5, 2.5}, // empty
 	}
+	pruned := false
 	for _, c := range cases {
 		lo, hi := NewFloat(c[0]), NewFloat(c[1])
 		idx, info, err := s.SelectPositions("col", lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Path != PathCrack {
-			t.Fatalf("bounds %v..%v: path %v, want crack", lo, hi, info.Path)
-		}
+		pruned = pruned || info.MorselsPruned > 0
 		sameIdx(t, idx, naiveIdx(b, lo, hi))
+	}
+	if !pruned {
+		t.Fatal("no case was pruned by the zone map; the fixture no longer exercises it")
 	}
 }
 
@@ -244,7 +232,7 @@ func TestInvalidationOnMutation(t *testing.T) {
 	n := 3 * MorselSize
 	s.Put("col", modIntBAT(n, 100))
 	lo, hi := NewInt(10), NewInt(19)
-	for i := 0; i < 4; i++ { // graduate to the cracker
+	for i := 0; i < 4; i++ { // build the zone map
 		if _, _, err := s.SelectPositions("col", lo, hi); err != nil {
 			t.Fatal(err)
 		}
@@ -340,9 +328,6 @@ func TestNaNColumnFallsBackToScan(t *testing.T) {
 		}
 		sameIdx(t, idx, want)
 	}
-	if _, err := s.Crack("col"); err == nil {
-		t.Fatal("Crack succeeded on a NaN column")
-	}
 }
 
 func TestMixedTypeBoundsFallBackToScan(t *testing.T) {
@@ -365,51 +350,96 @@ func TestMixedTypeBoundsFallBackToScan(t *testing.T) {
 func TestPlanAccessHasNoSideEffects(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize
-	s.Put("col", modIntBAT(n, 100))
+	s.Put("col", clusteredIntBAT(n, 100))
+	labels := NewBATCap(Void, StrT, n)
+	for i := 0; i < n; i++ {
+		labels.MustInsert(VoidValue(), NewStr(fmt.Sprintf("label-%02d", i%40)))
+	}
+	s.Put("labels", labels)
 	lo, hi := NewInt(10), NewInt(19)
 	info, err := s.PlanAccess("col", lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Path != PathZoneMap {
-		t.Fatalf("plan %v, want zonemap for a cold numeric column", info.Path)
+	if info.Path != PathZoneMap || info.MorselsTotal != 0 {
+		t.Fatalf("plan %s, want an unsummarized zonemap for a cold numeric column", info)
 	}
-	ii, err := s.IndexInfo("col")
-	if err != nil {
-		t.Fatal(err)
+	eq := NewStr("label-05")
+	if info, err = s.PlanAccess("labels", eq, eq); err != nil || info.Path != PathScan {
+		t.Fatalf("plan %v (err %v), want scan for a cold string column", info, err)
 	}
-	if v, ok := ii.Find(NewStr("selects")); !ok || v.Str() != "0" {
-		t.Fatalf("PlanAccess advanced the select counter: %v", v)
-	}
-	if v, ok := ii.Find(NewStr("zonemap")); !ok || v.Str() != "none" {
-		t.Fatalf("PlanAccess built a zone map: %v", v)
-	}
-	// After real selects the plan graduates too.
-	for i := 0; i < 3; i++ {
-		if _, _, err := s.SelectPositions("col", lo, hi); err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"col", "labels"} {
+		if got := indexState(t, s, name, "selects"); got != "0" {
+			t.Fatalf("PlanAccess advanced the select counter of %s: %s", name, got)
+		}
+		for _, k := range []string{"zonemap", "dict"} {
+			if got := indexState(t, s, name, k); got != "none" {
+				t.Fatalf("PlanAccess built the %s of %s: %s", k, name, got)
+			}
 		}
 	}
-	info, err = s.PlanAccess("col", lo, hi)
-	if err != nil {
+	// After one real select each, the plans report the road the next
+	// select takes, with the zone map's prune counts.
+	if _, _, err := s.SelectPositions("col", lo, hi); err != nil {
 		t.Fatal(err)
 	}
-	if info.Path != PathCrack {
-		t.Fatalf("plan %v after repeated selects, want crack", info.Path)
+	if _, _, err := s.SelectPositions("labels", eq, eq); err != nil {
+		t.Fatal(err)
+	}
+	if info, err = s.PlanAccess("col", lo, hi); err != nil || info.Path != PathZoneMap || info.MorselsPruned == 0 {
+		t.Fatalf("plan %v (err %v) after a select, want zonemap with pruned morsels", info, err)
+	}
+	if info, err = s.PlanAccess("labels", eq, eq); err != nil || info.Path != PathDict {
+		t.Fatalf("plan %v (err %v) after a select, want dict", info, err)
+	}
+	if got := indexState(t, s, "labels", "dict"); got != "none" {
+		t.Fatalf("PlanAccess built the dictionary: %s", got)
 	}
 }
 
 func TestSelectRangeShapes(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize
-	s.Put("col", modIntBAT(n, 100))
+	s.Put("col", clusteredIntBAT(n, 100))
+	b := mustGet(t, s, "col")
+	ctx := context.Background()
 	lo, hi := NewInt(10), NewInt(19)
-	want := mustGet(t, s, "col").Select(lo, hi)
-	got, _, err := s.SelectRange("col", lo, hi)
-	if err != nil {
+	got, info, ok := s.SelectRange(ctx, "col", b, lo, hi, false)
+	if !ok {
+		t.Fatal("SelectRange refused the BAT the store holds")
+	}
+	sameBAT(t, got, b.Select(lo, hi))
+	if info.Path != PathZoneMap {
+		t.Fatalf("path %v, want zonemap", info.Path)
+	}
+	got, _, ok = s.SelectRange(ctx, "col", b, lo, hi, true)
+	if !ok {
+		t.Fatal("unary SelectRange refused the BAT the store holds")
+	}
+	if want := b.Uselect(lo, hi); got.String() != want.String() {
+		t.Fatalf("unary SelectRange %s, Uselect %s", got, want)
+	}
+	sameBAT(t, got, b.Uselect(lo, hi))
+
+	// Once the store holds a successor, the fetched BAT takes no
+	// access path and plans nothing.
+	if err := s.Append("col", VoidValue(), NewInt(15)); err != nil {
 		t.Fatal(err)
 	}
-	sameBAT(t, got, want)
+	if _, _, ok := s.SelectRange(ctx, "col", b, lo, hi, false); ok {
+		t.Fatal("SelectRange answered for a BAT the store no longer holds")
+	}
+	if _, _, ok := s.SelectRange(ctx, "nope", b, lo, hi, false); ok {
+		t.Fatal("SelectRange answered for a missing name")
+	}
+	// An append landing after SelectRange's first look is caught again
+	// under the index lock.
+	if _, _, _, err := s.planSelect("col", b, lo, hi, false); !errors.Is(err, errNotHeld) {
+		t.Fatalf("planSelect over a BAT the store no longer holds: err %v", err)
+	}
+	if got := indexState(t, s, "col", "selects"); got != "0" {
+		t.Fatalf("a refused SelectRange planned a select: selects = %s", got)
+	}
 }
 
 // sameBAT checks two [head, tail] BATs row for row.
@@ -422,28 +452,6 @@ func sameBAT(t *testing.T, got, want *BAT) {
 		if !Equal(got.Head(i), want.Head(i)) || !Equal(got.Tail(i), want.Tail(i)) {
 			t.Fatalf("row %d: [%v,%v] != [%v,%v]", i, got.Head(i), got.Tail(i), want.Head(i), want.Tail(i))
 		}
-	}
-}
-
-// TestSelectRangeGraduatesToCrack: repeating one range select through
-// SelectRange graduates the column to the cracker by the fourth query,
-// with every answer equal to a plain scan.
-func TestSelectRangeGraduatesToCrack(t *testing.T) {
-	s := NewStore()
-	s.Put("col", modIntBAT(3*MorselSize, 1000))
-	lo, hi := NewInt(100), NewInt(199)
-	want := mustGet(t, s, "col").Select(lo, hi)
-	var last *AccessInfo
-	for q := 0; q < 4; q++ {
-		got, info, err := s.SelectRange("col", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBAT(t, got, want)
-		last = info
-	}
-	if last.Path != PathCrack {
-		t.Fatalf("4th repeated select path = %v, want crack", last.Path)
 	}
 }
 
@@ -461,9 +469,9 @@ func TestSelectRangeUsesDictForStrings(t *testing.T) {
 	want := b.Select(eq, eq)
 	var last *AccessInfo
 	for q := 0; q < 2; q++ {
-		got, info, err := s.SelectRange("col", eq, eq)
-		if err != nil {
-			t.Fatal(err)
+		got, info, ok := s.SelectRange(context.Background(), "col", b, eq, eq, false)
+		if !ok {
+			t.Fatal("SelectRange refused the BAT the store holds")
 		}
 		sameBAT(t, got, want)
 		last = info
@@ -480,23 +488,17 @@ func TestIndexInfoReport(t *testing.T) {
 	if _, err := s.BuildZoneMap("col"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Crack("col"); err != nil {
-		t.Fatal(err)
-	}
 	ii, err := s.IndexInfo("col")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"name", "rows", "epoch", "selects", "zonemap", "crack", "dict", "unsafe"} {
+	for _, key := range []string{"name", "rows", "epoch", "selects", "zonemap", "dict", "unsafe"} {
 		if _, ok := ii.Find(NewStr(key)); !ok {
 			t.Fatalf("IndexInfo missing %q", key)
 		}
 	}
 	if v, _ := ii.Find(NewStr("zonemap")); v.Str() == "none" {
 		t.Fatal("zonemap reported none after BuildZoneMap")
-	}
-	if v, _ := ii.Find(NewStr("crack")); v.Str() == "none" {
-		t.Fatal("crack reported none after Crack")
 	}
 	if _, err := s.IndexInfo("nope"); err == nil {
 		t.Fatal("IndexInfo on a missing BAT succeeded")

@@ -178,11 +178,10 @@ func nextPow2(n int) int {
 }
 
 // buildHashIndex builds a position index over c, fanning the build out
-// over the pool when the column is large enough. Void columns are
-// always indexed serially: their dense index is O(1) to build.
+// over the pool when the column is large enough.
 func buildHashIndex(c Column) hashIndex {
 	p, ok := poolFor(c.Len())
-	if !ok || c.Type() == Void {
+	if !ok {
 		return buildHash(c)
 	}
 	return buildHashPar(p, c)

@@ -25,9 +25,8 @@ import (
 // instead.
 //
 // The predicate is one selectPlan of accesspath.go, fused or not: zone
-// maps prune whole morsels before the scan runs, crackers answer with
-// their cached position lists, dict-encoded string columns match int32
-// codes without ever decoding the tail, and every scan is the typed
+// maps prune whole morsels before the scan runs, dict-encoded string
+// columns match int32 codes without ever decoding the tail, and every scan is the typed
 // kernel of rangesel.go (grouped aggregation over a dict column also
 // groups on codes and decodes each distinct group label once).
 
@@ -77,7 +76,7 @@ type FusedInfo struct {
 	// Stages names the pipeline stages, e.g. "select→sum" or
 	// "select→group[count]".
 	Stages string
-	// Fallback is the cost-gate reason when Fused is false.
+	// Fallback is the fused gate's reason when Fused is false.
 	Fallback string
 	// Access describes the selection stage's access path.
 	Access *AccessInfo
@@ -230,7 +229,7 @@ func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *Fused
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", p.pred)
 	defer sp.Finish()
-	b, pl, reason, err := p.s.planSelect(p.pred, p.lo, p.hi, true)
+	b, pl, reason, err := p.s.planSelect(p.pred, nil, p.lo, p.hi, true)
 	if err != nil {
 		return Value{}, nil, err
 	}
@@ -330,7 +329,7 @@ func (s *Store) SelectRunsCtx(ctx context.Context, name string, lo, hi Value) ([
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", name)
 	defer sp.Finish()
-	_, pl, reason, err := s.planSelect(name, lo, hi, true)
+	_, pl, reason, err := s.planSelect(name, nil, lo, hi, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -339,7 +338,7 @@ func (s *Store) SelectRunsCtx(ctx context.Context, name string, lo, hi Value) ([
 }
 
 // FusedDecision reports, without executing the pipeline or building
-// indexes, the cost-gate verdict for a select→aggregate pipeline over
+// indexes, the fused gate's verdict for a select→aggregate pipeline over
 // pred/agg: "fused" or "fallback(<reason>)". Plan caches fold it into
 // their keys so a memoized fused plan is never replayed once column
 // state (a NaN discovered mid-scan, a type change, re-registration)

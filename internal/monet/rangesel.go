@@ -301,15 +301,11 @@ func (ms morselSet) rowRange(k int) (lo, hi int) {
 }
 
 // selectPlan is one range select ready to execute: the compiled
-// predicate and the morsels a scan of it has to visit, or — when an
-// index already answered — the answer's match bitmap itself. Positions,
-// runs and the fused consumers all read the same bitmap.
+// predicate and the morsels a scan of it has to visit. Positions, runs
+// and the fused consumers all read the same match bitmap.
 type selectPlan struct {
-	pred rangePred
-	ms   morselSet
-	// words is the whole-column match bitmap when an index produced
-	// the answer; nil for a scan.
-	words    []uint64
+	pred     rangePred
+	ms       morselSet
 	lat, spd *obs.Histogram // the fan-out's operator-family histograms
 	info     *AccessInfo    // the gate's report; nil outside the access paths
 }
@@ -320,20 +316,13 @@ type selectPlan struct {
 // enough; a morsel the zone map covers is all ones without a compare.
 func (pl *selectPlan) bitmap(sp *obs.Span) (words []uint64, counts []int) {
 	counts = make([]int, pl.ms.slots())
-	words = pl.words
+	words = make([]uint64, (pl.ms.n+63)/64)
 	pool, _ := poolFor(pl.ms.n)
-	if words == nil {
-		words = make([]uint64, (pl.ms.n+63)/64)
-	} else {
-		pool = nil // counting an index's answer is no work to fan out
-	}
 	runMorselSet(pool, pl.ms, pl.lat, pl.spd, sp, func(k, lo, hi int) {
 		w := words[lo/64 : (hi+63)/64]
-		switch {
-		case pl.words != nil:
-		case pl.ms.covered != nil && pl.ms.covered[k]:
+		if pl.ms.covered != nil && pl.ms.covered[k] {
 			onesBits(hi-lo, w)
-		default:
+		} else {
 			pl.pred.bits(lo, hi, w)
 		}
 		counts[k] = popcount(w)
@@ -383,17 +372,14 @@ func (pl *selectPlan) runs(sp *obs.Span) ([]Run, int) {
 // writes the morsel's match bitmap into stack scratch and the runs are
 // read off it; a morsel the zone map covers is one run.
 func (pl *selectPlan) morselRuns(k, lo, hi int, visit func(start, end int)) {
-	switch {
-	case pl.words != nil:
-		bitRuns(pl.words[lo/64:(hi+63)/64], lo, visit)
-	case pl.ms.covered != nil && pl.ms.covered[k]:
+	if pl.ms.covered != nil && pl.ms.covered[k] {
 		visit(lo, hi)
-	default:
-		var scratch [MorselSize / 64]uint64
-		words := scratch[:(hi-lo+63)/64]
-		pl.pred.bits(lo, hi, words)
-		bitRuns(words, lo, visit)
+		return
 	}
+	var scratch [MorselSize / 64]uint64
+	words := scratch[:(hi-lo+63)/64]
+	pl.pred.bits(lo, hi, words)
+	bitRuns(words, lo, visit)
 }
 
 // colSelectIdx is the full-scan range select over one column: the

@@ -54,7 +54,7 @@ type Journal interface {
 //
 // Every mutation of a named BAT (Put, Append, Drop, Commit) bumps that
 // name's epoch counter, which lazily invalidates the adaptive
-// access-path structures (zone maps, crackers, dictionaries) kept per
+// access-path structures (zone maps, dictionaries) kept per
 // name; see accesspath.go. Recovery goes through Put, so restored BATs
 // arrive with fresh epochs and indexes rebuild on first use.
 type Store struct {

@@ -374,14 +374,14 @@ func TestAccessPathsMatchBoxedOracle(t *testing.T) {
 						seen[info.Path] = true
 					}
 					ii, _ := s.IndexInfo("col")
-					for _, k := range []string{"zonemap", "crack", "dict"} {
+					for _, k := range []string{"zonemap", "dict"} {
 						if v, _ := ii.Find(NewStr(k)); v.Str() != "none" {
-							seen[map[string]AccessPath{"zonemap": PathZoneMap, "crack": PathCrack, "dict": PathDict}[k]] = true
+							seen[map[string]AccessPath{"zonemap": PathZoneMap, "dict": PathDict}[k]] = true
 						}
 					}
 				}
 			}
-			for _, p := range []AccessPath{PathZoneMap, PathCrack, PathDict} {
+			for _, p := range []AccessPath{PathZoneMap, PathDict} {
 				if !seen[p] {
 					t.Fatalf("property run never built the %v structure", p)
 				}
@@ -401,69 +401,10 @@ func indexState(t *testing.T, s *Store, name, key string) string {
 	return v.Str()
 }
 
-// TestGateScansWideCracksNarrow pins the cost gate: a hot column that
-// is only ever asked a wide range is answered by the scan and never
-// allocates a cracker, a repeated narrow range still converges on the
-// cracker, and the two roads return identical positions.
-func TestGateScansWideCracksNarrow(t *testing.T) {
-	n := 8 * MorselSize
-	rng := rand.New(rand.NewSource(7))
-	col := &intColumn{v: make([]int64, n)}
-	for i := range col.v {
-		col.v[i] = int64(rng.Intn(1000))
-	}
-	s := NewStore()
-	if err := s.Put("col", &BAT{head: &voidColumn{n: n}, tail: col}); err != nil {
-		t.Fatal(err)
-	}
-	wideLo, wideHi := NewInt(250), NewInt(749)
-	wantWide := oraclePositions(col, wideLo, wideHi)
-	for q := 0; q < 10; q++ {
-		idx, info, err := s.SelectPositions("col", wideLo, wideHi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Path == PathCrack {
-			t.Fatalf("wide query %d answered by the cracker: %s", q, info)
-		}
-		sameInts(t, "wide "+info.String(), idx, wantWide)
-	}
-	if got := indexState(t, s, "col", "crack"); got != "none" {
-		t.Fatalf("a column asked only wide ranges built a cracker: %s", got)
-	}
-	if got := indexState(t, s, "col", "selects"); got != "10" {
-		t.Fatalf("selects = %s after 10 selects", got)
-	}
-
-	narrowLo, narrowHi := NewInt(500), NewInt(509)
-	wantNarrow := oraclePositions(col, narrowLo, narrowHi)
-	var last *AccessInfo
-	for q := 0; q < 3; q++ {
-		idx, info, err := s.SelectPositions("col", narrowLo, narrowHi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameInts(t, "narrow "+info.String(), idx, wantNarrow)
-		last = info
-	}
-	if last.Path != PathCrack || last.EstMatched < 0 {
-		t.Fatalf("repeated narrow range did not converge on the cracker: %s", last)
-	}
-	// With the cracker there, the wide range still takes the scan.
-	idx, info, err := s.SelectPositions("col", wideLo, wideHi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Path == PathCrack {
-		t.Fatalf("wide range answered by the cracker once it existed: %s", info)
-	}
-	sameInts(t, "wide after crack", idx, wantWide)
-}
-
 // TestSelectCounterCountsEachQueryOnce pins the select counter to its
 // one owner: a pipeline that falls back to the operator-at-a-time path
-// is one select, not two, so a column graduates to the cracker after
-// DefaultCrackThreshold queries and not after the first.
+// is one select, not two, so a string column moves to the dictionary
+// on its second query and not on its first.
 func TestSelectCounterCountsEachQueryOnce(t *testing.T) {
 	n := 3 * MorselSize
 	s := NewStore()
@@ -475,16 +416,14 @@ func TestSelectCounterCountsEachQueryOnce(t *testing.T) {
 	s.Put("fagg", fagg)
 	ctx := context.Background()
 	lo, hi := NewInt(100), NewInt(109)
-	for q := 1; q <= DefaultCrackThreshold; q++ {
+	const queries = 2
+	for q := 1; q <= queries; q++ {
 		_, fi, err := s.Pipeline("pred", lo, hi).Aggregate(ctx, "fagg", "sum")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fi.Fused {
 			t.Fatalf("float aggregate column fused: %s", fi)
-		}
-		if fi.Access.Path == PathCrack {
-			t.Fatalf("query %d already answered by the cracker: %s", q, fi)
 		}
 		if got := indexState(t, s, "pred", "selects"); got != fmt.Sprint(q) {
 			t.Fatalf("selects = %s after %d fallback pipelines", got, q)
@@ -493,7 +432,7 @@ func TestSelectCounterCountsEachQueryOnce(t *testing.T) {
 	if _, fi, err := s.SelectRuns("pred", NewFloat(1), NewFloat(2)); err != nil || fi.Fused {
 		t.Fatalf("mixed-type SelectRuns: fused=%v err=%v", fi.Fused, err)
 	}
-	if got := indexState(t, s, "pred", "selects"); got != fmt.Sprint(DefaultCrackThreshold+1) {
-		t.Fatalf("selects = %s after %d selects", got, DefaultCrackThreshold+1)
+	if got := indexState(t, s, "pred", "selects"); got != fmt.Sprint(queries+1) {
+		t.Fatalf("selects = %s after %d selects", got, queries+1)
 	}
 }

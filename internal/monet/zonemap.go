@@ -93,17 +93,13 @@ func minMaxOrd[T ordElem](v []T) (mn, mx T, nan bool) {
 // classify sorts the morsels of a numeric column by what their
 // [min, max] summary says about p: disjoint morsels are dropped,
 // morsels wholly inside the range are marked covered, and the rest
-// straddle a bound and must be scanned. est is the expected number of
-// qualifying rows — exact over covered morsels, the range's share of
-// the summary's width (values taken as uniform inside a morsel) over
-// straddling ones — and scan the number of rows in straddling morsels.
-func (z *zoneMap) classify(p *rangePred) (ms morselSet, est, scan int) {
-	ms = morselSet{n: z.n, morsels: make([]int, 0, len(z.mins)), covered: make([]bool, 0, len(z.mins))}
+// straddle a bound and must be scanned.
+func (z *zoneMap) classify(p *rangePred) morselSet {
+	ms := morselSet{n: z.n, morsels: make([]int, 0, len(z.mins)), covered: make([]bool, 0, len(z.mins))}
 	if p.empty {
-		return ms, 0, 0
+		return ms
 	}
 	isFloat := z.mins[0].Typ == FloatT
-	fest := 0.0
 	for m := range z.mins {
 		mn, mx := z.mins[m], z.maxs[m]
 		// Summaries meet bounds in their own domain: float64 cannot
@@ -114,26 +110,10 @@ func (z *zoneMap) classify(p *rangePred) (ms morselSet, est, scan int) {
 		} else {
 			disjoint, covered = mx.I < p.ilo || mn.I > p.ihi, mn.I >= p.ilo && mx.I <= p.ihi
 		}
-		if disjoint {
-			continue
+		if !disjoint {
+			ms.morsels = append(ms.morsels, m)
+			ms.covered = append(ms.covered, covered)
 		}
-		rows := min(MorselSize, z.n-m*MorselSize)
-		ms.morsels = append(ms.morsels, m)
-		ms.covered = append(ms.covered, covered)
-		if covered {
-			fest += float64(rows)
-			continue
-		}
-		scan += rows
-		lo, hi, unit := p.flo, p.fhi, 0.0
-		if !isFloat {
-			lo, hi, unit = float64(p.ilo), float64(p.ihi), 1 // [a, b] holds b-a+1 integers
-		}
-		share := (min(hi, mx.Float()) - max(lo, mn.Float()) + unit) / (mx.Float() - mn.Float() + unit)
-		if !(share >= 0 && share <= 1) {
-			share = 1 // infinite summaries have no width to take a share of
-		}
-		fest += float64(rows) * share
 	}
-	return ms, int(fest), scan
+	return ms
 }

@@ -67,7 +67,7 @@ func (e *Engine) RunTraced(src string) ([]Result, *obs.Span, error) {
 // morsel fan-outs. The span tree covers all three levels of the stack:
 // conceptual (parse, preprocessing, method selection), logical
 // (condition-tree evaluation) and physical (kernel selects with their
-// cost-gate access paths and per-morsel queue-wait/run timings).
+// access paths and per-morsel queue-wait/run timings).
 //
 // On completion the trace is pushed to obs.DefaultTraces (TRACEDUMP's
 // ring) and, when slow enough, to obs.DefaultSlowLog with its full
@@ -263,8 +263,8 @@ func featureBounds(op string, val float64) (lo, hi float64, ok bool) {
 // kernel's fused select→runs pipeline: the threshold becomes an
 // inclusive range select over the stored series whose qualifying
 // positions come back as maximal runs — on the fused path no
-// intermediate position list is materialized at all, and zone map,
-// cracker or dictionary answer the predicate without loading the
+// intermediate position list is materialized at all, and zone map
+// or dictionary answer the predicate without loading the
 // column into Go values. ok=false falls back to the sample-by-sample
 // run detection of featureRows — when the operator has no range
 // form, or the unfused kernel answered with a plain scan (a scan's

@@ -93,8 +93,8 @@ func (e *Engine) explainQuery(q *Query) *Explanation {
 
 // ExplainAnalyze emits the verified plan, then actually executes the
 // statement: the returned trace's physical-level spans carry the
-// access paths the kernel really took (zone-map prune counts, cracker
-// piece counts), where the static plan only predicts them.
+// access paths the kernel really took (zone-map prune counts,
+// dictionary sizes), where the static plan only predicts them.
 func (e *Engine) ExplainAnalyze(src string) (*Explanation, []Result, *obs.Span, error) {
 	ex, err := e.Explain(src)
 	if err != nil {
@@ -192,7 +192,7 @@ func (p *planner) emit(c Cond) string {
 }
 
 // accessPath annotates a feature condition with the access path the
-// kernel's cost gate would choose for it right now, plus the fused
+// kernel's access-path gate would choose for it right now, plus the fused
 // pipeline stages the select→runs execution would take (or the
 // fallback reason pinning it to operator-at-a-time). Both probes are
 // side-effect-free, so EXPLAIN never builds indexes or moves the

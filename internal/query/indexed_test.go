@@ -56,8 +56,8 @@ func plainRun(t *testing.T, e *Engine, src string) []Result {
 }
 
 // TestFeatureCondIndexedMatchesLegacy runs every comparison operator
-// repeatedly (so the cost gate graduates the column from zone map to
-// cracker) and checks the indexed path returns segment-for-segment
+// repeatedly (so the column's zone map is built and then reused) and
+// checks the indexed path returns segment-for-segment
 // the plain sample-by-sample evaluation.
 func TestFeatureCondIndexedMatchesLegacy(t *testing.T) {
 	n := 3 * monet.MorselSize
@@ -91,7 +91,7 @@ func TestFeatureCondIndexedSeesReplacedFeature(t *testing.T) {
 	values := make([]float64, n)
 	e := bigFeatureEngine(t, values)
 	src := `SELECT SEGMENTS FROM race WHERE FEATURE('speed') > 0.5`
-	for round := 0; round < 4; round++ { // graduate to the cracker
+	for round := 0; round < 4; round++ { // build, then reuse, the zone map
 		if res, err := e.Run(src); err != nil || len(res) != 0 {
 			t.Fatalf("round %d: %d segments, err %v", round, len(res), err)
 		}
@@ -156,8 +156,8 @@ var growingQueries = []string{
 // index-scale feature series and an event relation in uneven chunks
 // and checks, at every watermark, that a long-lived standing query
 // (tail reads, leaf state carried across appends) and a one-shot
-// execution (kernel access paths over the whole column, rebuilt or
-// cracked anew after each append) render the same segments.
+// execution (kernel access paths over the whole column, rebuilt after
+// each append) render the same segments.
 func TestIndexedOneShotMatchesStandingAcrossAppends(t *testing.T) {
 	const rate = 10.0
 	n := 3 * monet.MorselSize

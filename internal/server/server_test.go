@@ -236,7 +236,7 @@ func TestTraceOverWire(t *testing.T) {
 }
 
 func TestTraceDumpOverWire(t *testing.T) {
-	_, cl := testServer(t)
+	srv, cl := testServer(t)
 	if _, err := cl.Do(`SELECT SEGMENTS FROM v WHERE EVENT('highlight')`); err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +293,53 @@ func TestTraceDumpOverWire(t *testing.T) {
 	// Unknown IDs are an error, not an empty dump.
 	if _, err := cl.Do("TRACEDUMP t000000f00d"); err == nil {
 		t.Fatal("unknown trace ID accepted")
+	}
+
+	// A MIL request's kernel work nests under its mil.exec span: the
+	// fused chain records a monet.select span with its fused= verdict,
+	// the select over a bat() VAR one with its access= path.
+	vals := make([]float64, 40000)
+	for i := range vals {
+		vals[i] = float64(i) / float64(len(vals))
+	}
+	srv.cat.PutFeature(cobra.Feature{Video: "v", Name: "dust", SampleRate: 10, Values: vals})
+	for stmt, want := range map[string]string{
+		`bat("cobra/feature/v/dust").select(0.1, 0.2).count;`:           `fused="fused=select→count`,
+		`VAR d := bat("cobra/feature/v/dust"); d.select(0.1, 0.2).max;`: `access="path=zonemap`,
+	} {
+		if _, err := cl.Do("MIL " + stmt); err != nil {
+			t.Fatal(err)
+		}
+		out, err := cl.Do("TRACEDUMP")
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = ""
+		for _, l := range out[1:] {
+			if strings.Contains(l, stmt) {
+				id = strings.Fields(l)[0]
+				break
+			}
+		}
+		if id == "" {
+			t.Fatalf("no trace for %s in TRACEDUMP listing:\n%s", stmt, strings.Join(out, "\n"))
+		}
+		if out, err = cl.Do("TRACEDUMP " + id); err != nil {
+			t.Fatal(err)
+		}
+		depth := -1
+		for _, l := range out {
+			indent := len(l) - len(strings.TrimLeft(l, " "))
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(l), "mil.exec "):
+				depth = indent
+			case depth >= 0 && indent > depth && strings.HasPrefix(strings.TrimSpace(l), "monet.select ") && strings.Contains(l, want):
+				depth = -2 // found under mil.exec
+			}
+		}
+		if depth != -2 {
+			t.Errorf("TRACEDUMP %s has no monet.select span with %q under mil.exec:\n%s", id, want, strings.Join(out, "\n"))
+		}
 	}
 }
 
@@ -476,7 +523,7 @@ func TestIndexInfoOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := strings.Join(out, "\n")
-	for _, want := range []string{"name cobra/feature/v/dust", "rows 40000", "crack ", "zonemap ", "dict "} {
+	for _, want := range []string{"name cobra/feature/v/dust", "rows 40000", "zonemap ", "dict "} {
 		if !strings.Contains(body, want) {
 			t.Errorf("INDEXINFO output missing %q:\n%s", want, body)
 		}

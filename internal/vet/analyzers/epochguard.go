@@ -9,7 +9,7 @@ import (
 )
 
 // EpochGuard enforces the store's index-invalidation contract: the
-// adaptive access paths (zone maps, crackers, dictionaries) cache
+// adaptive access paths (zone maps, dictionaries) cache
 // per-BAT state keyed by an epoch counter, so every method of a
 // store-like type — a struct holding the `bats` map — that mutates
 // stored BATs must bump the epoch via bumpEpochLocked in the same
