@@ -61,6 +61,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"time"
 
 	"cobra/internal/admit"
@@ -205,6 +206,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		// Extraction leaves the boot's largest garbage behind: the race's
+		// rendered audio alone is 8 bytes a sample. Collect it and return
+		// its pages here, so that the cycle which would otherwise notice it,
+		// and the scavenging after it, do not fall at some point of the
+		// feed that depends on how extraction's chains finished.
+		debug.FreeOSMemory()
 		fmt.Printf("live feed: airing %.0fs of %s every %v in %g s steps\n",
 			*feedDur, *feed, *feedInterval, *feedStep)
 		go func() {

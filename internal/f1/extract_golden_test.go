@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -89,6 +90,13 @@ var goldenCases = []goldenCase{
 	{"german-7-skiptext", synth.GermanGP, 30, 7, Options{Seed: 7, SkipText: true}, "251f3ff250555821c7d7d859d9f5f6faaf0326b25a6be687d8fea348c9bfe0c9"},
 }
 
+// seamCase crosses many seams of the video map: 101.37 s of race, 1013
+// clips in 32 chunks, with a replay (two DVEs) and two recognized
+// caption words. Its digest was recorded while the frames were still
+// one serial loop. Unlike the other long cases it runs under -short, so
+// the race detector sees the map/fold.
+var seamCase = goldenCase{"german-seam", synth.GermanGP, 101.37, 31, Options{Seed: 31}, "2b1e74f6f25fafe01dab6c03dee0659773a84ab30ea58470e86d63281a40d623"}
+
 // withPoolWidth runs fn with the shared pool resized to w workers.
 func withPoolWidth(w int, fn func()) {
 	prev := monet.SetDefaultPoolWorkers(w)
@@ -97,8 +105,8 @@ func withPoolWidth(w int, fn func()) {
 }
 
 // TestExtractGolden pins Extract's output to the digests the serial
-// extractor produced, at the default pool width and, for one race, at
-// widths 1 and 4 as well.
+// extractor produced, at the default pool width and, for the seam race
+// and german-7, at widths 1, 2 and 4 as well.
 func TestExtractGolden(t *testing.T) {
 	captions := 0
 	for _, c := range goldenCases {
@@ -116,18 +124,31 @@ func TestExtractGolden(t *testing.T) {
 	if !testing.Short() && captions == 0 {
 		t.Fatal("no golden race recognized a caption: the digests do not cover caption hits")
 	}
-	for _, w := range []int{1, 4} {
-		c := goldenCases[4]
-		if !testing.Short() {
-			c = goldenCases[0]
+	// Under -short only the seam race runs, and only at width 4: the
+	// widest map/fold, and about 80 s under the race detector.
+	widthCases, widths := []goldenCase{seamCase, goldenCases[0]}, []int{1, 2, 4}
+	if testing.Short() {
+		widthCases, widths = widthCases[:1], widths[2:]
+	}
+	for _, c := range widthCases {
+		for _, w := range widths {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, w), func(t *testing.T) {
+				var f *Features
+				withPoolWidth(w, func() { f = c.extract(t) })
+				if got := featuresDigest(f); got != c.digest {
+					t.Fatalf("digest %s, want %s", got, c.digest)
+				}
+				if c.name != seamCase.name {
+					return
+				}
+				if len(f.Captions) == 0 {
+					t.Error("the seam race recognized no caption")
+				}
+				if !slices.Contains(f.Replay, 1) {
+					t.Error("the seam race detected no replay, so no DVE")
+				}
+			})
 		}
-		t.Run(fmt.Sprintf("%s/w%d", c.name, w), func(t *testing.T) {
-			var f *Features
-			withPoolWidth(w, func() { f = c.extract(t) })
-			if got := featuresDigest(f); got != c.digest {
-				t.Fatalf("digest %s, want %s", got, c.digest)
-			}
-		})
 	}
 }
 

@@ -182,11 +182,151 @@ func (f *Features) extractKeywords(race *synth.Race, seed int64) {
 	f.Keywords = keyword.EvidenceSeries(hits, f.N, ClipDur)
 }
 
+// videoChunk is the number of consecutive clips one pool task maps. It
+// is a constant, so the chunk seams, and with them the frames rendered
+// twice, do not depend on the pool width.
+const videoChunk = 32
+
+// frameSummary is what the map keeps of one clip: every pure per-frame
+// measurement and, for clip i > 0, the measurements of the pair
+// (i-1, i). It holds no pixels.
+type frameSummary struct {
+	hist      *video.Histogram
+	sem       video.SemaphoreFeature
+	sandDust  video.SandDustFeature
+	band      vtext.ShadedRegion
+	motion    *video.MotionField // nil for clip 0
+	colorDiff float64
+	passing   float64
+}
+
+// mapClips fills out[j] with the summary of clip from+j. Rendering is
+// pure in the race, so a chunk re-renders the frame before it for its
+// first pair instead of waiting for the neighbouring chunk, and at most
+// two frames of a chunk are alive at once.
+func mapClips(race *synth.Race, from int, out []frameSummary, withText bool) {
+	var prev *video.Frame
+	var prevGray *video.Gray
+	if from > 0 {
+		prev = race.RenderFrame(float64(from-1) * ClipDur)
+		prevGray = video.MotionGray(prev)
+	}
+	for j := range out {
+		frame := race.RenderFrame(float64(from+j) * ClipDur)
+		gray := video.MotionGray(frame)
+		s := &out[j]
+		s.hist = video.ColorHistogram(frame)
+		s.sem = video.DetectSemaphore(frame)
+		s.sandDust = video.DetectSandDust(frame)
+		if withText {
+			s.band = vtext.AnalyzeBand(frame)
+		}
+		if prev != nil {
+			s.colorDiff = video.MotionAmount(prev, frame)
+			s.motion = video.EstimateMotion(prevGray, gray, 3)
+			s.passing = video.PassingProbability(video.MotionHistogram(s.motion, 3))
+		}
+		prev, prevGray = frame, gray
+	}
+}
+
+// videoFold is the stateful half of the visual and text chains: the
+// detectors that must see the clips in order.
+type videoFold struct {
+	f         *Features
+	race      *synth.Race
+	shots     *video.ShotDetector
+	sem       video.SemaphoreTracker
+	dve       *video.DVEDetector
+	replay    *video.ReplayDetector
+	text      *vtext.Detector
+	rec       *vtext.Recognizer // nil without the text chain
+	bandStart int               // first clip of the current caption band
+	bandLen   int               // its clips kept for recognition, at most 8
+}
+
+// feed folds the summaries of clips from, from+1, ... in order.
+func (v *videoFold) feed(from int, sums []frameSummary) {
+	f := v.f
+	for j := range sums {
+		i, s := from+j, &sums[j]
+		v.shots.Feed(s.hist)
+		v.sem.Feed(s.sem)
+		if s.sem.Present {
+			f.Semaphore[i] = clamp01(s.sem.Fill)
+		}
+		f.Sand[i] = clamp01(4 * s.sandDust.SandFraction)
+		f.Dust[i] = clamp01(6 * s.sandDust.DustFraction)
+		if s.motion != nil {
+			f.ColorDiff[i] = s.colorDiff
+			f.Motion[i] = clamp01(s.colorDiff * 8)
+			f.Passing[i] = s.passing
+			if v.dve.Feed(s.motion) {
+				v.replay.FeedDVE(i)
+			}
+		}
+		if v.rec == nil {
+			continue
+		}
+		if s.band.Present {
+			if v.bandLen == 0 {
+				v.bandStart = i
+			}
+			v.bandLen = min(v.bandLen+1, 8)
+		}
+		if v.text.Feed(s.band) && v.bandLen > 0 {
+			v.recognize()
+		}
+		if !s.band.Present {
+			v.bandLen = 0
+		}
+	}
+}
+
+// finish closes the chains at the end of the race.
+func (v *videoFold) finish() {
+	f := v.f
+	if v.rec != nil {
+		v.text.Flush()
+		if v.bandLen >= 5 {
+			v.recognize()
+		}
+	}
+	// Replay probabilities from paired DVEs.
+	f.Replay = video.ReplayProbability(v.replay.Segments, f.N)
+	for _, b := range v.shots.Boundaries {
+		f.ShotBoundaries = append(f.ShotBoundaries, float64(b)*ClipDur)
+	}
+}
+
+// recognize reads the caption of the current band from its first
+// bandLen frames, re-rendered here because the map keeps no frames:
+// their pixel-wise minimum suppresses the moving background, and the
+// interpolated, binarized band goes to the recogniser.
+func (v *videoFold) recognize() {
+	frames := make([]*video.Frame, v.bandLen)
+	for k := range frames {
+		frames[k] = v.race.RenderFrame(float64(v.bandStart+k) * ClipDur)
+	}
+	band := vtext.Binarize(vtext.Interpolate4x(vtext.MinFilterBand(frames)), 170)
+	for _, h := range v.rec.RecognizeBand(band) {
+		v.f.Captions = append(v.f.Captions, CaptionHit{
+			Word:  h.Word,
+			Time:  float64(v.bandStart) * ClipDur,
+			Score: h.Score,
+		})
+	}
+	v.bandLen = 0
+}
+
 // extractVideo renders frames at 10 fps and runs the visual and text
-// chains.
+// chains as an order-preserving map/fold: pool tasks map fixed chunks
+// of consecutive clips to summaries, and the caller folds the summaries
+// in clip order through the stateful detectors while the next span of
+// chunks is already being mapped. Width 1 maps inline, which is the
+// serial case; the output is the same at every width.
 func (f *Features) extractVideo(race *synth.Race, withText bool) {
 	n := f.N
-	f.Replay = make([]float64, n)
 	f.ColorDiff = make([]float64, n)
 	f.Semaphore = make([]float64, n)
 	f.Dust = make([]float64, n)
@@ -194,89 +334,51 @@ func (f *Features) extractVideo(race *synth.Race, withText bool) {
 	f.Motion = make([]float64, n)
 	f.Passing = make([]float64, n)
 
-	shotDet := video.NewShotDetector(video.DefaultShotConfig())
-	dveDet := video.NewDVEDetector()
-	replayDet := video.NewReplayDetector()
-	var semTracker video.SemaphoreTracker
-	textDet := vtext.NewDetector(5)
-	var rec *vtext.Recognizer
+	v := &videoFold{
+		f: f, race: race,
+		shots:  video.NewShotDetector(video.DefaultShotConfig()),
+		dve:    video.NewDVEDetector(),
+		replay: video.NewReplayDetector(),
+		text:   vtext.NewDetector(5),
+	}
 	if withText {
 		lex := append(append([]string(nil), synth.Drivers...),
 			"PIT", "STOP", "LAP", "WINNER", "FINAL", "1")
-		rec = vtext.NewRecognizer(lex, 0.7)
+		v.rec = vtext.NewRecognizer(lex, 0.7)
 	}
 
-	var prev *video.Frame
-	var bandFrames []*video.Frame
-	bandStart := 0
-	for i := 0; i < n; i++ {
-		t := float64(i) * ClipDur
-		frame := race.RenderFrame(t)
-		shotDet.Feed(frame)
-
-		sem := video.DetectSemaphore(frame)
-		semTracker.Feed(sem)
-		if sem.Present {
-			f.Semaphore[i] = clamp01(sem.Fill)
-		}
-		sd := video.DetectSandDust(frame)
-		f.Sand[i] = clamp01(4 * sd.SandFraction)
-		f.Dust[i] = clamp01(6 * sd.DustFraction)
-
-		if prev != nil {
-			f.ColorDiff[i] = video.MotionAmount(prev, frame)
-			mf := video.EstimateMotion(prev, frame, 3)
-			f.Motion[i] = clamp01(f.ColorDiff[i] * 8)
-			f.Passing[i] = video.PassingProbability(video.MotionHistogram(mf, 3))
-			if dveDet.Feed(mf) {
-				replayDet.FeedDVE(i)
+	pool := monet.DefaultPool()
+	parallel := pool.Workers() > 1
+	// A span is two chunks per worker, so every worker has a chunk to
+	// take while the caller maps too. Two spans of summaries are in
+	// flight: the one being folded and the one being mapped.
+	span := min(n, 2*pool.Workers()*videoChunk)
+	mapSpan := func(from int, out []frameSummary) *monet.Batch {
+		b := pool.Batch()
+		for c := 0; c < len(out); c += videoChunk {
+			chunk := out[c:min(c+videoChunk, len(out))]
+			task := func() { mapClips(race, from+c, chunk, withText) }
+			if parallel {
+				b.Submit(task)
+			} else {
+				task()
 			}
 		}
-		prev = frame
-
-		if withText {
-			sr := vtext.AnalyzeBand(frame)
-			if sr.Present {
-				if len(bandFrames) == 0 {
-					bandStart = i
-				}
-				if len(bandFrames) < 8 {
-					bandFrames = append(bandFrames, frame)
-				}
-			}
-			if textDet.Feed(sr) && len(bandFrames) > 0 {
-				f.recognizeCaption(rec, bandFrames, bandStart)
-				bandFrames = nil
-			}
-			if !sr.Present {
-				bandFrames = nil
-			}
+		return b
+	}
+	cur, next := make([]frameSummary, span), make([]frameSummary, span)
+	mapped := mapSpan(0, cur)
+	for from := 0; from < n; from += span {
+		mapped.Wait()
+		cur = cur[:min(span, n-from)]
+		if to := from + span; to < n {
+			next = next[:min(span, n-to)]
+			mapped = mapSpan(to, next)
 		}
+		v.feed(from, cur)
+		cur, next = next[:span], cur[:span]
 	}
-	if withText {
-		textDet.Flush()
-		if len(bandFrames) >= 5 {
-			f.recognizeCaption(rec, bandFrames, bandStart)
-		}
-	}
-	// Replay probabilities from paired DVEs.
-	f.Replay = video.ReplayProbability(replayDet.Segments, n)
-	for _, b := range shotDet.Boundaries {
-		f.ShotBoundaries = append(f.ShotBoundaries, float64(b)*ClipDur)
-	}
-}
-
-func (f *Features) recognizeCaption(rec *vtext.Recognizer, frames []*video.Frame, startClip int) {
-	g := vtext.MinFilterBand(frames)
-	g = vtext.Interpolate4x(g)
-	band := vtext.Binarize(g, 170)
-	for _, h := range rec.RecognizeBand(band) {
-		f.Captions = append(f.Captions, CaptionHit{
-			Word:  h.Word,
-			Time:  float64(startClip) * ClipDur,
-			Score: h.Score,
-		})
-	}
+	v.finish()
 }
 
 // AudioExcitementScore aggregates the audio features into a single

@@ -38,7 +38,8 @@ type LiveIngestor struct {
 }
 
 // NewLiveIngestor extracts the race's features and registers the
-// video as a live stream at watermark zero. seed drives the simulated
+// video as a live stream at watermark zero, with every feature series
+// it airs present and empty. seed drives the simulated
 // acoustic front-end, as in Options.
 func NewLiveIngestor(cat *cobra.Catalog, video string, race *synth.Race, seed int64) (*LiveIngestor, error) {
 	f, err := Extract(race, Options{Seed: seed})
@@ -73,6 +74,16 @@ func NewLiveIngestorFrom(cat *cobra.Catalog, video string, f *Features) (*LiveIn
 		return nil, err
 	}
 	if err := cat.SetLive(video, true); err != nil {
+		return nil, err
+	}
+	// Create every series the feed will air, empty and with its rate,
+	// so a query or subscription arriving before the first Step reads
+	// an empty series instead of a missing one.
+	empty := cobra.LiveChunk{Features: make([]cobra.FeatureSamples, len(names))}
+	for i, name := range names {
+		empty.Features[i] = cobra.FeatureSamples{Name: name, Rate: 1 / ClipDur}
+	}
+	if _, err := cat.AppendLive(video, empty); err != nil {
 		return nil, err
 	}
 	return &LiveIngestor{

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"cobra/internal/cobra"
+	"cobra/internal/f1"
 	"cobra/internal/monet"
 	"cobra/internal/query"
 	"cobra/internal/stream"
+	"cobra/internal/synth"
 )
 
 // liveFeed appends catalog state directly, standing in for the ingest
@@ -64,6 +66,38 @@ func streamServer(t *testing.T) (*Client, *stream.Manager, *liveFeed) {
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl, mgr, &liveFeed{cat: cat}
+}
+
+// TestFeatureBeforeFirstTick queries a live video that is registered
+// but has not aired a tick: its feature series exist, empty, so a
+// FEATURE one-shot answers OK 0 rather than not found.
+func TestFeatureBeforeFirstTick(t *testing.T) {
+	f, err := f1.Extract(synth.GenerateRace(synth.GermanGP, 2, 1), f1.Options{Seed: 1, SkipVideo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := cobra.NewCatalog(monet.NewStore())
+	if _, err := f1.NewLiveIngestorFrom(cat, "live-gp", f); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(cobra.NewPreprocessor(cat), nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	lines, err := cl.Do("COQL SELECT SEGMENTS FROM live-gp WHERE FEATURE('pitchavg') > 0.5")
+	if err != nil {
+		t.Fatalf("FEATURE before the first tick: %v", err)
+	}
+	if len(lines) != 0 {
+		t.Fatalf("FEATURE before the first tick: %q, want OK 0", lines)
+	}
 }
 
 // TestSubscribeOverWire is the streaming acceptance test: a standing

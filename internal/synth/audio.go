@@ -28,23 +28,6 @@ func (r *Race) RenderAudio() []float64 {
 	return out
 }
 
-// RenderAudioSpan synthesizes samples for [t0, t1) only.
-func (r *Race) RenderAudioSpan(t0, t1 float64) []float64 {
-	full := r.RenderAudio() // determinism over spans matters more than speed here
-	lo := int(t0 * SampleRate)
-	hi := int(t1 * SampleRate)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(full) {
-		hi = len(full)
-	}
-	if lo >= hi {
-		return nil
-	}
-	return full[lo:hi]
-}
-
 // renderSpeech adds the commentator's utterances.
 func (r *Race) renderSpeech(out []float64) {
 	for ui, u := range r.Utterances {

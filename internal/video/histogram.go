@@ -77,10 +77,10 @@ func NewShotDetector(cfg ShotDetectorConfig) *ShotDetector {
 	return &ShotDetector{cfg: cfg, lastCut: -1 << 30}
 }
 
-// Feed processes the next frame and reports whether a shot boundary
-// begins at it.
-func (d *ShotDetector) Feed(f *Frame) bool {
-	h := ColorHistogram(f)
+// Feed processes the next frame, given as its ColorHistogram, and
+// reports whether a shot boundary begins at it. The detector keeps h
+// as context for the next Window frames.
+func (d *ShotDetector) Feed(h *Histogram) bool {
 	cut := false
 	if len(d.history) > 0 {
 		var mean Histogram
@@ -104,10 +104,12 @@ func (d *ShotDetector) Feed(f *Frame) bool {
 	} else {
 		d.Diffs = append(d.Diffs, 0)
 	}
-	d.history = append(d.history, h)
-	if len(d.history) > d.cfg.Window {
-		d.history = d.history[1:]
+	if len(d.history) == d.cfg.Window {
+		// Shift in place: re-slicing from the front would shrink the
+		// capacity and reallocate every few frames.
+		d.history = d.history[:copy(d.history, d.history[1:])]
 	}
+	d.history = append(d.history, h)
 	d.frameNo++
 	return cut
 }

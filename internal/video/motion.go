@@ -44,11 +44,36 @@ type MotionField struct {
 // motionBlock is the block edge length in downsampled pixels.
 const motionBlock = 8
 
-// EstimateMotion computes the motion field from frame a to frame b
-// with the given search radius (in downsampled pixels).
-func EstimateMotion(a, b *Frame, search int) *MotionField {
-	ga := a.ToGray().Downsample(4)
-	gb := b.ToGray().Downsample(4)
+// motionScale is the downsampling factor of the images block matching
+// runs on.
+const motionScale = 4
+
+// MotionGray converts a frame to the grayscale image EstimateMotion
+// matches blocks on: f.ToGray().Downsample(4), computed in one pass
+// without the full-size gray image. Each frame needs it once, for the
+// pair it ends and the pair it starts.
+func MotionGray(f *Frame) *Gray {
+	w, h := f.W/motionScale, f.H/motionScale
+	out := &Gray{W: w, H: h, Pix: make([]byte, w*h)}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			sum := 0
+			for dy := 0; dy < motionScale; dy++ {
+				row := f.Pix[((y*motionScale+dy)*f.W+x*motionScale)*3:]
+				for i := 0; i < 3*motionScale; i += 3 {
+					sum += (299*int(row[i]) + 587*int(row[i+1]) + 114*int(row[i+2])) / 1000
+				}
+			}
+			out.Pix[y*w+x] = byte(sum / (motionScale * motionScale))
+		}
+	}
+	return out
+}
+
+// EstimateMotion computes the motion field from image ga to image gb,
+// both MotionGray conversions of consecutive frames, with the given
+// search radius (in downsampled pixels).
+func EstimateMotion(ga, gb *Gray, search int) *MotionField {
 	bx, by := ga.W/motionBlock, ga.H/motionBlock
 	mf := &MotionField{BlocksX: bx, BlocksY: by,
 		Vectors:  make([]MotionVector, bx*by),
@@ -90,6 +115,23 @@ func EstimateMotion(a, b *Frame, search int) *MotionField {
 // of a and the (dx,dy)-shifted block of b; out-of-bounds shifts cost
 // maximum difference.
 func blockSAD(a, b *Gray, x0, y0, dx, dy int) float64 {
+	if bx0, by0 := x0+dx, y0+dy; bx0 >= 0 && by0 >= 0 && bx0+motionBlock <= b.W && by0+motionBlock <= b.H {
+		// The shifted block lies inside b: compare row slices, with no
+		// per-pixel bounds test.
+		sum := 0
+		for y := 0; y < motionBlock; y++ {
+			ra := a.Pix[(y0+y)*a.W+x0:][:motionBlock]
+			rb := b.Pix[(by0+y)*b.W+bx0:][:motionBlock]
+			for i, p := range ra {
+				d := int(p) - int(rb[i])
+				if d < 0 {
+					d = -d
+				}
+				sum += d
+			}
+		}
+		return float64(sum) / (motionBlock * motionBlock)
+	}
 	sum, n := 0, 0
 	for y := y0; y < y0+motionBlock; y++ {
 		for x := x0; x < x0+motionBlock; x++ {

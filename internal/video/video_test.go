@@ -1,6 +1,7 @@
 package video
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -99,7 +100,7 @@ func TestShotDetection(t *testing.T) {
 		f := NewFrame(64, 48)
 		c := colors[scene]
 		noisyFill(f, c[0], c[1], c[2], 10, rng)
-		det.Feed(f)
+		det.Feed(ColorHistogram(f))
 	}
 	if len(det.Boundaries) != 2 {
 		t.Fatalf("boundaries = %v, want cuts at 20 and 40", det.Boundaries)
@@ -121,7 +122,7 @@ func TestShotDetectionNoFalsePositivesUnderNoise(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		f := NewFrame(64, 48)
 		noisyFill(f, 90, 110, 90, 25, rng)
-		det.Feed(f)
+		det.Feed(ColorHistogram(f))
 	}
 	if len(det.Boundaries) != 0 {
 		t.Fatalf("noise produced boundaries %v", det.Boundaries)
@@ -157,7 +158,7 @@ func TestEstimateMotionTracksShift(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := movingSquare(256, 128, 60, rng)
 	b := movingSquare(256, 128, 68, rng) // +8 px = +2 in 4x downsample
-	mf := EstimateMotion(a, b, 3)
+	mf := EstimateMotion(MotionGray(a), MotionGray(b), 3)
 	// Blocks containing the square should show dx ≈ -2 (a→b block match
 	// finds content shifted by -2 in b coords... direction depends on
 	// convention: block in a matched at b position +dx).
@@ -175,7 +176,7 @@ func TestMotionHistogramPassing(t *testing.T) {
 	// Static camera, one car moving: counter-fraction small but nonzero.
 	a := movingSquare(256, 128, 60, rng)
 	b := movingSquare(256, 128, 72, rng)
-	mf := EstimateMotion(a, b, 3)
+	mf := EstimateMotion(MotionGray(a), MotionGray(b), 3)
 	feat := MotionHistogram(mf, 3)
 	if feat.CounterFraction <= 0 {
 		t.Fatalf("moving object gave zero counter fraction: %+v", feat)
@@ -187,7 +188,7 @@ func TestMotionHistogramPassing(t *testing.T) {
 	// Static scene: zero counter motion.
 	c := movingSquare(256, 128, 60, rng)
 	d := movingSquare(256, 128, 60, rng)
-	mf2 := EstimateMotion(c, d, 3)
+	mf2 := EstimateMotion(MotionGray(c), MotionGray(d), 3)
 	feat2 := MotionHistogram(mf2, 3)
 	if feat2.CounterFraction > 0.05 {
 		t.Fatalf("static scene counter fraction = %v", feat2.CounterFraction)
@@ -300,7 +301,7 @@ func TestDVEDetection(t *testing.T) {
 			prev = f
 			return false
 		}
-		mf := EstimateMotion(prev, f, 2)
+		mf := EstimateMotion(MotionGray(prev), MotionGray(f), 2)
 		prev = f
 		return det.Feed(mf)
 	}
@@ -353,5 +354,62 @@ func TestReplayProbability(t *testing.T) {
 	}
 	if p[9] <= 0 || p[9] >= 1 {
 		t.Fatalf("shoulder = %v", p[9])
+	}
+}
+
+// TestMotionGrayMatchesToGrayDownsample checks the one-pass conversion
+// against the two-step one it replaces, on a noisy frame whose size is
+// not a multiple of the downsampling factor.
+func TestMotionGrayMatchesToGrayDownsample(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	f := NewFrame(389, 291)
+	for i := range f.Pix {
+		f.Pix[i] = byte(rng.Intn(256))
+	}
+	got, want := MotionGray(f), f.ToGray().Downsample(4)
+	if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
+		t.Fatal("MotionGray differs from ToGray().Downsample(4)")
+	}
+}
+
+// TestBlockSADMatchesNaive checks block matching's in-bounds fast path
+// against a per-pixel reference for every block and every shift of a
+// search radius of 3, edges included.
+func TestBlockSADMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gray := func() *Gray {
+		g := &Gray{W: 40, H: 24, Pix: make([]byte, 40*24)}
+		for i := range g.Pix {
+			g.Pix[i] = byte(rng.Intn(256))
+		}
+		return g
+	}
+	a, b := gray(), gray()
+	naive := func(x0, y0, dx, dy int) float64 {
+		sum := 0
+		for y := y0; y < y0+motionBlock; y++ {
+			for x := x0; x < x0+motionBlock; x++ {
+				d := 255
+				if bx, by := x+dx, y+dy; bx >= 0 && by >= 0 && bx < b.W && by < b.H {
+					d = int(a.At(x, y)) - int(b.At(bx, by))
+					if d < 0 {
+						d = -d
+					}
+				}
+				sum += d
+			}
+		}
+		return float64(sum) / float64(motionBlock*motionBlock)
+	}
+	for y0 := 0; y0+motionBlock <= a.H; y0 += motionBlock {
+		for x0 := 0; x0+motionBlock <= a.W; x0 += motionBlock {
+			for dy := -3; dy <= 3; dy++ {
+				for dx := -3; dx <= 3; dx++ {
+					if got, want := blockSAD(a, b, x0, y0, dx, dy), naive(x0, y0, dx, dy); got != want {
+						t.Fatalf("block (%d,%d) shift (%d,%d): %v, want %v", x0, y0, dx, dy, got, want)
+					}
+				}
+			}
+		}
 	}
 }
