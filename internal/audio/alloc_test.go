@@ -5,18 +5,21 @@ import (
 	"testing"
 )
 
-// Allocation budgets for the analysis loops: scratch is hoisted out of
-// the per-frame and per-clip loops, so what remains per frame is the
-// mel energies, the cepstrum and the autocorrelation of a voiced frame,
-// and per call a fixed handful of buffers.
+// Allocation budgets for the analysis loops: all scratch — the power
+// spectrum, mel energies, cepstrum and autocorrelation — is hoisted out
+// of the per-frame and per-clip loops, so a call allocates a fixed
+// handful of buffers however long its signal is.
 
 func TestAnalyzeFramesAllocsPerFrame(t *testing.T) {
 	a := newTestAnalyzer(t)
-	samples := synthVoiced(22050, 2, 160, 0.3, rand.New(rand.NewSource(1)))
-	nFrames := len(samples) / a.FrameLen()
-	got := testing.AllocsPerRun(3, func() { a.AnalyzeFrames(samples) })
-	if max := float64(3*nFrames + 8); got > max {
-		t.Fatalf("AnalyzeFrames: %.0f allocs for %d frames, budget %.0f (per-frame scratch crept back in?)", got, nFrames, max)
+	rng := rand.New(rand.NewSource(1))
+	for _, dur := range []float64{0.5, 2} {
+		samples := synthVoiced(22050, dur, 160, 0.3, rng)
+		got := testing.AllocsPerRun(3, func() { a.AnalyzeFrames(samples) })
+		if got > 8 {
+			t.Fatalf("AnalyzeFrames: %.0f allocs for %d frames, budget 8 per call, 0 per frame (per-frame scratch crept back in?)",
+				got, len(samples)/a.FrameLen())
+		}
 	}
 }
 

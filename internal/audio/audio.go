@@ -107,6 +107,7 @@ type ClipFeatures struct {
 type Analyzer struct {
 	cfg      Config
 	mel      *dsp.MelFilterbank
+	dct      *dsp.DCT
 	frameLen int
 	winLen   int
 	nfft     int
@@ -153,6 +154,7 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 		return nil, err
 	}
 	a.mel = mel
+	a.dct = dsp.NewDCT(2*cfg.NumMFCC, 3)
 	a.minLag = int(cfg.SampleRate / cfg.PitchMaxHz)
 	a.maxLag = int(cfg.SampleRate / cfg.PitchMinHz)
 	if a.maxLag >= a.winLen {
@@ -180,6 +182,9 @@ func (a *Analyzer) AnalyzeFrames(samples []float64) []FrameFeatures {
 	im := make([]float64, a.nfft)
 	half := a.nfft / 2
 	power := make([]float64, half+1)
+	melE := make([]float64, 2*a.cfg.NumMFCC)
+	cc := make([]float64, a.dct.Coeffs())
+	ac := make([]float64, a.maxLag+1)
 	for f := 0; f < nFrames; f++ {
 		start := f * a.frameLen
 		end := start + a.winLen
@@ -221,13 +226,13 @@ func (a *Analyzer) AnalyzeFrames(samples []float64) []FrameFeatures {
 		ff.STEMid = mid / norm
 
 		// MFCCs from the mel filterbank over the low band.
-		melE := a.mel.Apply(power)
-		cc := dsp.DCTII(melE, 3)
+		a.mel.ApplyInto(melE, power)
+		a.dct.Into(cc, melE)
 		ff.MFCC3 = cc[0] + cc[1] + cc[2]
 
 		// Pitch by autocorrelation over voiced-plausible lags.
 		if !ff.Silent {
-			ff.Pitch = a.pitch(win)
+			ff.Pitch = a.pitch(win, ac)
 		}
 	}
 	return out
@@ -235,9 +240,9 @@ func (a *Analyzer) AnalyzeFrames(samples []float64) []FrameFeatures {
 
 // pitch estimates the fundamental frequency of one analysis window by
 // normalized autocorrelation peak picking; it returns 0 for frames
-// judged unvoiced.
-func (a *Analyzer) pitch(win []float64) float64 {
-	ac := dsp.Autocorrelation(win, a.maxLag)
+// judged unvoiced. ac is scratch for maxLag+1 autocorrelation lags.
+func (a *Analyzer) pitch(win, ac []float64) float64 {
+	ac = dsp.AutocorrelationInto(ac, win, a.maxLag)
 	if len(ac) == 0 || ac[0] <= 0 {
 		return 0
 	}

@@ -253,3 +253,20 @@ func TestSpeechSegmentsEmpty(t *testing.T) {
 		t.Fatalf("segments of all-nonspeech = %v", segs)
 	}
 }
+
+// benchFrames keeps the benchmark's result alive.
+var benchFrames []FrameFeatures
+
+// BenchmarkAnalyzeFrames1s analyzes one second of voiced audio: 100
+// frames, each with its spectrum, MFCCs and pitch autocorrelation.
+func BenchmarkAnalyzeFrames1s(b *testing.B) {
+	a, err := NewAnalyzer(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := synthVoiced(22050, 1, 160, 0.3, nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchFrames = a.AnalyzeFrames(samples)
+	}
+}

@@ -104,19 +104,23 @@ func FFT(re, im []float64) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
+	// Within a stage the j-th butterfly of every block uses the same
+	// twiddle, the j-th step of one recurrence: each twiddle is computed
+	// once per stage and applied to all blocks.
 	for length := 2; length <= n; length <<= 1 {
+		half := length / 2
 		ang := -2 * math.Pi / float64(length)
 		wRe, wIm := math.Cos(ang), math.Sin(ang)
-		for i := 0; i < n; i += length {
-			cRe, cIm := 1.0, 0.0
-			for j := 0; j < length/2; j++ {
-				uRe, uIm := re[i+j], im[i+j]
-				vRe := re[i+j+length/2]*cRe - im[i+j+length/2]*cIm
-				vIm := re[i+j+length/2]*cIm + im[i+j+length/2]*cRe
-				re[i+j], im[i+j] = uRe+vRe, uIm+vIm
-				re[i+j+length/2], im[i+j+length/2] = uRe-vRe, uIm-vIm
-				cRe, cIm = cRe*wRe-cIm*wIm, cRe*wIm+cIm*wRe
+		cRe, cIm := 1.0, 0.0
+		for j := 0; j < half; j++ {
+			for i := j; i < n; i += length {
+				uRe, uIm := re[i], im[i]
+				vRe := re[i+half]*cRe - im[i+half]*cIm
+				vIm := re[i+half]*cIm + im[i+half]*cRe
+				re[i], im[i] = uRe+vRe, uIm+vIm
+				re[i+half], im[i+half] = uRe-vRe, uIm-vIm
 			}
+			cRe, cIm = cRe*wRe-cIm*wIm, cRe*wIm+cIm*wRe
 		}
 	}
 }
@@ -145,13 +149,65 @@ func Autocorrelation(x []float64, maxLag int) []float64 {
 	if maxLag < 0 {
 		return nil
 	}
-	out := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
+	return AutocorrelationInto(make([]float64, maxLag+1), x, maxLag)
+}
+
+// acLanes is the number of lags AutocorrelationInto accumulates in one
+// pass over the window.
+const acLanes = 8
+
+// AutocorrelationInto is Autocorrelation written into dst, which must
+// hold min(maxLag, len(x)-1)+1 values; it returns that prefix of dst.
+//
+// Lags are computed acLanes at a time: one pass over x feeds a separate
+// accumulator per lag, each summing x[i]·x[i+lag] in increasing i, and
+// the lags' unequal tails are finished one by one. Every lag thus adds
+// the same products in the same order as the one-lag-per-pass loop, so
+// the result is bit-identical to it; the independent accumulators only
+// let the additions overlap.
+func AutocorrelationInto(dst, x []float64, maxLag int) []float64 {
+	n := len(x)
+	if maxLag >= n {
+		maxLag = n - 1
+	}
+	if maxLag < 0 {
+		return dst[:0]
+	}
+	out := dst[:maxLag+1]
+	norm := float64(n)
+	lag := 0
+	for ; lag+acLanes <= maxLag+1; lag += acLanes {
+		// Every lane has a product for i < m.
+		m := n - lag - (acLanes - 1)
+		xs := x[:m]
+		y0, y1, y2, y3 := x[lag:][:m], x[lag+1:][:m], x[lag+2:][:m], x[lag+3:][:m]
+		y4, y5, y6, y7 := x[lag+4:][:m], x[lag+5:][:m], x[lag+6:][:m], x[lag+7:][:m]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for i, xi := range xs {
+			s0 += xi * y0[i]
+			s1 += xi * y1[i]
+			s2 += xi * y2[i]
+			s3 += xi * y3[i]
+			s4 += xi * y4[i]
+			s5 += xi * y5[i]
+			s6 += xi * y6[i]
+			s7 += xi * y7[i]
+		}
+		acc := [acLanes]float64{s0, s1, s2, s3, s4, s5, s6, s7}
+		for k := range acc {
+			s := acc[k]
+			for i := m; i+lag+k < n; i++ {
+				s += x[i] * x[i+lag+k]
+			}
+			out[lag+k] = s / norm
+		}
+	}
+	for ; lag <= maxLag; lag++ {
 		s := 0.0
-		for i := 0; i+lag < len(x); i++ {
+		for i := 0; i+lag < n; i++ {
 			s += x[i] * x[i+lag]
 		}
-		out[lag] = s / float64(len(x))
+		out[lag] = s / norm
 	}
 	return out
 }
@@ -216,7 +272,14 @@ func MelToHz(mel float64) float64 { return 700 * (math.Pow(10, mel/2595) - 1) }
 // MelFilterbank is a bank of triangular filters spaced on the mel
 // scale, applied to power spectra.
 type MelFilterbank struct {
-	filters [][]float64 // per filter, weight per spectrum bin
+	filters []melFilter
+}
+
+// melFilter is one triangle trimmed to its support: weights w for the
+// spectrum bins lo, lo+1, ...; every other bin weighs zero.
+type melFilter struct {
+	lo int
+	w  []float64
 }
 
 // NewMelFilterbank builds nFilters triangular filters covering
@@ -236,10 +299,12 @@ func NewMelFilterbank(nFilters, nBins int, sampleRate, loHz, hiHz float64) (*Mel
 		centers[i] = MelToHz(mel)
 	}
 	binHz := sampleRate / 2 / float64(nBins-1)
-	fb := &MelFilterbank{filters: make([][]float64, nFilters)}
-	for f := 0; f < nFilters; f++ {
-		w := make([]float64, nBins)
+	fb := &MelFilterbank{filters: make([]melFilter, nFilters)}
+	w := make([]float64, nBins)
+	for f := range fb.filters {
+		clear(w)
 		left, center, right := centers[f], centers[f+1], centers[f+2]
+		lo, hi := nBins, 0
 		for b := 0; b < nBins; b++ {
 			hz := float64(b) * binHz
 			switch {
@@ -248,25 +313,81 @@ func NewMelFilterbank(nFilters, nBins int, sampleRate, loHz, hiHz float64) (*Mel
 			case hz > center && hz <= right && right > center:
 				w[b] = (right - hz) / (right - center)
 			}
+			if w[b] != 0 {
+				lo, hi = min(lo, b), b+1
+			}
 		}
-		fb.filters[f] = w
+		if lo < hi {
+			fb.filters[f] = melFilter{lo: lo, w: append([]float64(nil), w[lo:hi]...)}
+		}
 	}
 	return fb, nil
 }
 
 // Apply returns the log mel-band energies of the power spectrum.
 func (fb *MelFilterbank) Apply(power []float64) []float64 {
-	out := make([]float64, len(fb.filters))
-	for f, w := range fb.filters {
+	return fb.ApplyInto(make([]float64, len(fb.filters)), power)
+}
+
+// ApplyInto is Apply written into dst, which must hold one value per
+// filter; it returns that prefix of dst. Each band sums only the bins
+// of its filter's support: outside it a finite power p adds 0·p = ±0,
+// which leaves the sum unchanged, so skipping those bins changes no
+// bit.
+func (fb *MelFilterbank) ApplyInto(dst, power []float64) []float64 {
+	out := dst[:len(fb.filters)]
+	for f, flt := range fb.filters {
 		s := 0.0
-		n := len(power)
-		if len(w) < n {
-			n = len(w)
-		}
-		for b := 0; b < n; b++ {
-			s += w[b] * power[b]
+		if flt.lo < len(power) {
+			p := power[flt.lo:min(flt.lo+len(flt.w), len(power))]
+			for b, v := range p {
+				s += flt.w[b] * v
+			}
 		}
 		out[f] = math.Log(s + 1e-12)
+	}
+	return out
+}
+
+// DCT is a type-II discrete cosine transform of fixed input length
+// returning its first coefficients, the final MFCC step. Its cosine
+// table is computed once, by the same math.Cos calls a direct
+// evaluation makes, so a transform equals DCTII's bit for bit.
+type DCT struct {
+	n, coeffs int
+	cos       []float64 // cos[k*n+i] = cos(π·k·(i+½)/n)
+}
+
+// NewDCT builds the transform of n inputs to min(nCoeffs, n)
+// coefficients.
+func NewDCT(n, nCoeffs int) *DCT {
+	nCoeffs = max(0, min(nCoeffs, n))
+	d := &DCT{n: n, coeffs: nCoeffs, cos: make([]float64, nCoeffs*n)}
+	for k := 0; k < nCoeffs; k++ {
+		for i := 0; i < n; i++ {
+			d.cos[k*n+i] = math.Cos(math.Pi * float64(k) * (float64(i) + 0.5) / float64(n))
+		}
+	}
+	return d
+}
+
+// Coeffs returns the number of coefficients the transform computes.
+func (d *DCT) Coeffs() int { return d.coeffs }
+
+// Into writes the coefficients of x, which must have the transform's
+// input length, into dst and returns them; dst must hold Coeffs values.
+func (d *DCT) Into(dst, x []float64) []float64 {
+	if len(x) != d.n {
+		panic(fmt.Sprintf("dsp: DCT of length %d given %d samples", d.n, len(x)))
+	}
+	out := dst[:d.coeffs]
+	for k := range out {
+		row := d.cos[k*d.n : (k+1)*d.n]
+		s := 0.0
+		for i, v := range x {
+			s += v * row[i]
+		}
+		out[k] = s
 	}
 	return out
 }
@@ -274,19 +395,8 @@ func (fb *MelFilterbank) Apply(power []float64) []float64 {
 // DCTII computes the type-II discrete cosine transform of x, the final
 // MFCC step; returns the first nCoeffs coefficients.
 func DCTII(x []float64, nCoeffs int) []float64 {
-	n := len(x)
-	if nCoeffs > n {
-		nCoeffs = n
-	}
-	out := make([]float64, nCoeffs)
-	for k := 0; k < nCoeffs; k++ {
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += x[i] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		out[k] = s
-	}
-	return out
+	d := NewDCT(len(x), nCoeffs)
+	return d.Into(make([]float64, d.Coeffs()), x)
 }
 
 // Mean returns the arithmetic mean of x (0 for empty input).

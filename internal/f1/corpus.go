@@ -514,17 +514,22 @@ func (c *Corpus) deriveObjects(cat *cobra.Catalog, video string) error {
 			}
 		}
 	}
-	stored := 0
-	for driver, ivs := range appearances {
+	// Store in name order: the rows of the appearances BAT, and with
+	// them a snapshot's bytes, must not follow map iteration order.
+	drivers := make([]string, 0, len(appearances))
+	for driver := range appearances {
+		drivers = append(drivers, driver)
+	}
+	sort.Strings(drivers)
+	for _, driver := range drivers {
 		if err := cat.PutObject(cobra.Object{
 			Video: video, Name: driver, Class: "driver",
-			Appearances: mergeIntervals(ivs),
+			Appearances: mergeIntervals(appearances[driver]),
 		}); err != nil {
 			return err
 		}
-		stored++
 	}
-	if stored == 0 {
+	if len(drivers) == 0 {
 		// Availability sentinel: no recognizable objects in this video.
 		return cat.PutObject(cobra.Object{Video: video, Name: "_none", Class: "none"})
 	}

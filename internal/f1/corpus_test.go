@@ -166,3 +166,47 @@ func TestCorpusAddRace(t *testing.T) {
 		t.Fatalf("videos = %v", cat.Videos())
 	}
 }
+
+// TestDeriveObjectsRowOrder checks that two fresh ingests of the same
+// caption events store the same appearances rows in the same order,
+// so that a catalog snapshot is reproducible byte for byte.
+func TestDeriveObjectsRowOrder(t *testing.T) {
+	cfg := DefaultExpConfig()
+	cfg.RaceDur = 60
+	rows := func() []string {
+		store := monet.NewStore()
+		cat := cobra.NewCatalog(store)
+		var evs []cobra.Event
+		for i, d := range synth.Drivers {
+			evs = append(evs, cobra.Event{
+				Video: "german-gp", Type: EventCaption, Confidence: 1,
+				Interval: cobra.Interval{Start: float64(10 * i), End: float64(10*i + 4)},
+				Attrs:    map[string]string{"word": d},
+			})
+		}
+		if err := cat.PutEvents("german-gp", evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewCorpus(cfg).deriveObjects(cat, "german-gp"); err != nil {
+			t.Fatal(err)
+		}
+		b, err := store.Get("cobra/object/german-gp/appearances")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, b.Head(i).Str()+"="+b.Tail(i).Str())
+		}
+		return out
+	}
+	first := rows()
+	if len(first) != len(synth.Drivers) {
+		t.Fatalf("%d appearance rows, want %d: %v", len(first), len(synth.Drivers), first)
+	}
+	for run := 0; run < 4; run++ {
+		if got := rows(); strings.Join(got, "\n") != strings.Join(first, "\n") {
+			t.Fatalf("ingest %d stored\n%v\nfirst stored\n%v", run+2, got, first)
+		}
+	}
+}

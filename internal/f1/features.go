@@ -236,7 +236,6 @@ type videoFold struct {
 	f         *Features
 	race      *synth.Race
 	shots     *video.ShotDetector
-	sem       video.SemaphoreTracker
 	dve       *video.DVEDetector
 	replay    *video.ReplayDetector
 	text      *vtext.Detector
@@ -251,7 +250,6 @@ func (v *videoFold) feed(from int, sums []frameSummary) {
 	for j := range sums {
 		i, s := from+j, &sums[j]
 		v.shots.Feed(s.hist)
-		v.sem.Feed(s.sem)
 		if s.sem.Present {
 			f.Semaphore[i] = clamp01(s.sem.Fill)
 		}

@@ -94,20 +94,27 @@ func (r *Race) renderSpeech(out []float64) {
 }
 
 // renderEngine adds car noise above 1 kHz, louder around passings and
-// after the start.
+// after the start. Its time only grows, so the covering event comes
+// from a forward cursor and each smooth-noise cell is hashed once.
 func (r *Race) renderEngine(out []float64) {
 	phases := [3]float64{}
 	freqs := [3]float64{engineCenterHz * 0.8, engineCenterHz, engineCenterHz * 1.3}
+	events := r.eventCursor()
+	level := noiseTrack{seed: r.Seed + 1, rate: 0.4}
+	var wobble [3]noiseTrack
+	for k := range wobble {
+		wobble[k] = noiseTrack{seed: r.Seed + 2 + int64(k), rate: 1.5}
+	}
 	for i := range out {
 		t := float64(i) / SampleRate
-		amp := 0.04 + 0.05*smoothNoise(r.Seed+1, t, 0.4)
-		if e, ok := r.eventAt(t); ok && (e.Type == EventPassing || e.Type == EventStart) {
+		amp := 0.04 + 0.05*level.at(t)
+		if e, ok := events.at(t); ok && (e.Type == EventPassing || e.Type == EventStart) {
 			amp *= 1.8
 		}
 		v := 0.0
 		for k := range freqs {
 			// Slight frequency wobble (engines revving).
-			f := freqs[k] * (1 + 0.04*smoothNoise(r.Seed+2+int64(k), t, 1.5))
+			f := freqs[k] * (1 + 0.04*wobble[k].at(t))
 			phases[k] += 2 * math.Pi * f / SampleRate
 			v += math.Sin(phases[k])
 		}

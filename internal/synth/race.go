@@ -418,6 +418,54 @@ func (r *Race) eventAt(t float64) (TrueEvent, bool) {
 	return TrueEvent{}, false
 }
 
+// eventCursor answers eventAt for a non-decreasing sequence of times
+// without scanning every event per call.
+type eventCursor struct {
+	events []indexedEvent // the non-replay events, stably sorted by Start
+	lo     int            // events[:lo] have ended
+	next   int            // events[next:] have not started
+}
+
+// indexedEvent is an event with its position in Race.Events.
+type indexedEvent struct {
+	TrueEvent
+	idx int
+}
+
+// eventCursor returns a cursor over r's non-replay events.
+func (r *Race) eventCursor() *eventCursor {
+	c := &eventCursor{}
+	for i, e := range r.Events {
+		if e.Type != EventReplay {
+			c.events = append(c.events, indexedEvent{e, i})
+		}
+	}
+	sort.SliceStable(c.events, func(i, j int) bool { return c.events[i].Start < c.events[j].Start })
+	return c
+}
+
+// at returns eventAt(t); t must not be less than the previous call's.
+// Of the events that have started and not ended it returns the one
+// first in Race.Events, as eventAt does.
+func (c *eventCursor) at(t float64) (TrueEvent, bool) {
+	for c.next < len(c.events) && c.events[c.next].Start <= t {
+		c.next++
+	}
+	for c.lo < c.next && c.events[c.lo].End <= t {
+		c.lo++
+	}
+	best := -1
+	for i := c.lo; i < c.next; i++ {
+		if e := &c.events[i]; t < e.End && (best < 0 || e.idx < c.events[best].idx) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return TrueEvent{}, false
+	}
+	return c.events[best].TrueEvent, true
+}
+
 // replayAt returns the replay covering time t.
 func (r *Race) replayAt(t float64) (TrueEvent, bool) {
 	for _, e := range r.Events {
@@ -451,12 +499,29 @@ func hash01(seed int64, ks ...int64) float64 {
 
 // smoothNoise is low-frequency deterministic noise over time.
 func smoothNoise(seed int64, t, rate float64) float64 {
-	x := t * rate
+	n := noiseTrack{seed: seed, rate: rate}
+	return n.at(t)
+}
+
+// noiseTrack evaluates smoothNoise(seed, t, rate) along a track of
+// times, hashing the two ends of a noise cell once while t stays in it.
+type noiseTrack struct {
+	seed   int64
+	rate   float64
+	cell   int64 // the cell a and b belong to, once hashed
+	hashed bool
+	a, b   float64
+}
+
+func (n *noiseTrack) at(t float64) float64 {
+	x := t * n.rate
 	i := math.Floor(x)
 	f := x - i
-	a := hash01(seed, int64(i))
-	b := hash01(seed, int64(i)+1)
+	if c := int64(i); !n.hashed || c != n.cell {
+		n.cell, n.hashed = c, true
+		n.a, n.b = hash01(n.seed, c), hash01(n.seed, c+1)
+	}
 	// Cosine interpolation.
 	w := (1 - math.Cos(math.Pi*f)) / 2
-	return a*(1-w) + b*w
+	return n.a*(1-w) + n.b*w
 }

@@ -65,17 +65,12 @@ func (r *Race) sourceOf(rep TrueEvent) TrueEvent {
 // wipe composites left-to-right from a to b at progress p into dst.
 // dst may alias a or b.
 func wipe(dst, a, b *video.Frame, p float64) {
-	split := int(p * float64(dst.W))
+	split := 3 * min(max(int(p*float64(dst.W)), 0), dst.W)
+	stride := 3 * dst.W
 	for y := 0; y < dst.H; y++ {
-		for x := 0; x < dst.W; x++ {
-			var rr, gg, bb byte
-			if x < split {
-				rr, gg, bb = b.At(x, y)
-			} else {
-				rr, gg, bb = a.At(x, y)
-			}
-			dst.Set(x, y, rr, gg, bb)
-		}
+		row := y * stride
+		copy(dst.Pix[row:row+split], b.Pix[row:row+split])
+		copy(dst.Pix[row+split:row+stride], a.Pix[row+split:row+stride])
 	}
 }
 
@@ -331,21 +326,54 @@ func (r *Race) renderCaption(f *video.Frame, t float64) {
 	}
 }
 
+// Sensor noise is a 64-bit LCG, one step per byte. lcgMul4 and lcgAdd4
+// advance it four steps at once: s ↦ a⁴·s + c·(a³+a²+a+1) mod 2⁶⁴.
+const (
+	lcgMul  = 2862933555777941757
+	lcgAdd  = 3037000493
+	lcgMul4 = lcgMul * lcgMul * lcgMul * lcgMul % (1 << 64)
+	lcgAdd4 = lcgAdd * (lcgMul*lcgMul*lcgMul + lcgMul*lcgMul + lcgMul + 1) % (1 << 64)
+)
+
+// noiseLUT[q][v] is byte v plus the noise step of an LCG state whose
+// top four bits are q, saturated: v + (q-8)/2 clamped to [0, 255].
+var noiseLUT = func() (lut [16][256]byte) {
+	for q := range lut {
+		for v := range lut[q] {
+			lut[q][v] = byte(min(max(v+(q-8)/2, 0), 255))
+		}
+	}
+	return lut
+}()
+
 // addPixelNoise adds mild sensor noise so histograms and block
-// matching see realistic textures.
+// matching see realistic textures. Byte i takes the noise of the
+// generator's (i+1)-th state; four interleaved lanes, each jumping four
+// states per step, produce the same states as one serial generator.
 func (r *Race) addPixelNoise(f *video.Frame, t float64) {
 	frameNo := int64(t * FPS)
 	state := uint64(r.Seed+frameNo) * 0x9e3779b97f4a7c15
-	for i := range f.Pix {
-		state = state*2862933555777941757 + 3037000493
-		d := int(state>>60) - 8 // [-8, 7]
-		v := int(f.Pix[i]) + d/2
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		f.Pix[i] = byte(v)
+	var lane [4]uint64
+	for k := range lane {
+		state = state*lcgMul + lcgAdd
+		lane[k] = state
+	}
+	s0, s1, s2, s3 := lane[0], lane[1], lane[2], lane[3]
+	pix := f.Pix
+	i := 0
+	for ; i+4 <= len(pix); i += 4 {
+		p := pix[i : i+4 : i+4]
+		p[0] = noiseLUT[s0>>60][p[0]]
+		p[1] = noiseLUT[s1>>60][p[1]]
+		p[2] = noiseLUT[s2>>60][p[2]]
+		p[3] = noiseLUT[s3>>60][p[3]]
+		s0 = s0*lcgMul4 + lcgAdd4
+		s1 = s1*lcgMul4 + lcgAdd4
+		s2 = s2*lcgMul4 + lcgAdd4
+		s3 = s3*lcgMul4 + lcgAdd4
+	}
+	lane = [4]uint64{s0, s1, s2, s3}
+	for k, v := range pix[i:] {
+		pix[i+k] = noiseLUT[lane[k]>>60][v]
 	}
 }

@@ -15,9 +15,13 @@ type SemaphoreFeature struct {
 
 // isRed reports whether a pixel passes the red-component filter the
 // paper uses for the semaphore ("filtering the red component of the
-// RGB color representation").
+// RGB color representation"): r > 150, r > 2g and r > 2b.
 func isRed(r, g, b byte) bool {
-	return r > 150 && int(r) > int(g)*2 && int(r) > int(b)*2
+	ri, gi, bi := int(r), int(g), int(b)
+	// Each test holds iff its difference is negative; the AND of the
+	// differences is negative iff all three are. No branch to mispredict
+	// on noisy pixels near a threshold.
+	return (150-ri)&(2*gi-ri)&(2*bi-ri) < 0
 }
 
 // DetectSemaphore scans the upper part of the frame for a compact red
@@ -31,23 +35,14 @@ func DetectSemaphore(f *Frame) SemaphoreFeature {
 	// third of the picture qualifies, which keeps red cars on the track
 	// from mimicking it.
 	for y := 0; y < f.H/3; y++ {
+		row := f.Pix[3*y*f.W : 3*(y+1)*f.W]
 		for x := 0; x < f.W; x++ {
-			r, g, b := f.At(x, y)
-			if isRed(r, g, b) {
-				count++
-				if x < minX {
-					minX = x
-				}
-				if x > maxX {
-					maxX = x
-				}
-				if y < minY {
-					minY = y
-				}
-				if y > maxY {
-					maxY = y
-				}
+			if !isRed(row[3*x], row[3*x+1], row[3*x+2]) {
+				continue
 			}
+			count++
+			minX, maxX = min(minX, x), max(maxX, x)
+			minY, maxY = min(minY, y), max(maxY, y)
 		}
 	}
 	if maxX < 0 {
@@ -106,22 +101,26 @@ type SandDustFeature struct {
 	DustFraction float64
 }
 
-// isSand matches the yellowish-brown of gravel traps.
+// isSand matches the yellowish-brown of gravel traps: 140 < r < 240,
+// r·6/10 < g < r·95/100 and b < g·8/10 with Go's truncating integer
+// division. For a non-negative integer v, v > ⌊y⌋ ⇔ v > y and
+// v < ⌊y⌋ ⇔ v+1 ≤ y, so the tests multiply instead of divide.
 func isSand(r, g, b byte) bool {
-	return r > 140 && r < 240 &&
-		int(g) > int(r)*6/10 && int(g) < int(r)*95/100 &&
-		int(b) < int(g)*8/10
+	ri, gi, bi := int(r), int(g), int(b)
+	return ri > 140 && ri < 240 &&
+		10*gi > 6*ri && 100*(gi+1) <= 95*ri &&
+		10*(bi+1) <= 8*gi
 }
 
-// isDust matches the brighter gray-brown of a dust cloud.
+// isDust matches the brighter gray-brown of a dust cloud: a mean
+// (r+g+b)/3 in [120, 230], that is a sum in [360, 692], and a
+// near-neutral color with a warm cast, 0 ≤ r-g < 30 and 0 < g-b < 60.
 func isDust(r, g, b byte) bool {
 	ri, gi, bi := int(r), int(g), int(b)
-	avg := (ri + gi + bi) / 3
-	if avg < 120 || avg > 230 {
+	if sum := ri + gi + bi; sum < 360 || sum > 692 {
 		return false
 	}
-	// Near-neutral with a warm cast.
-	return abs(ri-gi) < 30 && gi > bi && gi-bi < 60 && ri >= gi
+	return uint(ri-gi) < 30 && uint(gi-bi-1) < 59
 }
 
 func abs(x int) int {
@@ -136,11 +135,16 @@ func abs(x int) int {
 func DetectSandDust(f *Frame) SandDustFeature {
 	sand, dust := 0, 0
 	n := f.W * f.H
-	for i := 0; i < len(f.Pix); i += 3 {
-		r, g, b := f.Pix[i], f.Pix[i+1], f.Pix[i+2]
-		if isSand(r, g, b) {
+	for i := 0; i+3 <= len(f.Pix); i += 3 {
+		p := f.Pix[i : i+3 : i+3]
+		// Neither filter passes r < 120: sand needs r > 140, and dust
+		// needs r ≥ g > b with r+g+b ≥ 360. Most of a frame stops here.
+		if p[0] < 120 {
+			continue
+		}
+		if isSand(p[0], p[1], p[2]) {
 			sand++
-		} else if isDust(r, g, b) {
+		} else if isDust(p[0], p[1], p[2]) {
 			dust++
 		}
 	}

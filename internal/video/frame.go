@@ -37,30 +37,34 @@ func (f *Frame) Set(x, y int, r, g, b byte) {
 
 // Fill sets every pixel to the given color.
 func (f *Frame) Fill(r, g, b byte) {
-	for i := 0; i < len(f.Pix); i += 3 {
-		f.Pix[i], f.Pix[i+1], f.Pix[i+2] = r, g, b
-	}
+	fillPattern(f.Pix, r, g, b)
 }
 
 // FillRect fills the axis-aligned rectangle [x0,x1)x[y0,y1), clipped to
-// the frame.
+// the frame: its first row is patterned, the others are copies of it.
 func (f *Frame) FillRect(x0, y0, x1, y1 int, r, g, b byte) {
-	if x0 < 0 {
-		x0 = 0
+	x0, y0 = max(x0, 0), max(y0, 0)
+	x1, y1 = min(x1, f.W), min(y1, f.H)
+	if x0 >= x1 || y0 >= y1 {
+		return
 	}
-	if y0 < 0 {
-		y0 = 0
+	stride := 3 * f.W
+	first := f.Pix[y0*stride+3*x0 : y0*stride+3*x1]
+	fillPattern(first, r, g, b)
+	for y := y0 + 1; y < y1; y++ {
+		copy(f.Pix[y*stride+3*x0:], first)
 	}
-	if x1 > f.W {
-		x1 = f.W
+}
+
+// fillPattern writes the pixel (r, g, b) over pix, a whole number of
+// pixels, doubling the filled prefix with each copy.
+func fillPattern(pix []byte, r, g, b byte) {
+	if len(pix) < 3 {
+		return
 	}
-	if y1 > f.H {
-		y1 = f.H
-	}
-	for y := y0; y < y1; y++ {
-		for x := x0; x < x1; x++ {
-			f.Set(x, y, r, g, b)
-		}
+	pix[0], pix[1], pix[2] = r, g, b
+	for n := 3; n < len(pix); n *= 2 {
+		copy(pix[n:], pix[:n])
 	}
 }
 

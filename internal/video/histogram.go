@@ -9,22 +9,39 @@ const histBins = 8
 // channel (512 cells).
 type Histogram [histBins * histBins * histBins]float64
 
-// ColorHistogram computes the frame's normalized color histogram.
+// ColorHistogram computes the frame's normalized color histogram. It
+// counts in integers, alternating between two tables so that runs of
+// one color do not serialize on a single counter, and converts each
+// count once: an integer count is what the float increments summed to,
+// exactly, so the result is the same bit for bit.
 func ColorHistogram(f *Frame) *Histogram {
-	var h Histogram
-	n := f.W * f.H
-	for i := 0; i < len(f.Pix); i += 3 {
-		r := int(f.Pix[i]) * histBins / 256
-		g := int(f.Pix[i+1]) * histBins / 256
-		b := int(f.Pix[i+2]) * histBins / 256
-		h[(r*histBins+g)*histBins+b]++
+	var counts [2][len(Histogram{})]uint32
+	pix := f.Pix
+	i := 0
+	for ; i+6 <= len(pix); i += 6 {
+		p := pix[i : i+6 : i+6]
+		counts[0][histCell(p[0], p[1], p[2])]++
+		counts[1][histCell(p[3], p[4], p[5])]++
 	}
-	inv := 1 / float64(n)
-	for i := range h {
-		h[i] *= inv
+	if i+3 <= len(pix) {
+		counts[0][histCell(pix[i], pix[i+1], pix[i+2])]++
+	}
+	var h Histogram
+	inv := 1 / float64(f.W*f.H)
+	for c := range h {
+		h[c] = float64(counts[0][c]+counts[1][c]) * inv
 	}
 	return &h
 }
+
+// histCell returns the histogram cell of a pixel: the top three bits of
+// each channel, that is int(v)*histBins/256.
+func histCell(r, g, b byte) int {
+	return int(r>>5)<<6 | int(g>>5)<<3 | int(b>>5)
+}
+
+// histCell assumes eight bins a channel: this fails to compile otherwise.
+var _ = [1]struct{}{}[histBins-8]
 
 // Diff returns the L1 distance between two histograms, in [0, 2].
 func (h *Histogram) Diff(other *Histogram) float64 {

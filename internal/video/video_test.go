@@ -372,9 +372,10 @@ func TestMotionGrayMatchesToGrayDownsample(t *testing.T) {
 	}
 }
 
-// TestBlockSADMatchesNaive checks block matching's in-bounds fast path
+// TestBlockSADMatchesNaive checks block matching's word-at-a-time path
 // against a per-pixel reference for every block and every shift of a
-// search radius of 3, edges included.
+// search radius of 9, edges included: past the block edge of 8 a shift
+// leaves the image entirely.
 func TestBlockSADMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	gray := func() *Gray {
@@ -403,8 +404,8 @@ func TestBlockSADMatchesNaive(t *testing.T) {
 	}
 	for y0 := 0; y0+motionBlock <= a.H; y0 += motionBlock {
 		for x0 := 0; x0+motionBlock <= a.W; x0 += motionBlock {
-			for dy := -3; dy <= 3; dy++ {
-				for dx := -3; dx <= 3; dx++ {
+			for dy := -9; dy <= 9; dy++ {
+				for dx := -9; dx <= 9; dx++ {
 					if got, want := blockSAD(a, b, x0, y0, dx, dy), naive(x0, y0, dx, dy); got != want {
 						t.Fatalf("block (%d,%d) shift (%d,%d): %v, want %v", x0, y0, dx, dy, got, want)
 					}
