@@ -174,65 +174,96 @@ func (a *Analyzer) FramesPerClip() int {
 	return int(math.Round(a.cfg.ClipDur / a.cfg.FrameDur))
 }
 
-// AnalyzeFrames computes per-frame features for the whole signal.
+// frameScratch holds one goroutine's per-frame buffers: the spectrum,
+// mel energies, cepstrum and autocorrelation of a frame.
+type frameScratch struct {
+	re, im, power, melE, cc, ac []float64
+}
+
+func (a *Analyzer) newFrameScratch() *frameScratch {
+	return &frameScratch{
+		re:    make([]float64, a.nfft),
+		im:    make([]float64, a.nfft),
+		power: make([]float64, a.nfft/2+1),
+		melE:  make([]float64, 2*a.cfg.NumMFCC),
+		cc:    make([]float64, a.dct.Coeffs()),
+		ac:    make([]float64, a.maxLag+1),
+	}
+}
+
+// clipScratch holds one goroutine's per-clip buffers: a clip's series
+// and its voiced pitches.
+type clipScratch struct {
+	steLow, steMid, mfcc, pitches []float64
+}
+
+func (a *Analyzer) newClipScratch() *clipScratch {
+	fpc := a.FramesPerClip()
+	return &clipScratch{
+		steLow:  make([]float64, fpc),
+		steMid:  make([]float64, fpc),
+		mfcc:    make([]float64, fpc),
+		pitches: make([]float64, 0, fpc),
+	}
+}
+
+// windowOf returns the analysis window of frame f of samples: winLen
+// samples from the frame's start, cut at the end of samples.
+func (a *Analyzer) windowOf(samples []float64, f int) []float64 {
+	start := f * a.frameLen
+	return samples[start:min(start+a.winLen, len(samples))]
+}
+
+// measure fills every field of ff but Pitch from the frame's analysis
+// window.
+func (a *Analyzer) measure(ff *FrameFeatures, win []float64, s *frameScratch) {
+	// Full-band energy for the silence decision.
+	ff.Silent = dsp.Energy(win) < a.cfg.SilenceEnergy
+
+	// Windowed power spectrum.
+	re, im := s.re, s.im
+	for i := range re {
+		re[i], im[i] = 0, 0
+	}
+	for i, v := range win {
+		re[i] = v * a.window[i]
+	}
+	dsp.FFT(re, im)
+	// Sub-band energies. Normalizing by window length keeps the
+	// scale comparable to time-domain STE.
+	lowHi := int(882 / a.binHz)
+	midHi := int(2205 / a.binHz)
+	var low, mid float64
+	for b := range s.power {
+		p := (re[b]*re[b] + im[b]*im[b]) / float64(a.nfft)
+		s.power[b] = p
+		if b <= lowHi {
+			low += p
+		} else if b <= midHi {
+			mid += p
+		}
+	}
+	norm := float64(len(win))
+	ff.STELow = low / norm
+	ff.STEMid = mid / norm
+
+	// MFCCs from the mel filterbank over the low band.
+	a.mel.ApplyInto(s.melE, s.power)
+	a.dct.Into(s.cc, s.melE)
+	ff.MFCC3 = s.cc[0] + s.cc[1] + s.cc[2]
+}
+
+// AnalyzeFrames computes per-frame features for the whole signal,
+// pitch included on every non-silent frame.
 func (a *Analyzer) AnalyzeFrames(samples []float64) []FrameFeatures {
-	nFrames := len(samples) / a.frameLen
-	out := make([]FrameFeatures, nFrames)
-	re := make([]float64, a.nfft)
-	im := make([]float64, a.nfft)
-	half := a.nfft / 2
-	power := make([]float64, half+1)
-	melE := make([]float64, 2*a.cfg.NumMFCC)
-	cc := make([]float64, a.dct.Coeffs())
-	ac := make([]float64, a.maxLag+1)
-	for f := 0; f < nFrames; f++ {
-		start := f * a.frameLen
-		end := start + a.winLen
-		if end > len(samples) {
-			end = len(samples)
-		}
-		win := samples[start:end]
-
-		// Full-band energy for the silence decision.
-		e := dsp.Energy(win)
-		ff := &out[f]
-		ff.Silent = e < a.cfg.SilenceEnergy
-
-		// Windowed power spectrum.
-		for i := range re {
-			re[i], im[i] = 0, 0
-		}
-		for i, v := range win {
-			re[i] = v * a.window[i]
-		}
-		dsp.FFT(re, im)
-		// Sub-band energies. Normalizing by window length keeps the
-		// scale comparable to time-domain STE.
-		lowHi := int(882 / a.binHz)
-		midHi := int(2205 / a.binHz)
-		var low, mid, full float64
-		for b := 0; b <= half; b++ {
-			p := (re[b]*re[b] + im[b]*im[b]) / float64(a.nfft)
-			power[b] = p
-			full += p
-			if b <= lowHi {
-				low += p
-			} else if b <= midHi {
-				mid += p
-			}
-		}
-		norm := float64(len(win))
-		ff.STELow = low / norm
-		ff.STEMid = mid / norm
-
-		// MFCCs from the mel filterbank over the low band.
-		a.mel.ApplyInto(melE, power)
-		a.dct.Into(cc, melE)
-		ff.MFCC3 = cc[0] + cc[1] + cc[2]
-
+	out := make([]FrameFeatures, len(samples)/a.frameLen)
+	s := a.newFrameScratch()
+	for f := range out {
+		win := a.windowOf(samples, f)
+		a.measure(&out[f], win, s)
 		// Pitch by autocorrelation over voiced-plausible lags.
-		if !ff.Silent {
-			ff.Pitch = a.pitch(win, ac)
+		if !out[f].Silent {
+			out[f].Pitch = a.pitch(win, s.ac)
 		}
 	}
 	return out
@@ -274,68 +305,121 @@ func (a *Analyzer) pitch(win, ac []float64) float64 {
 	return a.cfg.SampleRate / float64(bestLag)
 }
 
+// ClipLen returns the number of samples per clip.
+func (a *Analyzer) ClipLen() int { return a.FramesPerClip() * a.frameLen }
+
+// SpanOverlap returns how many samples past its last clip a span's
+// analysis reads: the last frame's window reaches that far into the
+// next clip.
+func (a *Analyzer) SpanOverlap() int { return max(a.winLen-a.frameLen, 0) }
+
+// NumClips returns the number of whole clips in a signal of n samples.
+func (a *Analyzer) NumClips(n int) int { return n / a.frameLen / a.FramesPerClip() }
+
 // Analyze computes clip features for the whole signal, running the
-// speech endpoint decision per clip.
+// speech endpoint decision per clip; it is one span of AnalyzeSpan.
 func (a *Analyzer) Analyze(samples []float64) []ClipFeatures {
-	frames := a.AnalyzeFrames(samples)
-	return a.Clips(frames)
+	out := make([]ClipFeatures, a.NumClips(len(samples)))
+	a.AnalyzeSpan(out, 0, samples)
+	return out
+}
+
+// AnalyzeSpan computes clips first, first+1, ..., first+len(dst)-1 of
+// a signal into dst. samples holds the signal from the first clip's
+// first sample through SpanOverlap samples past the last clip, or to
+// the signal's end if that comes sooner, so a long signal can be
+// analysed span by span, in any order and side by side, with the
+// whole-signal results.
+//
+// Excited-speech features are computed on speech segments only (§5.2),
+// and the speech decision reads the energies and cepstra alone, so
+// pitch is estimated only on the frames of clips the endpoint detector
+// accepts: a non-speech clip's pitch statistics are zero.
+func (a *Analyzer) AnalyzeSpan(dst []ClipFeatures, first int, samples []float64) {
+	fpc := a.FramesPerClip()
+	frames := make([]FrameFeatures, len(dst)*fpc)
+	fs, cs := a.newFrameScratch(), a.newClipScratch()
+	for f := range frames {
+		a.measure(&frames[f], a.windowOf(samples, f), fs)
+	}
+	for c := range dst {
+		cf := &dst[c]
+		chunk := frames[c*fpc : (c+1)*fpc]
+		a.clip(cf, first+c, chunk, cs)
+		if !cf.Speech {
+			continue
+		}
+		for i := range chunk {
+			if !chunk[i].Silent {
+				chunk[i].Pitch = a.pitch(a.windowOf(samples, c*fpc+i), fs.ac)
+			}
+		}
+		pitchStats(cf, chunk, cs)
+	}
 }
 
 // Clips aggregates per-frame features into per-clip statistics.
 func (a *Analyzer) Clips(frames []FrameFeatures) []ClipFeatures {
 	fpc := a.FramesPerClip()
-	nClips := len(frames) / fpc
-	out := make([]ClipFeatures, nClips)
-	// Per-clip scratch, reused clip to clip.
-	steLow := make([]float64, fpc)
-	steMid := make([]float64, fpc)
-	mfcc := make([]float64, fpc)
-	pitches := make([]float64, 0, fpc)
-	for c := 0; c < nClips; c++ {
+	out := make([]ClipFeatures, len(frames)/fpc)
+	s := a.newClipScratch()
+	for c := range out {
 		chunk := frames[c*fpc : (c+1)*fpc]
-		cf := &out[c]
-		cf.Time = float64(c) * a.cfg.ClipDur
-
-		pitches = pitches[:0]
-		silent := 0
-		for i, fr := range chunk {
-			steLow[i] = fr.STELow
-			steMid[i] = fr.STEMid
-			mfcc[i] = fr.MFCC3
-			if fr.Silent {
-				silent++
-			}
-			if fr.Pitch > 0 {
-				pitches = append(pitches, fr.Pitch)
-			}
-		}
-		cf.PauseRate = float64(silent) / float64(len(chunk))
-		cf.STELowAvg = dsp.Mean(steLow)
-		cf.STELowMax = dsp.Max(steLow)
-		cf.STELowDyn = dsp.DynamicRange(steLow)
-		cf.STEAvg = dsp.Mean(steMid)
-		cf.STEMax = dsp.Max(steMid)
-		cf.STEDyn = dsp.DynamicRange(steMid)
-		cf.MFCCAvg = dsp.Mean(mfcc)
-		cf.MFCCMax = dsp.Max(mfcc)
-		cf.MFCCDyn = dsp.DynamicRange(mfcc)
-		if len(pitches) > 0 {
-			cf.PitchAvg = dsp.Mean(pitches)
-			cf.PitchMax = dsp.Max(pitches)
-			cf.PitchDyn = dsp.DynamicRange(pitches)
-		}
-
-		// Speech endpoint decision (§5.2): a weighted sum of the
-		// average, maximum and dynamic range of low-band STE against
-		// 2.2e-3, and a low-band cepstral score against 1.3. The
-		// cepstral statistic is affinely rescaled so that the paper's
-		// threshold separates low-band-dominated speech from engine and
-		// background noise under this implementation's mel floor.
-		steScore := 1.0*cf.STELowAvg + 0.5*cf.STELowMax + 0.3*cf.STELowDyn
-		mfccScore := (cf.MFCCAvg + 280) / 60
-		cf.Speech = steScore > a.cfg.EndpointSTE && mfccScore > a.cfg.EndpointMFCC
+		a.clip(&out[c], c, chunk, s)
+		pitchStats(&out[c], chunk, s)
 	}
 	return out
+}
+
+// clip fills every statistic of clip c but pitch from its frames, and
+// runs the speech endpoint decision.
+func (a *Analyzer) clip(cf *ClipFeatures, c int, chunk []FrameFeatures, s *clipScratch) {
+	cf.Time = float64(c) * a.cfg.ClipDur
+	steLow, steMid, mfcc := s.steLow, s.steMid, s.mfcc
+	silent := 0
+	for i, fr := range chunk {
+		steLow[i] = fr.STELow
+		steMid[i] = fr.STEMid
+		mfcc[i] = fr.MFCC3
+		if fr.Silent {
+			silent++
+		}
+	}
+	cf.PauseRate = float64(silent) / float64(len(chunk))
+	cf.STELowAvg = dsp.Mean(steLow)
+	cf.STELowMax = dsp.Max(steLow)
+	cf.STELowDyn = dsp.DynamicRange(steLow)
+	cf.STEAvg = dsp.Mean(steMid)
+	cf.STEMax = dsp.Max(steMid)
+	cf.STEDyn = dsp.DynamicRange(steMid)
+	cf.MFCCAvg = dsp.Mean(mfcc)
+	cf.MFCCMax = dsp.Max(mfcc)
+	cf.MFCCDyn = dsp.DynamicRange(mfcc)
+
+	// Speech endpoint decision (§5.2): a weighted sum of the
+	// average, maximum and dynamic range of low-band STE against
+	// 2.2e-3, and a low-band cepstral score against 1.3. The
+	// cepstral statistic is affinely rescaled so that the paper's
+	// threshold separates low-band-dominated speech from engine and
+	// background noise under this implementation's mel floor.
+	steScore := 1.0*cf.STELowAvg + 0.5*cf.STELowMax + 0.3*cf.STELowDyn
+	mfccScore := (cf.MFCCAvg + 280) / 60
+	cf.Speech = steScore > a.cfg.EndpointSTE && mfccScore > a.cfg.EndpointMFCC
+}
+
+// pitchStats fills the clip's pitch statistics from its voiced frames.
+func pitchStats(cf *ClipFeatures, chunk []FrameFeatures, s *clipScratch) {
+	pitches := s.pitches[:0]
+	for _, fr := range chunk {
+		if fr.Pitch > 0 {
+			pitches = append(pitches, fr.Pitch)
+		}
+	}
+	if len(pitches) > 0 {
+		cf.PitchAvg = dsp.Mean(pitches)
+		cf.PitchMax = dsp.Max(pitches)
+		cf.PitchDyn = dsp.DynamicRange(pitches)
+	}
 }
 
 // SpeechSegments merges consecutive speech clips into [start, end)

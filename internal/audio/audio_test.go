@@ -270,3 +270,56 @@ func BenchmarkAnalyzeFrames1s(b *testing.B) {
 		benchFrames = a.AnalyzeFrames(samples)
 	}
 }
+
+// TestAnalyzeSpanMatchesWholeSignal cuts a signal that is not a whole
+// number of clips into spans of one clip, a prime number of clips and
+// all clips: every span's clips must equal what the frame-level path
+// (pitch on every frame, then Clips) gives for the whole signal: the
+// same clip on speech clips, and zero pitch statistics elsewhere.
+func TestAnalyzeSpanMatchesWholeSignal(t *testing.T) {
+	a := newTestAnalyzer(t)
+	rng := rand.New(rand.NewSource(7))
+	var sig []float64
+	sig = append(sig, synthVoiced(22050, 0.73, 150, 0.3, rng)...)
+	sig = append(sig, synthEngine(22050, 0.61, 0.02, rng)...)
+	sig = append(sig, make([]float64, 3001)...)
+	sig = append(sig, synthVoiced(22050, 0.87, 230, 0.4, rng)...)
+	want := a.Clips(a.AnalyzeFrames(sig))
+	if len(sig)%a.ClipLen() == 0 || len(want) != a.NumClips(len(sig)) {
+		t.Fatalf("%d samples, %d clips: want a partial last clip", len(sig), len(want))
+	}
+	speech, voiced := 0, 0
+	for i, w := range want {
+		if !w.Speech {
+			w.PitchAvg, w.PitchMax, w.PitchDyn = 0, 0, 0
+			want[i] = w
+			continue
+		}
+		speech++
+		if w.PitchAvg > 0 {
+			voiced++
+		}
+	}
+	if speech == 0 || speech == len(want) || voiced == 0 {
+		t.Fatalf("%d speech clips (%d voiced) of %d: want both kinds", speech, voiced, len(want))
+	}
+	for _, span := range []int{1, 7, len(want)} {
+		got := make([]ClipFeatures, len(want))
+		for c := 0; c < len(want); c += span {
+			n := min(span, len(want)-c)
+			from := c * a.ClipLen()
+			to := min((c+n)*a.ClipLen()+a.SpanOverlap(), len(sig))
+			a.AnalyzeSpan(got[c:c+n], c, sig[from:to])
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("span %d, clip %d: %+v, want %+v", span, i, got[i], want[i])
+			}
+		}
+	}
+	for i, c := range a.Analyze(sig) {
+		if c != want[i] {
+			t.Fatalf("Analyze clip %d: %+v, want %+v", i, c, want[i])
+		}
+	}
+}

@@ -26,6 +26,19 @@ var FeatureNames = []string{
 	"passing", "audioex",
 }
 
+// series returns f's feature streams in FeatureNames order: the i-th is
+// the stream named FeatureNames[i].
+func (f *Features) series() [][]float64 {
+	return [][]float64{
+		f.Keywords, f.PauseRate,
+		f.STEAvg, f.STEDyn, f.STEMax,
+		f.PitchAvg, f.PitchDyn, f.PitchMax,
+		f.MFCCAvg, f.MFCCMax,
+		f.PartOfRace, f.Replay, f.ColorDiff, f.Semaphore, f.Dust, f.Sand, f.Motion,
+		f.Passing, f.AudioExcitementScore(),
+	}
+}
+
 // Event types materialized by the extraction engines.
 const (
 	EventHighlight = "highlight"
@@ -298,18 +311,9 @@ func (c *Corpus) extractFeatures(cat *cobra.Catalog, video string) error {
 	if err != nil {
 		return err
 	}
-	series := map[string][]float64{
-		"keywords": f.Keywords, "pauserate": f.PauseRate,
-		"steavg": f.STEAvg, "stedyn": f.STEDyn, "stemax": f.STEMax,
-		"pitchavg": f.PitchAvg, "pitchdyn": f.PitchDyn, "pitchmax": f.PitchMax,
-		"mfccavg": f.MFCCAvg, "mfccmax": f.MFCCMax,
-		"partofrace": f.PartOfRace, "replay": f.Replay, "colordiff": f.ColorDiff,
-		"semaphore": f.Semaphore, "dust": f.Dust, "sand": f.Sand, "motion": f.Motion,
-		"passing": f.Passing, "audioex": f.AudioExcitementScore(),
-	}
-	for name, vals := range series {
+	for i, vals := range f.series() {
 		if err := cat.PutFeature(cobra.Feature{
-			Video: video, Name: name, SampleRate: 1 / ClipDur, Values: vals,
+			Video: video, Name: FeatureNames[i], SampleRate: 1 / ClipDur, Values: vals,
 		}); err != nil {
 			return err
 		}

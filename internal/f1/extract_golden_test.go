@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -217,5 +218,58 @@ func TestPrefetch(t *testing.T) {
 	}
 	if _, err := c.Prefetch([]string{"monaco-gp"}); err == nil {
 		t.Error("Prefetch of an unknown video succeeded")
+	}
+}
+
+// TestAudioPCMBounded checks that extraction streams the audio: what a
+// SkipVideo extraction allocates grows with the race far slower than
+// the race's PCM (8 B × 22 050 Hz a second), because only a few spans
+// of PCM are rendered at a time and their buffers are reused.
+func TestAudioPCMBounded(t *testing.T) {
+	allocated := func(dur float64) uint64 {
+		race := synth.GenerateRace(synth.GermanGP, dur, 3)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Extract(race, Options{Seed: 3, SkipVideo: true}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := allocated(20), allocated(80)
+	pcm := uint64(60 * synth.SampleRate * 8) // the 60 s between the two races
+	t.Logf("20 s race: %d B, 80 s race: %d B; 60 s of PCM is %d B", short, long, pcm)
+	if long-short > pcm/4 {
+		t.Fatalf("60 s more race allocate %d B more, over a quarter of its %d B of PCM", long-short, pcm)
+	}
+}
+
+// TestSeriesMatchFeatureNames checks the series table against the
+// field each name stands for.
+func TestSeriesMatchFeatureNames(t *testing.T) {
+	f := goldenCases[4].extract(t)
+	want := map[string][]float64{
+		"keywords": f.Keywords, "pauserate": f.PauseRate,
+		"steavg": f.STEAvg, "stedyn": f.STEDyn, "stemax": f.STEMax,
+		"pitchavg": f.PitchAvg, "pitchdyn": f.PitchDyn, "pitchmax": f.PitchMax,
+		"mfccavg": f.MFCCAvg, "mfccmax": f.MFCCMax,
+		"partofrace": f.PartOfRace, "replay": f.Replay, "colordiff": f.ColorDiff,
+		"semaphore": f.Semaphore, "dust": f.Dust, "sand": f.Sand, "motion": f.Motion,
+		"passing": f.Passing, "audioex": f.AudioExcitementScore(),
+	}
+	series := f.series()
+	if len(series) != len(FeatureNames) || len(want) != len(FeatureNames) {
+		t.Fatalf("%d series, %d names, %d fields", len(series), len(FeatureNames), len(want))
+	}
+	for i, name := range FeatureNames {
+		// Each series is its field itself, except the excitement score,
+		// which is computed afresh.
+		same := len(series[i]) == f.N && len(want[name]) == f.N && &series[i][0] == &want[name][0]
+		if name == "audioex" {
+			same = slices.Equal(series[i], want[name])
+		}
+		if !same {
+			t.Errorf("series %d is not %s", i, name)
+		}
 	}
 }

@@ -79,9 +79,10 @@ type Options struct {
 
 // Extract runs the full §5.2-5.4 pipeline over a simulated race. On a
 // pool wider than one worker the audio chain runs as a task on the
-// shared kernel pool beside the video chain: both only read the race
-// (rendering is pure in it) and they fill disjoint fields of the
-// result, so the output is the serial one bit for bit.
+// shared kernel pool beside the video chain, and both hand their pure
+// per-clip work to the pool too: they only read the race (rendering is
+// pure in it) and they fill disjoint fields of the result, so the
+// output is the serial one bit for bit.
 func Extract(race *synth.Race, opt Options) (*Features, error) {
 	n := int(race.Duration / ClipDur)
 	f := &Features{Race: race, N: n}
@@ -135,19 +136,77 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// audioSpan is the number of consecutive clips one pool task analyses.
+// It is a constant, so the spans do not depend on the pool width.
+const audioSpan = 32
+
+// extractAudio streams the race's audio: the renderer fills a block of
+// one span per worker, the block's spans are analysed on the pool while
+// the next block renders, and each span's clips go straight into their
+// feature series. Two blocks of PCM are alive at a time, the one being
+// analysed and the one being rendered, so the PCM in flight is
+// O(width × span), not O(race). A block starts with the window overlap
+// of the block before it, which the renderer has already passed. Width
+// 1 analyses inline, which is the serial case.
 func (f *Features) extractAudio(race *synth.Race) error {
 	an, err := audio.NewAnalyzer(audio.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	clips := an.Analyze(race.RenderAudio())
 	alloc := func() []float64 { return make([]float64, f.N) }
 	f.PauseRate, f.STEAvg, f.STEDyn, f.STEMax = alloc(), alloc(), alloc(), alloc()
 	f.PitchAvg, f.PitchDyn, f.PitchMax = alloc(), alloc(), alloc()
 	f.MFCCAvg, f.MFCCMax = alloc(), alloc()
 	f.Speech = make([]bool, f.N)
-	for i := 0; i < f.N && i < len(clips); i++ {
-		c := clips[i]
+
+	ren := synth.NewAudioRenderer(race)
+	clipLen, overlap := an.ClipLen(), an.SpanOverlap()
+	n := min(f.N, an.NumClips(ren.Samples())) // clips with audio features
+	pool := monet.DefaultPool()
+	parallel := pool.Workers() > 1
+	block := min(n, pool.Workers()*audioSpan)
+	bufs := [2][]float64{make([]float64, block*clipLen+overlap), make([]float64, block*clipLen+overlap)}
+	// analyse submits the spans of the block of m clips from clip from,
+	// whose PCM is buf.
+	analyse := func(from, m int, buf []float64) *monet.Batch {
+		b := pool.Batch()
+		for c := 0; c < m; c += audioSpan {
+			first, clips := from+c, min(audioSpan, m-c)
+			samples := buf[c*clipLen : min((c+clips)*clipLen+overlap, len(buf))]
+			task := func() { f.analyzeSpan(an, first, clips, samples) }
+			if parallel {
+				b.Submit(task)
+			} else {
+				task()
+			}
+		}
+		return b
+	}
+	var tail []float64 // the samples of the block before past its last clip
+	analysed := pool.Batch()
+	for k, from := 0, 0; from < n; k, from = k+1, from+block {
+		m, start := min(block, n-from), from*clipLen
+		end := min(start+m*clipLen+overlap, ren.Samples())
+		// The block two blocks back used this buffer; its analysis was
+		// waited for before the block before was rendered.
+		buf := bufs[k%2][:end-start]
+		ren.Render(buf[copy(buf, tail):])
+		before := analysed
+		analysed = analyse(from, m, buf)
+		before.Wait()
+		tail = buf[m*clipLen:]
+	}
+	analysed.Wait()
+	return nil
+}
+
+// analyzeSpan analyses clips first..first+clips-1 from their samples and
+// fills their feature series.
+func (f *Features) analyzeSpan(an *audio.Analyzer, first, clips int, samples []float64) {
+	cs := make([]audio.ClipFeatures, clips)
+	an.AnalyzeSpan(cs, first, samples)
+	for j, c := range cs {
+		i := first + j
 		f.Speech[i] = c.Speech
 		if !c.Speech {
 			// Excited-speech features are computed on speech segments
@@ -165,7 +224,6 @@ func (f *Features) extractAudio(race *synth.Race) error {
 		f.MFCCAvg[i] = normMFCC(c.MFCCAvg)
 		f.MFCCMax[i] = normMFCC(c.MFCCMax)
 	}
-	return nil
 }
 
 func (f *Features) extractKeywords(race *synth.Race, seed int64) {
@@ -202,17 +260,20 @@ type frameSummary struct {
 
 // mapClips fills out[j] with the summary of clip from+j. Rendering is
 // pure in the race, so a chunk re-renders the frame before it for its
-// first pair instead of waiting for the neighbouring chunk, and at most
-// two frames of a chunk are alive at once.
+// first pair instead of waiting for the neighbouring chunk. A chunk
+// renders into two frames, the pair's, which it recycles clip to clip.
 func mapClips(race *synth.Race, from int, out []frameSummary, withText bool) {
+	frames := [2]*video.Frame{video.NewFrame(synth.FrameW, synth.FrameH), video.NewFrame(synth.FrameW, synth.FrameH)}
 	var prev *video.Frame
 	var prevGray *video.Gray
 	if from > 0 {
-		prev = race.RenderFrame(float64(from-1) * ClipDur)
+		prev = frames[1]
+		race.RenderFrameInto(prev, float64(from-1)*ClipDur)
 		prevGray = video.MotionGray(prev)
 	}
 	for j := range out {
-		frame := race.RenderFrame(float64(from+j) * ClipDur)
+		frame := frames[j%2]
+		race.RenderFrameInto(frame, float64(from+j)*ClipDur)
 		gray := video.MotionGray(frame)
 		s := &out[j]
 		s.hist = video.ColorHistogram(frame)

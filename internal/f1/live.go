@@ -2,6 +2,7 @@ package f1
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cobra/internal/cobra"
@@ -28,10 +29,10 @@ type LiveIngestor struct {
 	video string
 	feed  *synth.Feed
 
-	series   map[string][]float64
-	names    []string // sorted series names, for deterministic appends
-	clips    int      // total clips in the full race
-	clipRows int      // clips appended so far
+	names    []string    // sorted series names, for deterministic appends
+	series   [][]float64 // series[i] is the stream named names[i]
+	clips    int         // total clips in the full race
+	clipRows int         // clips appended so far
 
 	committed float64 // watermark of the last committed chunk
 	err       error   // sticky: the feed is past the store, so no later Step may commit
@@ -54,20 +55,14 @@ func NewLiveIngestor(cat *cobra.Catalog, video string, race *synth.Race, seed in
 // callers that air one race into several stores (benchmarks, crash
 // tests) extract once.
 func NewLiveIngestorFrom(cat *cobra.Catalog, video string, f *Features) (*LiveIngestor, error) {
-	series := map[string][]float64{
-		"keywords": f.Keywords, "pauserate": f.PauseRate,
-		"steavg": f.STEAvg, "stedyn": f.STEDyn, "stemax": f.STEMax,
-		"pitchavg": f.PitchAvg, "pitchdyn": f.PitchDyn, "pitchmax": f.PitchMax,
-		"mfccavg": f.MFCCAvg, "mfccmax": f.MFCCMax,
-		"partofrace": f.PartOfRace, "replay": f.Replay, "colordiff": f.ColorDiff,
-		"semaphore": f.Semaphore, "dust": f.Dust, "sand": f.Sand, "motion": f.Motion,
-		"passing": f.Passing, "audioex": f.AudioExcitementScore(),
-	}
-	names := make([]string, 0, len(series))
-	for n := range series {
-		names = append(names, n)
-	}
+	// Series are appended in name order, so every tick's batch is the
+	// same sequence of puts.
+	names := slices.Clone(FeatureNames)
 	sort.Strings(names)
+	all, series := f.series(), make([][]float64, len(names))
+	for i, name := range names {
+		series[i] = all[slices.Index(FeatureNames, name)]
+	}
 	// Register at one clip of duration (the catalog requires a positive
 	// duration); the first Step moves the watermark to the aired time.
 	if err := cat.PutVideo(cobra.Video{Name: video, Duration: ClipDur, FPS: synth.FPS}); err != nil {
@@ -121,7 +116,7 @@ func (l *LiveIngestor) Step(dt float64) (watermark float64, err error) {
 	if n > l.clipRows {
 		chunk.Features = make([]cobra.FeatureSamples, len(l.names))
 		for i, name := range l.names {
-			chunk.Features[i] = cobra.FeatureSamples{Name: name, Rate: 1 / ClipDur, Values: l.series[name][l.clipRows:n]}
+			chunk.Features[i] = cobra.FeatureSamples{Name: name, Rate: 1 / ClipDur, Values: l.series[i][l.clipRows:n]}
 		}
 	}
 	for _, e := range ch.Events {

@@ -2,9 +2,11 @@ package synth
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
+	"cobra/internal/keyword"
 	"cobra/internal/video"
 )
 
@@ -130,7 +132,10 @@ func TestRenderEngineMatchesNaive(t *testing.T) {
 	for ri, r := range engineRaces() {
 		n := int(min(r.Duration, 6) * SampleRate)
 		got, want := make([]float64, n), make([]float64, n)
-		r.renderEngine(got)
+		e := newEngine(r)
+		for from := 0; from < n; from += 997 {
+			e.render(got[from:min(from+997, n)], from)
+		}
 		naiveRenderEngine(r, want)
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -138,6 +143,154 @@ func TestRenderEngineMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// renderAudioOracle is the whole-race renderer AudioRenderer replaced:
+// every utterance in turn over the whole buffer, then the engine, then
+// the crowd.
+func renderAudioOracle(r *Race) []float64 {
+	out := make([]float64, int(r.Duration*SampleRate))
+	for ui, u := range r.Utterances {
+		phones := keyword.PhoneSequence(u.Word)
+		dur := float64(len(phones)) / keyword.PhoneRate
+		if dur <= 0 {
+			continue
+		}
+		excited := r.excitedAt(u.Time)
+		pitch := basePitchHz * (0.9 + 0.2*hash01(r.Seed, int64(ui)))
+		amp := baseAmplitude * (0.75 + 0.5*hash01(r.Seed+11, int64(ui)))
+		if excited {
+			x := hash01(r.Seed+12, int64(ui))
+			pitch *= excitedPitchX * (0.78 + 0.3*x)
+			amp *= excitedAmpX * (0.8 + 0.3*x)
+		} else if smoothNoise(r.Seed+13, u.Time, 0.06) > 0.78 {
+			x := hash01(r.Seed+14, int64(ui))
+			pitch *= 1.45 + 0.25*x
+			amp *= 1.4 + 0.25*x
+		}
+		start := int(u.Time * SampleRate)
+		length := int(dur * SampleRate)
+		phase := 0.0
+		for i := 0; i < length; i++ {
+			idx := start + i
+			if idx < 0 || idx >= len(out) {
+				continue
+			}
+			t := float64(i) / SampleRate
+			f := pitch * (1 + 0.05*math.Sin(2*math.Pi*2.5*t+float64(ui)))
+			phase += 2 * math.Pi * f / SampleRate
+			damp := 0.55
+			if excited {
+				damp = 0.95
+			}
+			v := 0.0
+			hAmp := 1.0
+			for k := 1; k <= 8; k++ {
+				v += hAmp * math.Sin(float64(k)*phase)
+				hAmp *= damp / (1 + 0.12*float64(k))
+			}
+			env := 1.0
+			edge := 0.02 * SampleRate
+			if fi := float64(i); fi < edge {
+				env = fi / edge
+			} else if rem := float64(length - i); rem < edge {
+				env = rem / edge
+			}
+			out[idx] += amp * env * v / 2.75
+		}
+	}
+	naiveRenderEngine(r, out)
+	if level := r.Profile.CrowdNoise; level > 0 {
+		state := uint64(r.Seed)*2862933555777941757 + 3037000493
+		for i := range out {
+			state = state*2862933555777941757 + 3037000493
+			noise := float64(int64(state>>11))/(1<<52) - 1
+			out[i] += level * noise
+		}
+	}
+	return out
+}
+
+// spanRaces are short races of all three profiles whose length is not a
+// whole number of clips, with utterances added that straddle the race
+// end, start before the race, and overlap each other.
+func spanRaces() []*Race {
+	var races []*Race
+	for i, p := range []Profile{GermanGP, BelgianGP, USAGP} {
+		r := GenerateRace(p, 7.77, int64(40+i))
+		r.Utterances = append(r.Utterances,
+			keyword.SpokenWord{Word: "overtake", Time: r.Duration - 0.1},
+			keyword.SpokenWord{Word: "crash", Time: -0.05},
+			keyword.SpokenWord{Word: "fantastic", Time: 3.001},
+			keyword.SpokenWord{Word: "leader", Time: 3.002},
+		)
+		races = append(races, r)
+	}
+	return races
+}
+
+// renderSpans renders r through an AudioRenderer cut into spans of the
+// given lengths, cycled until the race ends.
+func renderSpans(t testing.TB, r *Race, spans []int) []float64 {
+	a := NewAudioRenderer(r)
+	out := make([]float64, a.Samples()+1)
+	pos := 0
+	for k := 0; pos < a.Samples(); k++ {
+		n := a.Render(out[pos:min(pos+spans[k%len(spans)], len(out))])
+		if n == 0 {
+			t.Fatalf("span %d rendered nothing at sample %d of %d", k, pos, a.Samples())
+		}
+		pos += n
+	}
+	if n := a.Render(out[pos:]); n != 0 {
+		t.Fatalf("rendered %d samples past the end", n)
+	}
+	return out[:pos]
+}
+
+func sameSamples(t testing.TB, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d samples, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sample %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestAudioRendererMatchesOracle(t *testing.T) {
+	for ri, r := range spanRaces() {
+		want := renderAudioOracle(r)
+		if len(want)%2200 == 0 {
+			t.Fatalf("race %d: %d samples, a whole number of clips", ri, len(want))
+		}
+		// One sample, a prime, one 0.1 s clip, the whole race, and a mix.
+		for _, spans := range [][]int{{1}, {7919}, {2200}, {len(want)}, {2421, 1, 3, 5000, 221}} {
+			t.Run(fmt.Sprintf("race%d/%v", ri, spans), func(t *testing.T) {
+				sameSamples(t, renderSpans(t, r, spans), want)
+			})
+		}
+	}
+}
+
+func FuzzAudioRendererSpans(f *testing.F) {
+	f.Add([]byte{1}, int64(3))
+	f.Add([]byte{200, 0, 17, 255, 3}, int64(-9))
+	r0 := GenerateRace(GermanGP, 1.37, 0)
+	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
+		if len(raw) == 0 || len(raw) > 64 {
+			return
+		}
+		r := GenerateRace([]Profile{GermanGP, BelgianGP, USAGP}[uint64(seed)%3], r0.Duration, seed)
+		// Byte b is a span of b*b+1 samples: 1 to 65 026.
+		spans := make([]int, len(raw))
+		for i, b := range raw {
+			spans[i] = int(b)*int(b) + 1
+		}
+		sameSamples(t, renderSpans(t, r, spans), renderAudioOracle(r))
+	})
 }
 
 func naiveWipe(dst, a, b *video.Frame, p float64) {
@@ -193,11 +346,15 @@ func BenchmarkRenderFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkRenderAudio10s renders the audio mix of a 10 s race.
+// BenchmarkRenderAudio10s renders the audio mix of a 10 s race in
+// spans of one 0.1 s clip, as extraction does.
 func BenchmarkRenderAudio10s(b *testing.B) {
 	r := GenerateRace(GermanGP, 10, 42)
+	benchPCM = make([]float64, 2200)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchPCM = r.RenderAudio()
+		a := NewAudioRenderer(r)
+		for a.Render(benchPCM) > 0 {
+		}
 	}
 }

@@ -514,14 +514,25 @@ type noiseTrack struct {
 }
 
 func (n *noiseTrack) at(t float64) float64 {
-	x := t * n.rate
+	c, w := noiseWeight(t, n.rate)
+	return n.mix(c, w)
+}
+
+// noiseWeight returns the smooth-noise cell that time t falls in at the
+// given rate, and t's cosine interpolation weight within it.
+func noiseWeight(t, rate float64) (cell int64, w float64) {
+	x := t * rate
 	i := math.Floor(x)
 	f := x - i
-	if c := int64(i); !n.hashed || c != n.cell {
+	return int64(i), (1 - math.Cos(math.Pi*f)) / 2
+}
+
+// mix interpolates the track's noise at weight w of cell c, as
+// noiseWeight returned them for the track's rate.
+func (n *noiseTrack) mix(c int64, w float64) float64 {
+	if !n.hashed || c != n.cell {
 		n.cell, n.hashed = c, true
 		n.a, n.b = hash01(n.seed, c), hash01(n.seed, c+1)
 	}
-	// Cosine interpolation.
-	w := (1 - math.Cos(math.Pi*f)) / 2
 	return n.a*(1-w) + n.b*w
 }

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"bytes"
 	"testing"
 
 	"cobra/internal/audio"
@@ -122,7 +123,7 @@ func TestShotBoundariesSpaced(t *testing.T) {
 
 func TestRenderAudioProperties(t *testing.T) {
 	r := GenerateRace(GermanGP, 30, 42)
-	pcm := r.RenderAudio()
+	pcm := renderSpans(t, r, []int{2200})
 	if len(pcm) != 30*SampleRate {
 		t.Fatalf("samples = %d", len(pcm))
 	}
@@ -154,7 +155,7 @@ func TestAudioExcitementDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clips := an.Analyze(r.RenderAudio())
+	clips := an.Analyze(renderSpans(t, r, []int{2200}))
 	var exPitch, calmPitch, exN, calmN float64
 	for _, c := range clips {
 		// As in the paper, excited-speech statistics are computed only
@@ -310,5 +311,35 @@ func TestCameraShakeDiffersByProfile(t *testing.T) {
 	if shakeOf(belgian) <= shakeOf(german) {
 		t.Fatalf("belgian camera work %v not rougher than german %v",
 			shakeOf(belgian), shakeOf(german))
+	}
+}
+
+// TestRenderFrameIntoOverwrites renders into one recycled frame, first
+// filled with noise, at live, replay-wipe and caption times: every
+// render must equal a fresh RenderFrame.
+func TestRenderFrameIntoOverwrites(t *testing.T) {
+	r := GenerateRace(GermanGP, 300, 42)
+	times := []float64{1, 1.1, 57.3}
+	for _, e := range r.Events {
+		if e.Type == EventReplay {
+			times = append(times, e.Start+dveDur/2, (e.Start+e.End)/2, e.End-dveDur/2)
+			break
+		}
+	}
+	if len(r.Captions) > 0 {
+		times = append(times, (r.Captions[0].Start+r.Captions[0].End)/2)
+	}
+	if len(times) != 7 {
+		t.Fatal("race has no replay or no caption")
+	}
+	f := video.NewFrame(FrameW, FrameH)
+	for i := range f.Pix {
+		f.Pix[i] = byte(i * 131)
+	}
+	for _, tm := range times {
+		r.RenderFrameInto(f, tm)
+		if !bytes.Equal(f.Pix, r.RenderFrame(tm).Pix) {
+			t.Fatalf("t %g: the recycled frame differs from a fresh one", tm)
+		}
 	}
 }

@@ -22,7 +22,15 @@ const dveDur = 0.8
 // never stored.
 func (r *Race) RenderFrame(t float64) *video.Frame {
 	f := video.NewFrame(FrameW, FrameH)
+	r.RenderFrameInto(f, t)
+	return f
+}
 
+// RenderFrameInto renders the broadcast frame at time t over f, a
+// FrameW×FrameH frame whose old pixels it overwrites: every scene
+// starts from background bands that cover the whole frame, so f needs
+// no clearing and can be recycled frame after frame.
+func (r *Race) RenderFrameInto(f *video.Frame, t float64) {
 	if rep, ok := r.replayAt(t); ok {
 		// A replay re-shows its source event; wipes at both edges.
 		src := r.sourceOf(rep)
@@ -44,7 +52,6 @@ func (r *Race) RenderFrame(t float64) *video.Frame {
 	}
 	r.renderCaption(f, t)
 	r.addPixelNoise(f, t)
-	return f
 }
 
 // sourceOf finds the event a replay re-shows (same driver, nearest
