@@ -289,21 +289,6 @@ func BenchmarkBATJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkBATGroupSum measures grouped aggregation over 100k BUNs.
-func BenchmarkBATGroupSum(b *testing.B) {
-	bat := monet.NewBATCap(monet.IntT, monet.IntT, 100_000)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100_000; i++ {
-		bat.MustInsert(monet.NewInt(rng.Int63n(64)), monet.NewInt(rng.Int63n(100)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bat.GroupSum(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFFT measures the 512-point FFT used by the audio frontend.
 func BenchmarkFFT(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))

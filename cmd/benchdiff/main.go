@@ -18,7 +18,7 @@
 // measures the scheduler, not the operator: re-record it).
 // -allocs-gate additionally fails any op whose allocs/op grew by more
 // than the given fraction (0.25 = +25%), or that allocates at all when
-// its baseline was allocation-free — the gate that keeps the arena and
+// its baseline was allocation-free — the gate that keeps the
 // fused-pipeline steady-state allocation wins from being given back.
 // Allocation counts are deterministic where ns/op is noisy, so the
 // gate can run tight. A negative value (the default) disables it.

@@ -10,8 +10,8 @@
 // -run selects one experiment: table1, table2, table3, table4, fig9,
 // temporal, clustering, shots, audiovsav, keywords, parallelhmm, all.
 // "micro" (not part of "all") runs kernel/engine microbenchmarks —
-// including serial-vs-parallel pairs of the kernel's morsel-parallel
-// select/aggregate/join over 1M-row BATs — and prints the parallel
+// including a pool-width sweep of the kernel's morsel-parallel select
+// and fused select→sum over 1M-row BATs — and prints the parallel
 // speedup per operator. With -benchout ending in .json, all results
 // are written as one combined machine-readable file (the format
 // cmd/benchdiff and the CI bench-gate consume; the committed

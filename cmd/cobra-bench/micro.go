@@ -37,8 +37,9 @@ type microBench struct {
 }
 
 // runMicro benchmarks one representative hot operation per level of
-// the stack, a width sweep of the kernel's morsel-parallel operators
-// over 1M-row BATs at pool widths 1, 2, 4 and 8, and the paired
+// the stack, the serial hash join over a 1M-row BAT, a width sweep of
+// the kernel's morsel-parallel operators over 1M-row BATs at pool
+// widths 1, 2, 4 and 8, and the paired
 // access-path ablation (ablationBenches). Every result carries the pool
 // width it was pinned to, and an op whose width exceeds GOMAXPROCS is
 // refused: more workers than processors measures the scheduler, not the
@@ -57,6 +58,7 @@ func runMicro(*f1.Lab) error {
 		{"COQLQuery", 0, benchCOQLQuery},
 		{"SelectAgg1M", 1, benchUnfusedSelectAgg1M},
 		{"DictEq1M", 1, benchDictEq1M},
+		{"Join1M/w1", 1, benchJoin1M},
 		{"StreamFanout/s1", 0, benchStreamFanout(1, 1)},
 		{"StreamFanout/s100", 0, benchStreamFanout(1, 100)},
 		{"StreamFanout/s1000", 0, benchStreamFanout(1, 1000)},
@@ -75,10 +77,7 @@ func runMicro(*f1.Lab) error {
 	// workers (width 1 takes every operator's serial path).
 	sweep := []microBench{
 		{"Select1M", 0, benchSelect1M},
-		{"GroupAgg1M", 0, benchGroupAgg1M},
-		{"Join1M", 0, benchJoin1M},
 		{"FusedSelectAgg1M", 0, benchFusedSelectAgg1M},
-		{"DictGroupAgg1M", 0, benchDictGroupAgg1M},
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		for _, op := range sweep {
@@ -410,21 +409,8 @@ func benchSelect1M(b *testing.B) {
 	}
 }
 
-// benchGroupAgg1M computes a 64-group sum over 1M rows.
-func benchGroupAgg1M(b *testing.B) {
-	bat := monet.NewBATCap(monet.IntT, monet.IntT, 1<<20)
-	for i := 0; i < 1<<20; i++ {
-		bat.MustInsert(monet.NewInt(int64(i%64)), monet.NewInt(int64(i%100)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bat.GroupSum(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchJoin1M probes 1M rows against a 100k-key build side.
+// benchJoin1M probes 1M rows against a 100k-key build side. The join
+// is serial, so the pool width does not change its path.
 func benchJoin1M(b *testing.B) {
 	const keys = 100_000
 	left := bigBAT(1<<20, keys)
@@ -478,21 +464,15 @@ func benchUnfusedSelectAgg1M(b *testing.B) {
 const fusedWarmup = 4
 
 // fusedAggStore builds the fused-pipeline fixture: "bench/val", a
-// 1M-row int column cycling [0, 1000), and "bench/cat", an aligned
-// 64-label string column for dictionary-domain grouping.
+// 1M-row int column cycling [0, 1000).
 func fusedAggStore(b *testing.B) *monet.Store {
 	store := monet.NewStore()
 	n := 1 << 20
 	val := monet.NewBATCap(monet.Void, monet.IntT, n)
-	cat := monet.NewBATCap(monet.Void, monet.StrT, n)
 	for i := 0; i < n; i++ {
 		val.MustInsert(monet.VoidValue(), monet.NewInt(int64(i%1000)))
-		cat.MustInsert(monet.VoidValue(), monet.NewStr(fmt.Sprintf("team-%02d", i%64)))
 	}
 	if err := store.Put("bench/val", val); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put("bench/cat", cat); err != nil {
 		b.Fatal(err)
 	}
 	return store
@@ -515,25 +495,6 @@ func benchFusedSelectAgg1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := p.Aggregate(ctx, "bench/val", "sum"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchDictGroupAgg1M times the fused dictionary-domain grouped sum:
-// a ~80%-selective predicate over 1M int rows feeding a 64-group sum
-// keyed on int32 dictionary codes — the string labels decode once per
-// distinct group, never per row.
-func benchDictGroupAgg1M(b *testing.B) {
-	store := fusedAggStore(b)
-	p := store.Pipeline("bench/val", monet.NewInt(100), monet.NewInt(899))
-	ctx := context.Background()
-	if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
 			b.Fatal(err)
 		}
 	}

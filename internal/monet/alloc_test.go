@@ -6,14 +6,12 @@ import (
 	"testing"
 )
 
-// Allocation-regression tests for the morsel-body fixes the allochot
-// analyzer drove: parallel filter, grouped aggregation, hash-join
-// probe, and the sharded hash build must not allocate per ROW — only
-// per MORSEL (a handful of fixed-size scratch buffers each). The
-// bounds below are per-operation ceilings in units of morsels, with
-// generous headroom for pool scheduling noise; before the fixes the
-// per-row append/map growth put these one to two orders of magnitude
-// higher.
+// Allocation-regression tests: the parallel select must not allocate
+// per ROW — only per MORSEL (a handful of fixed-size scratch buffers
+// each) — and the joins and the fused aggregate allocate a fixed count
+// per operation. The bounds below are per-operation ceilings, with
+// generous headroom for pool scheduling noise; per-row append or map
+// growth would put these one to two orders of magnitude higher.
 
 // allocsPerOp measures total heap allocations per run of fn across all
 // goroutines (runtime.MemStats, not testing.AllocsPerRun, because the
@@ -50,56 +48,29 @@ func TestSelectAllocsPerMorsel(t *testing.T) {
 	}
 }
 
-func TestGroupSumAllocsPerMorsel(t *testing.T) {
-	var got float64
-	withWorkers(t, 4, func() {
-		bat := NewBATCap(IntT, IntT, allocRows)
-		for i := 0; i < allocRows; i++ {
-			bat.MustInsert(NewInt(int64(i%64)), NewInt(int64(i%100)))
-		}
-		got = allocsPerOp(5, func() {
-			if _, err := bat.GroupSum(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	})
-	// The arena-backed typed grouping (groupParFast) reuses every
-	// per-morsel table and key buffer across morsels and operations, so
-	// steady state is a fixed handful of allocations per OPERATION —
-	// fan-out plumbing, partial copy-outs, and the output BAT — not per
-	// morsel. The ceiling is a tenth of the pre-arena per-morsel budget
-	// (allocBudget(24)); regressing past it means either the typed fast
-	// path stopped engaging or arena reuse broke. Measured steady state
-	// is ~31/op against a ceiling of ~179.
-	if max := allocBudget(24) / 10; got > max {
-		t.Fatalf("GroupSum allocates %.0f/op, budget %.0f (arena reuse broken or fast path disengaged?)", got, max)
+// TestHashJoinAllocsFlatInRows pins the int-keyed hash join to a
+// fixed allocation count per operation: the build over the right head
+// (slot map, offsets, positions), the two pair slices presized to the
+// probe side, two gathers and the result. Probe sides of 16k and 64k
+// rows against the same 4 096-key build side must allocate alike.
+func TestHashJoinAllocsFlatInRows(t *testing.T) {
+	const keys = 1 << 12
+	right := NewBATCap(IntT, IntT, keys)
+	for i := 0; i < keys; i++ {
+		right.MustInsert(NewInt(int64(i)), NewInt(int64(i)*2))
 	}
-}
-
-func TestJoinAllocsPerMorsel(t *testing.T) {
-	var got float64
-	withWorkers(t, 4, func() {
-		const keys = 1 << 12
-		left := benchIntBAT(allocRows, keys)
-		right := NewBATCap(IntT, IntT, keys)
-		for i := 0; i < keys; i++ {
-			right.MustInsert(NewInt(int64(i)), NewInt(int64(i)*2))
-		}
-		got = allocsPerOp(5, func() {
+	var got []float64
+	for _, rows := range []int{allocRows / 4, allocRows} {
+		left := benchIntBAT(rows, keys)
+		got = append(got, allocsPerOp(5, func() {
 			if _, err := left.Join(right); err != nil {
 				t.Fatal(err)
 			}
-		})
-	})
-	// The compact int hash table (one flat position array + one slot
-	// map per shard) replaced the per-key position lists, and the probe
-	// and build morsel scratch comes from arenas, so the whole join —
-	// build AND probe — costs a fixed handful of allocations per
-	// operation. The ceiling is a tenth of the pre-arena budget
-	// (allocBudget(48) + 2 per distinct build key); measured steady
-	// state is ~67/op against a ceiling of ~1150.
-	if max := (allocBudget(48) + 2*(1<<12)) / 10; got > max {
-		t.Fatalf("Join allocates %.0f/op, budget %.0f (arena reuse or compact table broken?)", got, max)
+		}))
+	}
+	if small, large := got[0], got[1]; large > small+4 || large > 64 {
+		t.Fatalf("hash join allocates %.0f/op over %d probe rows and %.0f/op over %d, budget 64 and flat (per-row growth back?)",
+			small, allocRows/4, large, allocRows)
 	}
 }
 
@@ -182,34 +153,5 @@ func TestFusedAggregateAllocs(t *testing.T) {
 	// fixed-count; measured steady state is ~30/op.
 	if got > 256 {
 		t.Fatalf("fused Aggregate allocates %.0f/op, budget 256 (materialization crept back in?)", got)
-	}
-}
-
-// TestArenaShrinkAfterResize proves narrowing the pool releases the
-// excess parked arenas instead of leaking them: after wide-pool work
-// populates the free list, shrinking the pool must cap both the
-// parked-arena count and the retained scratch bytes at the new width.
-func TestArenaShrinkAfterResize(t *testing.T) {
-	prev := SetDefaultPoolWorkers(8)
-	defer SetDefaultPoolWorkers(prev)
-	bat := NewBATCap(IntT, IntT, allocRows)
-	for i := 0; i < allocRows; i++ {
-		bat.MustInsert(NewInt(int64(i%64)), NewInt(int64(i%100)))
-	}
-	for r := 0; r < 3; r++ {
-		if _, err := bat.GroupSum(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if wide, _ := ArenaStats(); wide == 0 {
-		t.Fatal("wide-pool work parked no arenas; fixture no longer exercises the pool")
-	}
-	SetDefaultPoolWorkers(2)
-	retained, bytes := ArenaStats()
-	if retained > 2 {
-		t.Fatalf("after shrinking the pool to 2 workers, %d arenas remain parked (leak)", retained)
-	}
-	if retained == 0 && bytes != 0 {
-		t.Fatalf("free list empty but %d scratch bytes still reported retained", bytes)
 	}
 }

@@ -165,39 +165,35 @@ func (b *BAT) Filter(pred func(h, t Value) bool) *BAT {
 
 // Join returns the equi-join of b with other over b.tail == other.head,
 // producing [b.head, other.tail]. Against a void head the probe is a
-// bounds check (voidProbe); otherwise a hash table is built over
-// other.head, and large operands build the table sharded and probe it
-// morsel-parallel, producing the same pair order as the serial
-// nested-probe loop.
+// bounds check (voidProbe); otherwise it probes a hash table built over
+// other.head. Either probe emits (left, right) position pairs — left
+// rows ascending, each row's matches in ascending right order — and two
+// gathers build the output columns.
 func (b *BAT) Join(other *BAT) (*BAT, error) {
 	opJoin.Inc()
 	if !headCompatible(b.tail.Type(), other.head.Type()) {
 		return nil, fmt.Errorf("%w: join tail %v with head %v", ErrTypeMismatch, b.tail.Type(), other.head.Type())
 	}
+	n := b.Len()
+	lIdx := make([]int, 0, n)
+	rIdx := make([]int, 0, n)
 	if in := voidProbe(b.tail, other); in != nil {
-		lIdx := make([]int, 0, b.Len())
-		rIdx := make([]int, 0, b.Len())
-		for i := 0; i < b.Len(); i++ {
+		for i := 0; i < n; i++ {
 			if j, ok := in(i); ok {
 				lIdx = append(lIdx, i)
 				rIdx = append(rIdx, j)
 			}
 		}
-		return &BAT{head: b.head.Gather(lIdx), tail: other.tail.Gather(rIdx)}, nil
-	}
-	if p, ok := poolFor(b.Len()); ok {
-		return b.joinPar(p, other), nil
-	}
-	out := NewBAT(materialType(b.head.Type()), materialType(other.tail.Type()))
-	// Build hash on other.head → positions.
-	ht := buildHash(other.head)
-	for i := 0; i < b.Len(); i++ {
-		t := b.tail.Get(i)
-		for _, j := range ht.lookup(t) {
-			out.MustInsert(b.head.Get(i), other.tail.Get(j))
+	} else {
+		ht := buildHash(other.head)
+		for i := 0; i < n; i++ {
+			for _, j := range ht.lookup(b.tail.Get(i)) {
+				lIdx = append(lIdx, i)
+				rIdx = append(rIdx, j)
+			}
 		}
 	}
-	return out, nil
+	return &BAT{head: b.head.Gather(lIdx), tail: other.tail.Gather(rIdx)}, nil
 }
 
 // voidProbe returns, when other's head is void, the probe of column c
@@ -218,48 +214,6 @@ func voidProbe(c Column, other *BAT) func(i int) (j int, ok bool) {
 		k := at(i)
 		return int(k), k >= 0 && k < n
 	}
-}
-
-// joinPar is the morsel-parallel equi-join: each probe morsel emits
-// its (left position, right position) match pairs, the pairs are
-// concatenated in morsel order, and two gathers materialize the output
-// columns — exactly the rows the serial probe loop inserts.
-func (b *BAT) joinPar(p *Pool, other *BAT) *BAT {
-	ht := buildHashIndex(other.head)
-	nm := numMorsels(b.Len())
-	lParts := make([][]int, nm)
-	rParts := make([][]int, nm)
-	runMorsels(p, b.Len(), hPoolJoinLat, hPoolJoinSpd, func(m, lo, hi int) {
-		// Probe into arena scratch sized for the common
-		// at-most-one-match case; higher join multiplicity appends past
-		// the arena buffer onto the heap but stays morsel-bounded. The
-		// surviving pairs are copied out exact-size before the arena is
-		// returned.
-		a := GetArena()
-		ls := a.Ints(hi - lo)[:0]
-		rs := a.Ints(hi - lo)[:0]
-		for i := lo; i < hi; i++ {
-			t := b.tail.Get(i)
-			for _, j := range ht.lookup(t) {
-				ls = append(ls, i) //cobravet:allow allochot // appends into arena scratch presized to the morsel; join fan-out past it migrates off-arena once, not per row
-				rs = append(rs, j) //cobravet:allow allochot // same arena scratch as ls
-			}
-		}
-		lParts[m] = append([]int(nil), ls...)
-		rParts[m] = append([]int(nil), rs...)
-		PutArena(a)
-	})
-	total := 0
-	for _, part := range lParts {
-		total += len(part)
-	}
-	lIdx := make([]int, 0, total)
-	rIdx := make([]int, 0, total)
-	for m := range lParts {
-		lIdx = append(lIdx, lParts[m]...)
-		rIdx = append(rIdx, rParts[m]...)
-	}
-	return &BAT{head: b.head.Gather(lIdx), tail: other.tail.Gather(rIdx)}
 }
 
 // Semijoin returns the associations of b whose head appears as a head
@@ -290,7 +244,7 @@ func (b *BAT) headsIn(other *BAT, want bool) []int {
 	if in := voidProbe(b.head, other); in != nil {
 		return filterIdx(b.Len(), func(i int) bool { _, ok := in(i); return ok == want })
 	}
-	ht := buildHashIndex(other.head)
+	ht := buildHash(other.head)
 	return filterIdx(b.Len(), func(i int) bool { return (len(ht.lookup(b.head.Get(i))) > 0) == want })
 }
 
@@ -376,66 +330,52 @@ func (b *BAT) Dump(max int) string {
 	return s + "}"
 }
 
-// hashTable indexes column positions by value. Void heads are never
-// hashed: every operator probes them through voidProbe.
+// hashIndex is the lookup contract of the two serial hash builds:
+// compactIntTable for integer-domain keys, hashTable for the rest.
+type hashIndex interface {
+	lookup(v Value) []int
+}
+
+// hashTable indexes the positions of a float, str or blob column by
+// value, each key's positions ascending. Void heads are never hashed:
+// every operator probes them through voidProbe.
 type hashTable struct {
-	byInt map[int64][]int
 	byStr map[string][]int
 	byFlt map[float64][]int
 }
 
-// newHashTable returns an empty hash table for keys of type t, sized
-// for about capHint entries.
-func newHashTable(t Type, capHint int) *hashTable {
-	ht := &hashTable{}
-	switch t {
-	case OIDT, IntT, BoolT:
-		ht.byInt = make(map[int64][]int, capHint)
-	case FloatT:
-		ht.byFlt = make(map[float64][]int, capHint)
-	case StrT, BlobT:
-		ht.byStr = make(map[string][]int, capHint)
-	}
-	return ht
-}
-
-// insert records position i of column c in the table. Positions must
-// be inserted in ascending order per key; lookup returns them in
-// insertion order.
-func (ht *hashTable) insert(c Column, i int) {
-	switch c.Type() {
-	case OIDT, IntT, BoolT:
-		k := c.Get(i).Int()
-		ht.byInt[k] = append(ht.byInt[k], i)
-	case FloatT:
-		k := c.Get(i).Float()
-		ht.byFlt[k] = append(ht.byFlt[k], i)
-	case StrT:
-		k := c.Get(i).Str()
-		ht.byStr[k] = append(ht.byStr[k], i)
-	case BlobT:
-		k := string(c.Get(i).Blob())
-		ht.byStr[k] = append(ht.byStr[k], i)
-	}
-}
-
-// buildHash builds the serial hash index over c. Integer-domain keys
-// (int, oid, bool) get the compact count-then-fill layout; other types
-// keep the per-key slice table.
+// buildHash builds the hash index over c. Integer-domain keys (int,
+// oid, bool) get the compact count-then-fill layout; other types keep
+// the per-key slice table.
 func buildHash(c Column) hashIndex {
+	n := c.Len()
 	if keyAt := intReader(c); keyAt != nil {
-		n := c.Len()
-		return buildCompactInt(keyAt, n, func(visit func(i int)) {
-			for i := 0; i < n; i++ {
-				visit(i)
-			}
-		})
+		return buildCompactInt(keyAt, n)
 	}
-	ht := newHashTable(c.Type(), c.Len())
-	for i := 0; i < c.Len(); i++ {
-		ht.insert(c, i)
+	ht := &hashTable{}
+	switch c.Type() {
+	case FloatT:
+		ht.byFlt = make(map[float64][]int, n)
+		for i := 0; i < n; i++ {
+			k := c.Get(i).Float()
+			ht.byFlt[k] = append(ht.byFlt[k], i)
+		}
+	case StrT, BlobT:
+		ht.byStr = make(map[string][]int, n)
+		for i := 0; i < n; i++ {
+			k := strKey(c.Get(i))
+			ht.byStr[k] = append(ht.byStr[k], i)
+		}
 	}
 	return ht
+}
+
+// strKey is the hashTable key of a str or blob value: its bytes.
+func strKey(v Value) string {
+	if v.Typ == BlobT {
+		return string(v.Blob())
+	}
+	return v.Str()
 }
 
 // compactIntTable is the allocation-disciplined hash index for
@@ -451,15 +391,14 @@ type compactIntTable struct {
 	pos   []int
 }
 
-// buildCompactInt builds a compactIntTable in two passes over the
-// positions that each yields (which must be visited in the same order
-// both times, ascending per key): pass one assigns slots in
-// first-occurrence order and counts per-key occupancy, pass two fills
-// the flat position array through prefix-sum cursors.
-func buildCompactInt(keyAt func(i int) int64, total int, each func(visit func(i int))) *compactIntTable {
-	t := &compactIntTable{slots: make(map[int64]int32, total)}
+// buildCompactInt builds a compactIntTable over the n keys keyAt
+// yields in two passes: pass one assigns slots in first-occurrence
+// order and counts per-key occupancy, pass two fills the flat position
+// array through prefix-sum cursors.
+func buildCompactInt(keyAt func(i int) int64, n int) *compactIntTable {
+	t := &compactIntTable{slots: make(map[int64]int32, n)}
 	counts := make([]int, 0, 16)
-	each(func(i int) {
+	for i := 0; i < n; i++ {
 		k := keyAt(i)
 		slot, seen := t.slots[k]
 		if !seen {
@@ -468,24 +407,23 @@ func buildCompactInt(keyAt func(i int) int64, total int, each func(visit func(i 
 			counts = append(counts, 0)
 		}
 		counts[slot]++
-	})
+	}
 	t.offs = make([]int, len(counts)+1)
 	for s, c := range counts {
 		t.offs[s+1] = t.offs[s] + c
 	}
-	t.pos = make([]int, total)
+	t.pos = make([]int, n)
 	copy(counts, t.offs[:len(counts)]) // counts becomes the per-slot write cursor
-	each(func(i int) {
+	for i := 0; i < n; i++ {
 		slot := t.slots[keyAt(i)]
 		t.pos[counts[slot]] = i
 		counts[slot]++
-	})
+	}
 	return t
 }
 
 // lookup returns the ascending positions holding v, as a span of the
-// flat position array. Non-integer probes miss, matching the typed
-// maps of hashTable.
+// flat position array. Non-integer probes miss.
 func (t *compactIntTable) lookup(v Value) []int {
 	switch v.Typ {
 	case OIDT, IntT, BoolT:
@@ -498,14 +436,10 @@ func (t *compactIntTable) lookup(v Value) []int {
 
 func (ht *hashTable) lookup(v Value) []int {
 	switch v.Typ {
-	case OIDT, IntT, BoolT:
-		return ht.byInt[v.Int()]
 	case FloatT:
 		return ht.byFlt[v.Float()]
-	case StrT:
-		return ht.byStr[v.Str()]
-	case BlobT:
-		return ht.byStr[string(v.Blob())]
+	case StrT, BlobT:
+		return ht.byStr[strKey(v)]
 	}
 	return nil
 }

@@ -238,50 +238,15 @@ func TestAggregateEmptyAndErrors(t *testing.T) {
 	}
 }
 
-func TestGroup(t *testing.T) {
-	b := NewBAT(OIDT, StrT)
-	b.MustInsert(NewOID(0), NewStr("a"))
-	b.MustInsert(NewOID(1), NewStr("b"))
-	b.MustInsert(NewOID(2), NewStr("a"))
-	members, groups := b.Group()
-	if groups.Len() != 2 {
-		t.Fatalf("groups = %d, want 2", groups.Len())
-	}
-	g0, _ := members.Find(NewOID(0))
-	g2, _ := members.Find(NewOID(2))
-	if !Equal(g0, g2) {
-		t.Fatal("same tail values should share a group")
-	}
-}
-
 func TestGroupedAggregates(t *testing.T) {
 	// [group, value]
 	b := NewBAT(IntT, IntT)
 	for _, p := range [][2]int64{{1, 10}, {1, 20}, {2, 5}, {2, 15}, {2, 10}} {
 		b.MustInsert(NewInt(p[0]), NewInt(p[1]))
 	}
-	gs, err := b.GroupSum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := gs.Find(NewInt(1)); v.Float() != 30 {
-		t.Fatalf("GroupSum(1) = %v", v)
-	}
 	gc, _ := b.GroupCount()
 	if v, _ := gc.Find(NewInt(2)); v.Int() != 3 {
 		t.Fatalf("GroupCount(2) = %v", v)
-	}
-	ga, _ := b.GroupAvg()
-	if v, _ := ga.Find(NewInt(2)); v.Float() != 10 {
-		t.Fatalf("GroupAvg(2) = %v", v)
-	}
-	gm, _ := b.GroupMax()
-	if v, _ := gm.Find(NewInt(1)); v.Float() != 20 {
-		t.Fatalf("GroupMax(1) = %v", v)
-	}
-	gn, _ := b.GroupMin()
-	if v, _ := gn.Find(NewInt(2)); v.Float() != 5 {
-		t.Fatalf("GroupMin(2) = %v", v)
 	}
 }
 
@@ -418,62 +383,6 @@ func TestStoreBasics(t *testing.T) {
 	s.Drop("a")
 	if s.Has("a") || s.Len() != 1 {
 		t.Fatal("Drop failed")
-	}
-}
-
-func TestParallel(t *testing.T) {
-	n := 64
-	results := make([]int, n)
-	tasks := make([]func() error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		tasks[i] = func() error { results[i] = i * i; return nil }
-	}
-	if err := Parallel(7, tasks...); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r != i*i {
-			t.Fatalf("task %d result = %d", i, r)
-		}
-	}
-}
-
-func TestParallelError(t *testing.T) {
-	boom := errors.New("boom")
-	err := Parallel(3,
-		func() error { return nil },
-		func() error { return boom },
-		func() error { return nil },
-	)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
-func TestParallelSingleThread(t *testing.T) {
-	order := []int{}
-	err := Parallel(1,
-		func() error { order = append(order, 0); return nil },
-		func() error { order = append(order, 1); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 0 {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestParallelMap(t *testing.T) {
-	got := ParallelMap(4, 100, func(i int) int { return i * 2 })
-	for i, v := range got {
-		if v != i*2 {
-			t.Fatalf("got[%d] = %d", i, v)
-		}
-	}
-	if len(ParallelMap(4, 0, func(i int) int { return i })) != 0 {
-		t.Fatal("empty map")
 	}
 }
 

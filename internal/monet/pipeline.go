@@ -8,27 +8,25 @@ import (
 	"cobra/internal/obs"
 )
 
-// Fused vectorized pipelines: select→project→aggregate and
-// select→join-probe executed morsel-at-a-time with no intermediate
-// OID BAT between the operators. The classic operator-at-a-time path
-// materializes the qualifying positions of a range select as an []int,
-// gathers every downstream column through it, and only then
-// aggregates; a Pipeline instead pushes the predicate into the
-// consumer: each morsel finds its matching rows as in-register runs in
-// arena scratch (arena.go) and feeds them straight to the aggregate,
-// group table, or join probe. Per-morsel partials merge in morsel
-// order, so a fused result is byte-identical to the unfused one — and
-// whenever the fused gate cannot promise that identity to its callers
-// (mixed-type or NaN bounds, NaN values in a float column, inexact
-// float sums, column shapes without an integer reader), the pipeline
-// reports itself unfused and executes the operator-at-a-time path
-// instead.
+// Fused vectorized pipelines: select→aggregate executed
+// morsel-at-a-time with no intermediate OID BAT between the operators.
+// The classic operator-at-a-time path materializes the qualifying
+// positions of a range select as an []int, gathers the aggregate column
+// through it, and only then aggregates; a Pipeline instead pushes the
+// predicate into the consumer: each morsel finds its matching rows as
+// runs read off a stack match bitmap and feeds them straight to the
+// aggregate. Per-morsel partials merge in morsel order, so a fused
+// result is byte-identical to the unfused one — and whenever the fused
+// gate cannot promise that identity to its callers (mixed-type or NaN
+// bounds, NaN values in a float column, inexact float sums, column
+// shapes without an integer reader), the pipeline reports itself
+// unfused and executes the operator-at-a-time path instead. SelectRuns
+// hands the same runs to callers that want the matches themselves.
 //
 // The predicate is one selectPlan of accesspath.go, fused or not: zone
 // maps prune whole morsels before the scan runs, dict-encoded string
-// columns match int32 codes without ever decoding the tail, and every scan is the typed
-// kernel of rangesel.go (grouped aggregation over a dict column also
-// groups on codes and decodes each distinct group label once).
+// columns match int32 codes without ever decoding the tail, and every
+// scan is the typed kernel of rangesel.go.
 
 // Fused-execution metrics (monet.fused.*): pipelines that ran fused vs
 // fell back to the operator-at-a-time path, rows consumed in-register,
@@ -74,7 +72,7 @@ type FusedInfo struct {
 	// the byte-identical operator-at-a-time fallback).
 	Fused bool
 	// Stages names the pipeline stages, e.g. "select→sum" or
-	// "select→group[count]".
+	// "select→runs".
 	Stages string
 	// Fallback is the fused gate's reason when Fused is false.
 	Fallback string
@@ -96,8 +94,7 @@ func (fi *FusedInfo) String() string {
 
 // Pipeline is a fused select→consume execution over a stored BAT: a
 // range predicate over one named column, pushed directly into an
-// aggregate, grouped aggregate, or join probe over positionally
-// aligned columns of the same store.
+// aggregate over a positionally aligned column of the same store.
 type Pipeline struct {
 	s    *Store
 	pred string

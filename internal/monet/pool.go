@@ -204,7 +204,6 @@ func SetDefaultPoolWorkers(n int) int {
 	defaultPool.p = NewPool(n)
 	gPoolWorkers.Set(int64(n))
 	defaultPool.mu.Unlock()
-	resizeArenaPool(n)
 	if old != nil {
 		old.Close()
 	}

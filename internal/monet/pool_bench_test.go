@@ -10,7 +10,8 @@ import (
 // operator bodies with the kernel pool pinned to one worker versus
 // widened to at least four, so `go test -bench` shows the morsel
 // scheduler's speedup directly; cobra-bench -run micro captures the
-// same pairs into BENCH_baseline.json for the CI bench-gate.
+// same pairs into BENCH_baseline.json for the CI bench-gate. The hash
+// join is serial at every width, so it has only the Serial entry.
 
 func benchWidth() int {
 	if n := runtime.GOMAXPROCS(0); n > 4 {
@@ -45,22 +46,6 @@ func selectBody(b *testing.B) {
 func BenchmarkSerialSelect1M(b *testing.B)   { withPoolWidth(b, 1, selectBody) }
 func BenchmarkParallelSelect1M(b *testing.B) { withPoolWidth(b, benchWidth(), selectBody) }
 
-func groupAggBody(b *testing.B) {
-	bat := NewBATCap(IntT, IntT, 1<<20)
-	for i := 0; i < 1<<20; i++ {
-		bat.MustInsert(NewInt(int64(i%64)), NewInt(int64(i%100)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bat.GroupSum(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerialGroupAgg1M(b *testing.B)   { withPoolWidth(b, 1, groupAggBody) }
-func BenchmarkParallelGroupAgg1M(b *testing.B) { withPoolWidth(b, benchWidth(), groupAggBody) }
-
 func joinBody(b *testing.B) {
 	const keys = 100_000
 	left := benchIntBAT(1<<20, keys)
@@ -76,8 +61,7 @@ func joinBody(b *testing.B) {
 	}
 }
 
-func BenchmarkSerialJoin1M(b *testing.B)   { withPoolWidth(b, 1, joinBody) }
-func BenchmarkParallelJoin1M(b *testing.B) { withPoolWidth(b, benchWidth(), joinBody) }
+func BenchmarkSerialJoin1M(b *testing.B) { withPoolWidth(b, 1, joinBody) }
 
 func sumBody(b *testing.B) {
 	bat := benchIntBAT(1<<20, 1000)
@@ -93,25 +77,10 @@ func BenchmarkSerialSum1M(b *testing.B)   { withPoolWidth(b, 1, sumBody) }
 func BenchmarkParallelSum1M(b *testing.B) { withPoolWidth(b, benchWidth(), sumBody) }
 
 // benchFusedStore builds the fused-pipeline fixture: "bench/val", a
-// 1M-row int column cycling [0, 1000), and "bench/cat", an aligned
-// 64-label string column for dictionary-domain grouping.
+// 1M-row int column cycling [0, 1000).
 func benchFusedStore(b *testing.B) *Store {
 	store := NewStore()
-	n := 1 << 20
-	val := NewBATCap(Void, IntT, n)
-	cat := NewBATCap(Void, StrT, n)
-	labels := make([]Value, 64)
-	for i := range labels {
-		labels[i] = NewStr("team-" + string(rune('a'+i/8)) + string(rune('a'+i%8)))
-	}
-	for i := 0; i < n; i++ {
-		val.MustInsert(VoidValue(), NewInt(int64(i%1000)))
-		cat.MustInsert(VoidValue(), labels[i%64])
-	}
-	if err := store.Put("bench/val", val); err != nil {
-		b.Fatal(err)
-	}
-	if err := store.Put("bench/cat", cat); err != nil {
+	if err := store.Put("bench/val", benchIntBAT(1<<20, 1000)); err != nil {
 		b.Fatal(err)
 	}
 	return store
@@ -149,30 +118,8 @@ func fusedSelectAggBody(b *testing.B) {
 	}
 }
 
-// dictGroupAggBody runs the fused dictionary-domain grouped sum: an
-// ~80%-selective predicate feeding a 64-group sum keyed on int32
-// dictionary codes, labels decoded once per group instead of per row.
-func dictGroupAggBody(b *testing.B) {
-	store := benchFusedStore(b)
-	p := store.Pipeline("bench/val", NewInt(100), NewInt(899))
-	ctx := context.Background()
-	if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.GroupAggregate(ctx, "bench/cat", "bench/val", "sum"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkUnfusedSelectAgg1M(b *testing.B) { withPoolWidth(b, 1, unfusedSelectAggBody) }
 
 func BenchmarkFusedSelectAgg1M(b *testing.B)   { withPoolWidth(b, 1, fusedSelectAggBody) }
 func BenchmarkFusedSelectAgg1MW4(b *testing.B) { withPoolWidth(b, 4, fusedSelectAggBody) }
 func BenchmarkFusedSelectAgg1MW8(b *testing.B) { withPoolWidth(b, 8, fusedSelectAggBody) }
-
-func BenchmarkDictGroupAgg1M(b *testing.B)   { withPoolWidth(b, 1, dictGroupAggBody) }
-func BenchmarkDictGroupAgg1MW4(b *testing.B) { withPoolWidth(b, 4, dictGroupAggBody) }
-func BenchmarkDictGroupAgg1MW8(b *testing.B) { withPoolWidth(b, 8, dictGroupAggBody) }

@@ -12,8 +12,8 @@ import (
 // TestConcurrentOperatorsUnderRace drives the morsel-parallel
 // operators from many goroutines over one shared, WAL-journaled Store
 // while a writer keeps appending. Run with -race it proves the pool,
-// the sharded hash build, and the store/journal locking compose
-// without data races.
+// the hash join, and the store/journal locking compose without data
+// races.
 func TestConcurrentOperatorsUnderRace(t *testing.T) {
 	store := monet.NewStore()
 	mgr, err := wal.Open(t.TempDir(), store, wal.Options{Sync: wal.SyncNone})

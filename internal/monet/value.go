@@ -5,9 +5,9 @@
 // The central structure is the BAT (Binary Association Table), a
 // two-column table of (head, tail) associations. All kernel operations
 // — selections, joins, aggregation, grouping — are defined over BATs.
-// A Store names BATs and provides atomic snapshot persistence, and
-// Parallel mirrors Monet's intra-query parallel execution operator
-// (the threadcnt block of the paper's Fig. 4).
+// A Store names BATs and provides atomic snapshot persistence, and the
+// shared worker pool (DefaultPool) runs the morsel-parallel scans and
+// MIL's threadcnt block (the paper's Fig. 4).
 //
 // Unlike the 2002 Monet, the Store can be made durable: a Journal
 // attached via SetJournal receives every store-level mutation (Put,

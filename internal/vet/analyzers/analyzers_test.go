@@ -104,7 +104,3 @@ func render(diags []vet.Diagnostic) string {
 	}
 	return b.String()
 }
-
-func TestArenaEscape(t *testing.T) {
-	vettest.Run(t, ArenaEscape, "testdata/arenaescape")
-}

@@ -370,8 +370,8 @@ func (w *bodyWalker) assign(st *ast.AssignStmt) {
 
 // trackMake records preallocated slices/maps ("x := make(T, n, cap)",
 // "m := make(map, hint)") and locally created channels. A composite
-// literal tracks its fields, so "part := groupPart{order: make(…, 0,
-// n)}" marks part.order preallocated.
+// literal tracks its fields, so "part := state{order: make(…, 0, n)}"
+// marks part.order preallocated.
 func (w *bodyWalker) trackMake(lhs, rhs ast.Expr) {
 	if cl, ok := rhs.(*ast.CompositeLit); ok {
 		base := types.ExprString(lhs)
