@@ -236,8 +236,8 @@ func builtinBAT(in *Interp, args []Value) (Value, error) {
 	return Value{BAT: b, stored: name}, nil
 }
 
-// builtinZoneMap force-builds the per-morsel min/max zone map of a
-// stored column: zonemap("name") returns the morsel count.
+// builtinZoneMap force-builds the zone map (min/max per 1 024-row
+// zone) of a stored column: zonemap("name") returns the morsel count.
 func builtinZoneMap(in *Interp, args []Value) (Value, error) {
 	if err := wantAtoms("zonemap", args, 1); err != nil {
 		return Value{}, err

@@ -13,10 +13,12 @@ import (
 // tail-range selects over named BATs. Two structures live beside each
 // stored BAT:
 //
-//   - a zone map of per-morsel min/max summaries, built lazily on the
-//     first indexed select, that prunes whole morsels before the
-//     morsel-parallel scan runs and takes the morsels it places wholly
-//     inside the range without comparing a row (zonemap.go);
+//   - a zone map of per-zone min/max summaries (ZoneSize rows each),
+//     built lazily on the first indexed select, that prunes whole
+//     morsels before the morsel-parallel scan runs and, inside the
+//     morsels it visits, takes the zones it places wholly inside the
+//     range without comparing a row and skips the disjoint ones
+//     (zonemap.go);
 //   - a dictionary for string tails, so equality and range selects
 //     compare small integer codes and distinct counts come for free
 //     (dict.go).
@@ -79,6 +81,11 @@ type AccessInfo struct {
 	// pruned morsels are never touched by the scan.
 	MorselsTotal  int
 	MorselsPruned int
+	// Zones is the column's zone count under a zone map; ZonesScanned
+	// of them straddle a bound and run the typed kernel, ZonesCovered
+	// lie wholly inside the range and are taken without a compare. The
+	// rest are disjoint and never read.
+	Zones, ZonesScanned, ZonesCovered int
 	// DictSize is the dictionary entry count (distinct tail values).
 	DictSize int
 }
@@ -89,6 +96,9 @@ func (ai *AccessInfo) String() string {
 	s := fmt.Sprintf("path=%s rows=%d matched=%d", ai.Path, ai.Rows, ai.Matched)
 	if ai.MorselsTotal > 0 {
 		s += fmt.Sprintf(" morsels=%d pruned=%d", ai.MorselsTotal, ai.MorselsPruned)
+	}
+	if ai.Zones > 0 {
+		s += fmt.Sprintf(" zones=%d scanned=%d covered=%d", ai.Zones, ai.ZonesScanned, ai.ZonesCovered)
 	}
 	if ai.DictSize > 0 {
 		s += fmt.Sprintf(" dict=%d", ai.DictSize)
@@ -257,12 +267,12 @@ func (s *Store) planSelect(name string, held *BAT, lo, hi Value, fused bool) (b 
 }
 
 // scannedRows estimates tuples examined by one indexed select: the
-// whole column for a scan, only surviving morsels under zone-map
-// pruning, and the matched rows for a dictionary answer.
+// whole column for a scan, only the straddling zones under a zone map,
+// and the matched rows for a dictionary answer.
 func scannedRows(info *AccessInfo) int {
 	switch info.Path {
 	case PathZoneMap:
-		return (info.MorselsTotal - info.MorselsPruned) * MorselSize
+		return info.ZonesScanned * ZoneSize
 	case PathDict:
 		return info.Matched
 	}
@@ -324,7 +334,7 @@ func (s *Store) BuildZoneMap(name string) (int, error) {
 	if ix.zm == nil {
 		ix.buildZoneMap(b.tail)
 	}
-	return len(ix.zm.mins), nil
+	return numMorsels(ix.zm.n), nil
 }
 
 // IndexInfo returns a [str,str] BAT describing the adaptive index
@@ -343,7 +353,7 @@ func (s *Store) IndexInfo(name string) (*BAT, error) {
 	add("epoch", fmt.Sprintf("%d", ix.epoch))
 	add("selects", fmt.Sprintf("%d", ix.selects))
 	if ix.zm != nil {
-		add("zonemap", fmt.Sprintf("%d morsels", len(ix.zm.mins)))
+		add("zonemap", fmt.Sprintf("%d morsels", numMorsels(ix.zm.n)))
 	} else {
 		add("zonemap", "none")
 	}
@@ -357,12 +367,16 @@ func (s *Store) IndexInfo(name string) (*BAT, error) {
 }
 
 // accessInfo reports a select on path that visits the morsels of ms.
-// A zone map that prunes nothing reports itself as the scan it is.
+// A zone map that neither prunes nor covers a zone reports itself as
+// the scan it is.
 func accessInfo(path AccessPath, ms morselSet) *AccessInfo {
 	info := &AccessInfo{Path: path, Rows: ms.n}
 	if path == PathZoneMap && ms.morsels != nil {
 		info.MorselsTotal = numMorsels(ms.n)
-		if info.MorselsPruned = info.MorselsTotal - len(ms.morsels); info.MorselsPruned == 0 {
+		info.MorselsPruned = info.MorselsTotal - len(ms.morsels)
+		info.Zones = numZones(ms.n)
+		info.ZonesScanned, info.ZonesCovered = ms.zoneCounts()
+		if info.ZonesScanned == info.Zones {
 			info.Path = PathScan
 		}
 	}

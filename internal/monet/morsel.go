@@ -15,8 +15,8 @@ import (
 var (
 	hPoolSelectLat = obs.H("monet.pool.select.latency")
 	hPoolSelectSpd = obs.H("monet.pool.select.speedup")
-	hPoolJoinLat   = obs.H("monet.pool.join.latency")
-	hPoolJoinSpd   = obs.H("monet.pool.join.speedup")
+	hPoolFilterLat = obs.H("monet.pool.filter.latency")
+	hPoolFilterSpd = obs.H("monet.pool.filter.speedup")
 	hPoolAggLat    = obs.H("monet.pool.aggregate.latency")
 	hPoolAggSpd    = obs.H("monet.pool.aggregate.speedup")
 )

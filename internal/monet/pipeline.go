@@ -24,7 +24,8 @@ import (
 // hands the same runs to callers that want the matches themselves.
 //
 // The predicate is one selectPlan of accesspath.go, fused or not: zone
-// maps prune whole morsels before the scan runs, dict-encoded string
+// maps prune whole morsels before the scan runs and settle most zones
+// of the rest without a compare, dict-encoded string
 // columns match int32 codes without ever decoding the tail, and every
 // scan is the typed kernel of rangesel.go.
 
@@ -155,8 +156,10 @@ func (pl *selectPlan) finish(sp *obs.Span, stages, reason string, matched, runs 
 	} else {
 		cFusedFallbacks.Inc()
 	}
-	sp.SetAttr("access", pl.info.String())
-	sp.SetAttr("fused", fi.String())
+	if sp != nil { // untraced pipelines skip formatting the span lines
+		sp.SetAttr("access", pl.info.String())
+		sp.SetAttr("fused", fi.String())
+	}
 	sp.Resources().AddScanned(scannedRows(pl.info))
 	return fi
 }
@@ -206,7 +209,9 @@ func mergeScalar(dst, src *scalarPart, sign int64) {
 // positions or a filtered BAT. Results are byte-identical to
 // SelectPositions + Gather + the BAT aggregate; when the gate cannot
 // promise that (NaN/mixed-type predicates, float aggregate columns),
-// it executes exactly that fallback.
+// it reports itself unfused and computes that fallback's answer: sum
+// and avg over a float column as one ordered pass over the runs
+// (sumFloatRuns), everything else through the positions.
 func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *FusedInfo, error) {
 	var sign int64
 	switch op {
@@ -234,11 +239,21 @@ func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *Fused
 		return Value{}, nil, fmt.Errorf("monet: fused aggregate: %q has %d rows, %q has %d", p.pred, b.Len(), agg, ab.Len())
 	}
 	stages := "select→" + op
+	f, floatSum := ab.tail.(*floatColumn)
+	floatSum = floatSum && reason == "" && (op == "sum" || op == "avg")
 	var valAt func(i int) int64
 	if op != "count" {
 		if valAt = intReader(ab.tail); valAt == nil && reason == "" {
 			reason = fmt.Sprintf("inexact or non-integer aggregate column %v", ab.TailType())
 		}
+	}
+	if floatSum {
+		runs, matched := pl.runs(sp)
+		s := sumFloatRuns(f.v, runs, matched)
+		if op == "avg" {
+			s = avgOf(s, matched)
+		}
+		return NewFloat(s), pl.finish(sp, stages, reason, matched, 0), nil
 	}
 	if reason != "" {
 		idx := pl.positions(sp)
@@ -254,15 +269,45 @@ func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *Fused
 	case "sum":
 		return NewFloat(total.sum), fi, nil
 	case "avg":
-		if total.count == 0 {
-			return NewFloat(math.NaN()), fi, nil
-		}
-		return NewFloat(total.sum / float64(total.count)), fi, nil
+		return NewFloat(avgOf(total.sum, int(total.count))), fi, nil
 	}
 	if !total.bestOK {
 		return Value{}, fi, fmt.Errorf("monet: fused aggregate: %s over empty selection", op)
 	}
 	return typedInt(ab.TailType(), total.best), fi, nil
+}
+
+// avgOf is BAT.Avg's mean of n values summing to sum: NaN when n is 0.
+func avgOf(sum float64, n int) float64 {
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
+}
+
+// sumFloatRuns sums the rows of runs, ascending, with the association
+// BAT.Sum gives the gathered column of those matched rows: one serial
+// fold, or — where poolFor would fan a BAT of matched rows out — the
+// in-order total of partials of MorselSize consecutive qualifying rows,
+// each started from +0 as BAT.Sum starts its per-morsel partials.
+func sumFloatRuns(v []float64, runs []Run, matched int) float64 {
+	_, chunked := poolFor(matched)
+	total, part, left := 0.0, 0.0, MorselSize
+	for _, r := range runs {
+		for _, x := range v[r.Start : r.Start+r.Len] {
+			part += x
+			if left--; chunked && left == 0 {
+				total, part, left = total+part, 0, MorselSize
+			}
+		}
+	}
+	if !chunked {
+		return part
+	}
+	if left < MorselSize {
+		total += part
+	}
+	return total
 }
 
 // typedInt reconstructs the Value an integer-domain column's Get would

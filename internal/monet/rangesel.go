@@ -201,14 +201,16 @@ func popcount(words []uint64) int {
 }
 
 // expandBits writes base plus the index of every set bit into out,
-// ascending; out must have room for popcount(words) positions.
-func expandBits(words []uint64, base int, out []int) {
+// ascending, and returns how many it wrote; out must have room for
+// popcount(words) positions.
+func expandBits(words []uint64, base int, out []int) int {
 	k := 0
 	for w, x := range words {
 		pos := base + w*64
 		if x == ^uint64(0) {
-			for j := range out[k : k+64] {
-				out[k+j] = pos + j
+			seg := out[k : k+64]
+			for j := range seg {
+				seg[j] = pos + j
 			}
 			k += 64
 			continue
@@ -218,6 +220,7 @@ func expandBits(words []uint64, base int, out []int) {
 			k++
 		}
 	}
+	return k
 }
 
 // bitRuns calls visit(start, end) for every maximal run of set bits,
@@ -259,17 +262,6 @@ func bitRuns(words []uint64, base int, visit func(start, end int)) {
 	}
 }
 
-// countRuns returns how many maximal runs of set bits words holds.
-func countRuns(words []uint64) int {
-	n := 0
-	carry := uint64(0) // the previous word's top bit
-	for _, x := range words {
-		n += bits.OnesCount64(x &^ (x<<1 | carry))
-		carry = x >> 63
-	}
-	return n
-}
-
 // morselSet names the morsels of an n-row column one select has to
 // look at.
 type morselSet struct {
@@ -277,10 +269,10 @@ type morselSet struct {
 	// morsels lists the morsel indices to visit, ascending; nil means
 	// every morsel.
 	morsels []int
-	// covered[k] reports that a zone map proved every row of the k-th
-	// visited morsel qualifies, so its rows need no comparing; nil
-	// means nothing was proved.
-	covered []bool
+	// zones[k] holds the zone map's verdicts on the zones of the k-th
+	// visited morsel; nil means nothing was proved and every zone is
+	// scanned.
+	zones []zoneMask
 }
 
 // slots is the number of morsels visited.
@@ -301,8 +293,10 @@ func (ms morselSet) rowRange(k int) (lo, hi int) {
 }
 
 // selectPlan is one range select ready to execute: the compiled
-// predicate and the morsels a scan of it has to visit. Positions, runs
-// and the fused consumers all read the same match bitmap.
+// predicate and the morsels a scan of it has to visit. No bitmap of the
+// whole column is ever built: the typed kernel runs only over the zones
+// that straddle a bound, and a zone the zone map covers or rules out
+// has its verdict for a bitmap.
 type selectPlan struct {
 	pred     rangePred
 	ms       morselSet
@@ -310,42 +304,104 @@ type selectPlan struct {
 	info     *AccessInfo    // the gate's report; nil outside the access paths
 }
 
-// bitmap returns the select's match bitmap over the whole column and
-// the match count of each visited morsel. A scan runs the kernel over
-// the visited morsels, on the shared pool when the column is wide
-// enough; a morsel the zone map covers is all ones without a compare.
-func (pl *selectPlan) bitmap(sp *obs.Span) (words []uint64, counts []int) {
-	counts = make([]int, pl.ms.slots())
-	words = make([]uint64, (pl.ms.n+63)/64)
+// zoneVerdict is what a zone map proved about one zone's rows.
+type zoneVerdict uint8
+
+const (
+	zoneDisjoint  zoneVerdict = iota // no row qualifies
+	zoneCovered                      // every row qualifies
+	zoneStraddles                    // the typed kernel has to compare
+)
+
+// verdict returns the verdict on the z-th zone of the k-th visited
+// morsel; every zone straddles when nothing was summarized.
+func (pl *selectPlan) verdict(k, z int) zoneVerdict {
+	if pl.ms.zones == nil {
+		return zoneStraddles
+	}
+	switch bit := uint16(1) << z; {
+	case pl.ms.zones[k].scan&bit != 0:
+		return zoneStraddles
+	case pl.ms.zones[k].cover&bit != 0:
+		return zoneCovered
+	}
+	return zoneDisjoint
+}
+
+// straddles counts the zones of the k-th visited morsel the kernel has
+// to compare.
+func (pl *selectPlan) straddles(k int) int {
+	if pl.ms.zones == nil {
+		lo, hi := pl.ms.rowRange(k)
+		return numZones(hi - lo)
+	}
+	return bits.OnesCount16(pl.ms.zones[k].scan)
+}
+
+// scan runs the typed kernel over every straddling zone, fanned out
+// over the visited morsels on the shared pool when the column is wide
+// enough. It returns the match bits of those zones packed in visit
+// order, zoneWords words per zone; the word each visited morsel's zones
+// start at; and each visited morsel's match count. Covered and disjoint
+// zones take no bits. A non-nil sp collects morsel child spans.
+func (pl *selectPlan) scan(sp *obs.Span) ([]uint64, []int, []int) {
+	offs, counts := make([]int, pl.ms.slots()), make([]int, pl.ms.slots())
+	words := 0
+	for k := range offs {
+		offs[k] = words
+		words += pl.straddles(k) * zoneWords
+	}
+	zbits := make([]uint64, words)
 	pool, _ := poolFor(pl.ms.n)
 	runMorselSet(pool, pl.ms, pl.lat, pl.spd, sp, func(k, lo, hi int) {
-		w := words[lo/64 : (hi+63)/64]
-		if pl.ms.covered != nil && pl.ms.covered[k] {
-			onesBits(hi-lo, w)
-		} else {
-			pl.pred.bits(lo, hi, w)
+		w, c := zbits[offs[k]:], 0
+		for zlo := lo; zlo < hi; zlo += ZoneSize {
+			zhi := min(zlo+ZoneSize, hi)
+			switch pl.verdict(k, (zlo-lo)/ZoneSize) {
+			case zoneCovered:
+				c += zhi - zlo
+			case zoneStraddles:
+				zw := w[:(zhi-zlo+63)/64]
+				pl.pred.bits(zlo, zhi, zw)
+				c += popcount(zw)
+				w = w[zoneWords:]
+			}
 		}
-		counts[k] = popcount(w)
+		counts[k] = c
 	})
-	return words, counts
+	return zbits, offs, counts
 }
 
 // positions executes the plan as one exact-size slice of the ascending
-// qualifying positions — exactly those the naive scan returns: a first
-// fan-out writes the match bitmap and counts each morsel's matches, a
-// second expands each morsel's bits at its final offset. A non-nil sp
-// collects morsel child spans for the scan.
+// qualifying positions — exactly those the naive scan returns: scan
+// counts each morsel's matches, and a second fan-out writes every
+// morsel's positions at its final offset — a covered zone's rows
+// without reading a bit. A non-nil sp collects morsel child spans for
+// the scan.
 func (pl *selectPlan) positions(sp *obs.Span) []int {
-	words, offs := pl.bitmap(sp)
+	zbits, offs, at := pl.scan(sp)
 	total := 0
-	for k, c := range offs {
-		offs[k] = total
+	for k, c := range at {
+		at[k] = total
 		total += c
 	}
 	out := make([]int, total)
 	pool, _ := poolFor(pl.ms.n)
 	runMorselSet(pool, pl.ms, nil, nil, nil, func(k, lo, hi int) {
-		expandBits(words[lo/64:(hi+63)/64], lo, out[offs[k]:])
+		w, dst := zbits[offs[k]:], out[at[k]:]
+		for zlo := lo; zlo < hi; zlo += ZoneSize {
+			zhi := min(zlo+ZoneSize, hi)
+			switch pl.verdict(k, (zlo-lo)/ZoneSize) {
+			case zoneCovered:
+				for j := range dst[:zhi-zlo] {
+					dst[j] = zlo + j
+				}
+				dst = dst[zhi-zlo:]
+			case zoneStraddles:
+				dst = dst[expandBits(w[:(zhi-zlo+63)/64], zlo, dst):]
+				w = w[zoneWords:]
+			}
+		}
 	})
 	if pl.info != nil {
 		pl.info.Matched = total
@@ -354,31 +410,73 @@ func (pl *selectPlan) positions(sp *obs.Span) []int {
 }
 
 // runs executes the plan as maximal runs of qualifying rows, plus their
-// row count. Runs are read off the whole-column bitmap, so they merge
-// across morsel boundaries.
+// row count. The runs are read off the scanned zones' bits and the
+// covered zones in row order, so a run that crosses a zone or morsel
+// edge comes out whole.
 func (pl *selectPlan) runs(sp *obs.Span) ([]Run, int) {
-	words, counts := pl.bitmap(sp)
-	matched := 0
+	zbits, offs, counts := pl.scan(sp)
+	matched, n, end := 0, 0, -1
 	for _, c := range counts {
 		matched += c
 	}
-	out := make([]Run, 0, countRuns(words))
-	bitRuns(words, 0, func(start, end int) { out = append(out, Run{Start: start, Len: end - start}) })
+	pl.eachRun(zbits, offs, func(start, stop int) {
+		if start != end {
+			n++
+		}
+		end = stop
+	})
+	out := make([]Run, 0, n)
+	pl.eachRun(zbits, offs, func(start, stop int) {
+		if last := len(out) - 1; last >= 0 && out[last].Start+out[last].Len == start {
+			out[last].Len += stop - start
+			return
+		}
+		out = append(out, Run{Start: start, Len: stop - start})
+	})
 	return out, matched
 }
 
-// morselRuns calls visit(start, end) for the maximal runs of
-// qualifying rows inside the k-th visited morsel [lo, hi): a scan
-// writes the morsel's match bitmap into stack scratch and the runs are
-// read off it; a morsel the zone map covers is one run.
-func (pl *selectPlan) morselRuns(k, lo, hi int, visit func(start, end int)) {
-	if pl.ms.covered != nil && pl.ms.covered[k] {
-		visit(lo, hi)
-		return
+// eachRun calls visit(start, stop) for the runs of qualifying rows of
+// every visited zone in row order, as scan left them: one per covered
+// zone, the maximal runs inside each straddling one. Runs of
+// neighbouring zones may touch; the caller merges them.
+func (pl *selectPlan) eachRun(zbits []uint64, offs []int, visit func(start, stop int)) {
+	for k, off := range offs {
+		lo, hi := pl.ms.rowRange(k)
+		w := zbits[off:]
+		for zlo := lo; zlo < hi; zlo += ZoneSize {
+			zhi := min(zlo+ZoneSize, hi)
+			switch pl.verdict(k, (zlo-lo)/ZoneSize) {
+			case zoneCovered:
+				visit(zlo, zhi)
+			case zoneStraddles:
+				bitRuns(w[:(zhi-zlo+63)/64], zlo, visit)
+				w = w[zoneWords:]
+			}
+		}
 	}
+}
+
+// morselRuns calls visit(start, end) for the maximal runs of
+// qualifying rows inside the k-th visited morsel [lo, hi), read off a
+// match bitmap of the morsel in stack scratch: a covered zone is all
+// ones and a disjoint one all zeros without a compare, and only the
+// straddling zones run the typed kernel.
+func (pl *selectPlan) morselRuns(k, lo, hi int, visit func(start, end int)) {
 	var scratch [MorselSize / 64]uint64
 	words := scratch[:(hi-lo+63)/64]
-	pl.pred.bits(lo, hi, words)
+	for zlo := lo; zlo < hi; zlo += ZoneSize {
+		zhi := min(zlo+ZoneSize, hi)
+		w := words[(zlo-lo)/64 : (zhi-lo+63)/64]
+		switch pl.verdict(k, (zlo-lo)/ZoneSize) {
+		case zoneStraddles:
+			pl.pred.bits(zlo, zhi, w)
+		case zoneCovered:
+			onesBits(zhi-zlo, w)
+		default:
+			clear(w)
+		}
+	}
 	bitRuns(words, lo, visit)
 }
 
@@ -391,8 +489,8 @@ func colSelectIdx(c Column, lo, hi Value) []int {
 
 // filterIdx returns the ascending positions of [0, n) that match — the
 // position list of Semijoin/KDiff, whose predicate is a hash probe —
-// through the same bitmap and exact-size expansion as a range select.
+// through the same scan and exact-size expansion as a range select.
 func filterIdx(n int, match func(i int) bool) []int {
-	pl := selectPlan{pred: rangePred{match: match}, ms: morselSet{n: n}, lat: hPoolJoinLat, spd: hPoolJoinSpd}
+	pl := selectPlan{pred: rangePred{match: match}, ms: morselSet{n: n}, lat: hPoolFilterLat, spd: hPoolFilterSpd}
 	return pl.positions(nil)
 }

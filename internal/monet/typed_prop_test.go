@@ -283,8 +283,8 @@ func TestTypedFoldsMatchBoxedOracle(t *testing.T) {
 					if z.unsafe != hasNaN {
 						t.Fatalf("%s zone map unsafe=%v, column NaN=%v", what, z.unsafe, hasNaN)
 					}
-					for m := 0; !hasNaN && m < numMorsels(n); m++ {
-						lo, hi := m*MorselSize, min((m+1)*MorselSize, n)
+					for zi := 0; !hasNaN && zi < numZones(n); zi++ {
+						lo, hi := zi*ZoneSize, min((zi+1)*ZoneSize, n)
 						mn, mx := col.Get(lo), col.Get(lo)
 						for i := lo; i < hi; i++ {
 							if v := col.Get(i); Compare(v, mn) < 0 {
@@ -293,14 +293,29 @@ func TestTypedFoldsMatchBoxedOracle(t *testing.T) {
 								mx = v
 							}
 						}
-						if Compare(z.mins[m], mn) != 0 || Compare(z.maxs[m], mx) != 0 {
-							t.Fatalf("%s morsel %d summary [%v, %v], oracle [%v, %v]", what, m, z.mins[m], z.maxs[m], mn, mx)
+						zmn, zmx := zoneSummary(z, col, zi)
+						if Compare(zmn, mn) != 0 || Compare(zmx, mx) != 0 {
+							t.Fatalf("%s zone %d summary [%v, %v], oracle [%v, %v]", what, zi, zmn, zmx, mn, mx)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// zoneSummary boxes zone zi's unboxed summary the way col's Get boxes
+// its values.
+func zoneSummary(z *zoneMap, col Column, zi int) (mn, mx Value) {
+	switch col.(type) {
+	case *intColumn:
+		return NewInt(z.ints.mins[zi]), NewInt(z.ints.maxs[zi])
+	case *oidColumn:
+		return NewOID(OID(z.ints.mins[zi])), NewOID(OID(z.ints.maxs[zi]))
+	case *floatColumn:
+		return NewFloat(z.flts.mins[zi]), NewFloat(z.flts.maxs[zi])
+	}
+	return NewStr(z.strs.mins[zi]), NewStr(z.strs.maxs[zi])
 }
 
 // TestAccessPathsMatchBoxedOracle drives the store-level selects —

@@ -1,18 +1,44 @@
 package monet
 
-// zoneMap summarizes a column as per-morsel [min, max] pairs, aligned
-// to the MorselSize grid the parallel operators already scan in. A
-// range select consults it to skip every morsel whose summary cannot
-// intersect the predicate and to take every morsel the summary places
-// wholly inside the range without comparing a row; the rest feed the
-// same morsel-ordered scan, so neither shortcut changes the result.
+import "math/bits"
+
+// ZoneSize is the number of rows one zone-map summary covers: 16
+// bitmap words, so a morsel holds MorselSize/ZoneSize = 16 zones.
+const ZoneSize = 1024
+
+const (
+	zoneWords      = ZoneSize / 64
+	zonesPerMorsel = MorselSize / ZoneSize
+)
+
+// numZones returns how many zones cover n rows.
+func numZones(n int) int { return (n + ZoneSize - 1) / ZoneSize }
+
+// zoneMap summarizes a column as per-zone [min, max] pairs, ZoneSize
+// rows each, aligned to the MorselSize grid the parallel operators
+// scan in. A range select consults it zone by zone: a morsel all of
+// whose zones are disjoint from the predicate is never visited, and
+// inside a visited morsel a zone wholly inside the range is taken
+// without comparing a row and a disjoint zone is skipped; only the
+// zones that straddle a bound run the typed kernel. Summaries are
+// stored unboxed in the column's own domain — 16 bytes per zone, 16 KB
+// per million rows.
 type zoneMap struct {
-	mins, maxs []Value
-	n          int // rows summarized
+	n    int                 // rows summarized
+	ints zoneBounds[int64]   // int and oid columns, by int64 payload
+	flts zoneBounds[float64] // float columns
+	strs zoneBounds[string]  // string columns
 	// unsafe is set when a NaN was seen: NaN compares equal to
 	// everything under the kernel Compare, so min/max summaries are
 	// meaningless and the owner must fall back to full scans.
 	unsafe bool
+}
+
+// zoneBounds holds per-zone extremes of one domain.
+type zoneBounds[T int64 | float64 | string] struct{ mins, maxs []T }
+
+func newZoneBounds[T int64 | float64 | string](nz int) zoneBounds[T] {
+	return zoneBounds[T]{mins: make([]T, nz), maxs: make([]T, nz)}
 }
 
 // zoneMappable reports whether a column has an ordered scalar tail a
@@ -26,30 +52,38 @@ func zoneMappable(col Column) bool {
 }
 
 // buildZoneMap summarizes a zoneMappable column in one typed pass,
-// morsel-parallel when the column clears the pool threshold.
-// Per-morsel summaries are independent, so the parallel build is
-// deterministic.
+// morsel-parallel when the column clears the pool threshold. Zone
+// summaries are independent, so the parallel build is deterministic.
 func buildZoneMap(col Column) *zoneMap {
 	n := col.Len()
-	nm := numMorsels(n)
-	z := &zoneMap{mins: make([]Value, nm), maxs: make([]Value, nm), n: n}
-	nan := make([]bool, nm)
+	nz := numZones(n)
+	z := &zoneMap{n: n}
+	switch col.(type) {
+	case *intColumn, *oidColumn:
+		z.ints = newZoneBounds[int64](nz)
+	case *floatColumn:
+		z.flts = newZoneBounds[float64](nz)
+	case *strColumn:
+		z.strs = newZoneBounds[string](nz)
+	}
+	nan := make([]bool, numMorsels(n))
 	pool, _ := poolFor(n)
 	runMorselSet(pool, morselSet{n: n}, nil, nil, nil, func(m, lo, hi int) {
-		switch c := col.(type) {
-		case *intColumn:
-			mn, mx := minMaxInt(c.v[lo:hi])
-			z.mins[m], z.maxs[m] = NewInt(mn), NewInt(mx)
-		case *oidColumn:
-			mn, mx := minMaxInt(c.v[lo:hi])
-			z.mins[m], z.maxs[m] = NewOID(OID(mn)), NewOID(OID(mx))
-		case *floatColumn:
-			var mn, mx float64
-			mn, mx, nan[m] = minMaxOrd(c.v[lo:hi])
-			z.mins[m], z.maxs[m] = NewFloat(mn), NewFloat(mx)
-		case *strColumn:
-			mn, mx, _ := minMaxOrd(c.v[lo:hi])
-			z.mins[m], z.maxs[m] = NewStr(mn), NewStr(mx)
+		for lo < hi {
+			zi, zhi := lo/ZoneSize, min(lo+ZoneSize, hi)
+			switch c := col.(type) {
+			case *intColumn:
+				z.ints.mins[zi], z.ints.maxs[zi] = minMaxInt(c.v[lo:zhi])
+			case *oidColumn:
+				z.ints.mins[zi], z.ints.maxs[zi] = minMaxInt(c.v[lo:zhi])
+			case *floatColumn:
+				var u bool
+				z.flts.mins[zi], z.flts.maxs[zi], u = minMaxOrd(c.v[lo:zhi])
+				nan[m] = nan[m] || u
+			case *strColumn:
+				z.strs.mins[zi], z.strs.maxs[zi], _ = minMaxOrd(c.v[lo:zhi])
+			}
+			lo = zhi
 		}
 	})
 	for _, u := range nan {
@@ -90,30 +124,57 @@ func minMaxOrd[T ordElem](v []T) (mn, mx T, nan bool) {
 	return mn, mx, nan
 }
 
-// classify sorts the morsels of a numeric column by what their
-// [min, max] summary says about p: disjoint morsels are dropped,
-// morsels wholly inside the range are marked covered, and the rest
-// straddle a bound and must be scanned.
+// zoneMask holds the zone verdicts of one visited morsel: bit z of
+// scan marks its z-th zone as straddling a bound, bit z of cover as
+// wholly inside the range; a zone in neither is disjoint.
+type zoneMask struct{ scan, cover uint16 }
+
+// classify sorts the zones of a numeric column by what their
+// [min, max] summary says about p — disjoint, covered or straddling —
+// and lists the morsels holding at least one zone that is not
+// disjoint, each with its zone verdicts.
 func (z *zoneMap) classify(p *rangePred) morselSet {
-	ms := morselSet{n: z.n, morsels: make([]int, 0, len(z.mins)), covered: make([]bool, 0, len(z.mins))}
+	nm := numMorsels(z.n)
+	ms := morselSet{n: z.n, morsels: make([]int, 0, nm), zones: make([]zoneMask, 0, nm)}
 	if p.empty {
 		return ms
 	}
-	isFloat := z.mins[0].Typ == FloatT
-	for m := range z.mins {
-		mn, mx := z.mins[m], z.maxs[m]
-		// Summaries meet bounds in their own domain: float64 cannot
-		// tell neighbouring int64 values past 2^53 apart.
-		var disjoint, covered bool
-		if isFloat {
-			disjoint, covered = mx.F < p.flo || mn.F > p.fhi, mn.F >= p.flo && mx.F <= p.fhi
-		} else {
-			disjoint, covered = mx.I < p.ilo || mn.I > p.ihi, mn.I >= p.ilo && mx.I <= p.ihi
-		}
-		if !disjoint {
-			ms.morsels = append(ms.morsels, m)
-			ms.covered = append(ms.covered, covered)
-		}
+	// Summaries meet bounds in their own domain: float64 cannot tell
+	// neighbouring int64 values past 2^53 apart.
+	if z.flts.mins != nil {
+		classifyZones(z.flts, p.flo, p.fhi, &ms)
+	} else {
+		classifyZones(z.ints, p.ilo, p.ihi, &ms)
 	}
 	return ms
+}
+
+func classifyZones[T int64 | float64](zb zoneBounds[T], lo, hi T, ms *morselSet) {
+	for first := 0; first < len(zb.mins); first += zonesPerMorsel {
+		var mask zoneMask
+		for z := range min(zonesPerMorsel, len(zb.mins)-first) {
+			mn, mx := zb.mins[first+z], zb.maxs[first+z]
+			switch {
+			case mx < lo || mn > hi:
+			case mn >= lo && mx <= hi:
+				mask.cover |= 1 << z
+			default:
+				mask.scan |= 1 << z
+			}
+		}
+		if mask != (zoneMask{}) {
+			ms.morsels = append(ms.morsels, first/zonesPerMorsel)
+			ms.zones = append(ms.zones, mask)
+		}
+	}
+}
+
+// zoneCounts returns how many zones the visited morsels of ms scan and
+// how many they take whole.
+func (ms morselSet) zoneCounts() (scanned, covered int) {
+	for _, zm := range ms.zones {
+		scanned += bits.OnesCount16(zm.scan)
+		covered += bits.OnesCount16(zm.cover)
+	}
+	return scanned, covered
 }

@@ -13,8 +13,15 @@
 // max-keyed cache would serve stale rows. Equality over the full
 // epoch vector has no such collision.
 //
-// The cache is bounded by a byte budget with LRU eviction, and
-// concurrent identical misses collapse into one execution
+// The cache is bounded by a byte budget with LRU eviction, and the
+// entries no lookup has hit yet by a count as well (2Q's A1in queue,
+// Johnson & Shasha, VLDB 1994): a new entry waits in a FIFO of
+// never-hit entries capped at maxFresh, its first hit promotes it to
+// the LRU list, and eviction drains the never-hit FIFO first. A stream
+// of never-repeating statements therefore holds at most maxFresh
+// results instead of filling the byte budget, while a statement asked
+// again before maxFresh newer results are stored hits as before.
+// Concurrent identical misses collapse into one execution
 // (single-flight): under a thundering herd of the same query, one
 // request computes and the rest wait for its result. A result stores
 // under the fingerprint observed BEFORE execution began — if a write
@@ -52,6 +59,12 @@ var (
 // mattering next to the BATs themselves.
 const DefaultMaxBytes = 64 << 20
 
+// maxFresh caps the entries no lookup has hit yet. It is sized from
+// the adhoc_paper and kernel_scan benchmarks (docs/SERVING.md): larger
+// caps held more memory without lowering latency, and a cap of 1 024
+// ran the collector twice as often with its heap goal at the floor.
+const maxFresh = 4096
+
 // entryOverhead approximates the fixed per-entry bookkeeping cost
 // (map slot, list element, headers) charged against the byte budget.
 const entryOverhead = 128
@@ -84,6 +97,7 @@ type entry struct {
 	lines []string
 	bytes int64
 	elem  *list.Element
+	hit   bool // served at least once: on lru, else on fresh
 }
 
 // flight is one in-progress execution that concurrent identical
@@ -104,7 +118,8 @@ type Stats struct {
 	// SingleflightWaits counts lookups collapsed onto another
 	// request's in-progress execution.
 	SingleflightWaits int64
-	// Evictions counts entries removed by the LRU byte budget.
+	// Evictions counts entries removed by the byte budget or the
+	// never-hit cap.
 	Evictions int64
 	// Invalidations counts entries removed because a dependency epoch
 	// moved (an append or ingest made them stale).
@@ -121,7 +136,8 @@ type Cache struct {
 	mu      sync.Mutex
 	maxB    int64
 	entries map[string]*entry
-	lru     *list.List // front = most recent
+	fresh   *list.List // never-hit entries, front = newest
+	lru     *list.List // entries hit at least once, front = most recent
 	flights map[string]*flight
 	bytes   int64
 
@@ -137,6 +153,7 @@ func New(maxBytes int64) *Cache {
 	return &Cache{
 		maxB:    maxBytes,
 		entries: map[string]*entry{},
+		fresh:   list.New(),
 		lru:     list.New(),
 		flights: map[string]*flight{},
 	}
@@ -152,7 +169,12 @@ func (c *Cache) Do(key, fp string, exec func() ([]string, error)) (lines []strin
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.fp == fp {
-			c.lru.MoveToFront(e.elem)
+			if e.hit {
+				c.lru.MoveToFront(e.elem)
+			} else {
+				c.fresh.Remove(e.elem)
+				e.elem, e.hit = c.lru.PushFront(e), true
+			}
 			c.hits++
 			lines = e.lines
 			c.mu.Unlock()
@@ -239,7 +261,9 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// storeLocked inserts a result, evicting from the LRU tail until the
+// storeLocked inserts a result as the newest never-hit entry, evicting
+// the oldest never-hit entries while there are more than maxFresh of
+// them, and then — never-hit entries first, LRU tail next — until the
 // byte budget holds. Oversize results (bigger than the whole budget)
 // are not stored at all.
 func (c *Cache) storeLocked(key, fp string, lines []string) {
@@ -258,15 +282,20 @@ func (c *Cache) storeLocked(key, fp string, lines []string) {
 		c.removeLocked(old)
 	}
 	e := &entry{key: key, fp: fp, lines: lines, bytes: size}
-	e.elem = c.lru.PushFront(e)
+	e.elem = c.fresh.PushFront(e)
 	c.entries[key] = e
 	c.bytes += size
-	for c.bytes > c.maxB {
-		back := c.lru.Back()
-		if back == nil {
+	for c.fresh.Len() > maxFresh || c.bytes > c.maxB {
+		// The entry just stored is never its own victim, so the second
+		// identical query hits whatever the hot entries weigh.
+		victim := c.fresh.Back()
+		if victim == e.elem {
+			victim = c.lru.Back()
+		}
+		if victim == nil {
 			break
 		}
-		c.removeLocked(back.Value.(*entry))
+		c.removeLocked(victim.Value.(*entry))
 		c.evicts++
 		cEvict.Inc()
 	}
@@ -277,7 +306,11 @@ func (c *Cache) storeLocked(key, fp string, lines []string) {
 // removeLocked unlinks an entry and returns its bytes to the budget.
 func (c *Cache) removeLocked(e *entry) {
 	delete(c.entries, e.key)
-	c.lru.Remove(e.elem)
+	if e.hit {
+		c.lru.Remove(e.elem)
+	} else {
+		c.fresh.Remove(e.elem)
+	}
 	c.bytes -= e.bytes
 	gEntries.Set(int64(len(c.entries)))
 	gBytes.Set(c.bytes)

@@ -251,3 +251,65 @@ func TestFlush(t *testing.T) {
 		t.Fatalf("Flush left %+v", st)
 	}
 }
+
+// TestNeverHitCap pins the count cap on entries no lookup has hit yet:
+// an entry hit once outlives any number of newer one-shot entries, a
+// never-hit entry is evicted once maxFresh newer ones arrived, and the
+// byte budget holds throughout.
+func TestNeverHitCap(t *testing.T) {
+	c := New(1 << 30)
+	mustLines(t, c, "hot", "1", []string{"h"})
+	if _, hit := mustLines(t, c, "hot", "1", nil); !hit {
+		t.Fatal("second identical query missed")
+	}
+	mustLines(t, c, "cold", "1", []string{"c"})
+	for i := 0; i < maxFresh-1; i++ {
+		mustLines(t, c, fmt.Sprintf("once%d", i), "1", []string{"x"})
+	}
+	if _, ok := c.Lookup("cold", "1"); !ok {
+		t.Fatalf("never-hit entry gone after %d newer ones, cap %d", maxFresh-1, maxFresh)
+	}
+	mustLines(t, c, "once-last", "1", []string{"x"})
+	if _, ok := c.Lookup("cold", "1"); ok {
+		t.Fatalf("never-hit entry survived %d newer ones, cap %d", maxFresh, maxFresh)
+	}
+	for i := 0; i < 2*maxFresh; i++ {
+		mustLines(t, c, fmt.Sprintf("more%d", i), "1", []string{"x"})
+	}
+	if _, ok := c.Lookup("hot", "1"); !ok {
+		t.Fatalf("entry hit once evicted by %d one-shot entries", 3*maxFresh)
+	}
+	st := c.Stats()
+	if st.Entries != maxFresh+1 || st.Evictions != 2*maxFresh+1 {
+		t.Fatalf("stats = %+v, want %d entries and %d evictions", st, maxFresh+1, 2*maxFresh+1)
+	}
+}
+
+// TestNeverHitCapKeepsByteBudget: with hit entries filling the byte
+// budget, a new entry evicts the least recent hit one rather than
+// itself, so its second identical query still hits, and the budget
+// holds.
+func TestNeverHitCapKeepsByteBudget(t *testing.T) {
+	c := New(900) // room for three ~275-byte entries
+	line := string(make([]byte, 128))
+	for i := 0; i < 3; i++ {
+		key := fmt.Sprintf("hot%d", i)
+		mustLines(t, c, key, "1", []string{line})
+		if _, hit := mustLines(t, c, key, "1", nil); !hit {
+			t.Fatalf("%s missed on its second query", key)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		key := fmt.Sprintf("new%d", i)
+		mustLines(t, c, key, "1", []string{line})
+		if _, hit := mustLines(t, c, key, "1", nil); !hit {
+			t.Fatalf("%s missed on its second query", key)
+		}
+		if st := c.Stats(); st.Bytes > st.MaxBytes {
+			t.Fatalf("over budget: %+v", st)
+		}
+	}
+	if _, ok := c.Lookup("hot0", "1"); ok {
+		t.Fatal("least recent hit entry survived five newer hit ones")
+	}
+}

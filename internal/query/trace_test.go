@@ -60,11 +60,13 @@ func TestRunTracedSpansAllLevels(t *testing.T) {
 	// Three morsels: the first entirely below the threshold (so the
 	// zone map prunes it and the cost gate reports path=zonemap), the
 	// other two qualifying (so the surviving scan fans out over more
-	// than one morsel and records morsel spans).
+	// than one morsel and records morsel spans) except for every other
+	// row of the last morsel's first zone, the one zone whose rows the
+	// kernel has to compare.
 	n := 3 * monet.MorselSize
 	values := make([]float64, n)
 	for i := range values {
-		if i < monet.MorselSize {
+		if i < monet.MorselSize || i < 2*monet.MorselSize+monet.ZoneSize && i >= 2*monet.MorselSize && i%2 == 0 {
 			values[i] = 100
 		} else {
 			values[i] = 200
@@ -146,9 +148,10 @@ func TestRunTracedSpansAllLevels(t *testing.T) {
 	if stat.RowsScanned == 0 || stat.RowsReturned == 0 || stat.Morsels == 0 {
 		t.Fatalf("resource stat not attributed: %+v", stat)
 	}
-	// Zone map pruned one of three morsels: only two morsels' worth of
-	// rows were touched.
-	if want := int64(2 * monet.MorselSize); stat.RowsScanned != want {
+	// Zone map pruned one of three morsels and took all zones but one
+	// of the other two without a compare: only that zone's rows were
+	// compared.
+	if want := int64(monet.ZoneSize); stat.RowsScanned != want {
 		t.Fatalf("rows scanned = %d, want %d", stat.RowsScanned, want)
 	}
 
