@@ -12,8 +12,8 @@
 // Shell commands:
 //
 //	SELECT/RETRIEVE ...   COQL query
-//	EXPLAIN <q>           emit and verify the MIL access plan (no execution)
-//	EXPLAIN ANALYZE <q>   run a COQL query; plan with access paths, then span tree
+//	EXPLAIN <q>           the condition tree with access paths (no execution)
+//	EXPLAIN ANALYZE <q>   the tree, then run the query and print its span tree
 //	mil <statement>       MIL statement against the kernel
 //	check <statement>     statically verify a MIL statement (milcheck)
 //	trace                 list recent completed query traces
@@ -225,32 +225,21 @@ func localShell(db string) error {
 			for _, d := range diags {
 				fmt.Println(" ", d)
 			}
-		case strings.HasPrefix(strings.ToUpper(line), "EXPLAIN ANALYZE "):
-			// EXPLAIN ANALYZE <query>: the verified plan with access
-			// paths, then the executed trace span tree across the
-			// conceptual/logical/physical levels.
-			stmt := strings.TrimSpace(line[len("EXPLAIN ANALYZE "):])
-			ex, res, span, err := eng.ExplainAnalyze(stmt)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			for _, l := range strings.Split(strings.TrimRight(ex.String(), "\n"), "\n") {
-				fmt.Println("  " + l)
-			}
-			fmt.Printf("  # executed: %d segments\n", len(res))
-			for _, l := range strings.Split(strings.TrimRight(span.Render(), "\n"), "\n") {
-				fmt.Println("  " + l)
-			}
 		case strings.HasPrefix(strings.ToUpper(line), "EXPLAIN "):
-			// EXPLAIN <query>: emit and verify the MIL access plan
-			// without running the query.
-			ex, err := eng.Explain(strings.TrimSpace(line[len("EXPLAIN "):]))
+			// EXPLAIN [ANALYZE] <query>: the condition tree with access
+			// paths; ANALYZE then runs the query and adds the span tree
+			// across the conceptual/logical/physical levels.
+			stmt := strings.TrimSpace(line[len("EXPLAIN "):])
+			explain := eng.Explain
+			if strings.HasPrefix(strings.ToUpper(stmt), "ANALYZE ") {
+				stmt, explain = strings.TrimSpace(stmt[len("ANALYZE "):]), eng.ExplainAnalyze
+			}
+			lines, err := explain(stmt)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			for _, l := range strings.Split(strings.TrimRight(ex.String(), "\n"), "\n") {
+			for _, l := range lines {
 				fmt.Println("  " + l)
 			}
 		default:
@@ -341,16 +330,15 @@ func printHelp() {
           FEATURE('name') > 0.5 | OBJECT('NAME') | NOT cond |
           cond AND/OR cond | cond BEFORE/AFTER/DURING/OVERLAPS cond |
           cond WITHIN <n> OF cond
-  EXPLAIN <query>           emit and statically verify the MIL access plan
-  EXPLAIN ANALYZE <query>   run a COQL query: plan with access paths, then its trace span tree
+  EXPLAIN <query>           the condition tree evaluation walks, with access paths
+  EXPLAIN ANALYZE <query>   the tree, then run the query and print its trace span tree
   mil <stmt>        MIL against the kernel, e.g. mil RETURN bat("cobra/videos").count;
   check <stmt>      statically verify MIL without running it (milcheck)
   trace             list recent completed query traces (newest first)
   trace <id>        one trace's resource attribution and span tree
   trace export <id> <file>  write the trace as Chrome trace-event JSON
   remote mode (-addr) also accepts the serving verbs, sent verbatim:
-    CACHESTATS              result-cache and plan-cache counters
-    GATES [SET <flag> <v>]  list or flip feature gates (on|off|NN%)
+    CACHESTATS              result-cache counters
     AUTH <tenant> [token]   authenticate this connection
   .videos           list videos
   .features <v>     list materialized features of a video

@@ -41,9 +41,8 @@
 // concurrently executing heavy requests; arrivals beyond
 // -max-inflight + -max-queue are shed with a BUSY response. -rate and
 // -burst add per-tenant token-bucket rate limits. -auth-token
-// requires clients to AUTH before heavy verbs. All of these can be
-// inspected and toggled live over the protocol: CACHESTATS, GATES,
-// GATES SET <flag> <on|off|NN%>. See docs/SERVING.md.
+// requires clients to AUTH before heavy verbs. CACHESTATS reports the
+// result cache over the protocol. See docs/SERVING.md.
 //
 // Streaming: SUBSCRIBE/UNSUBSCRIBE standing queries are always
 // served. With -feed <video>, the process additionally runs a live

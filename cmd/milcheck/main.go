@@ -2,7 +2,7 @@
 // them: symbol resolution, BAT column type inference through every
 // kernel operator, dead code, and PARALLEL-block safety (the Fig. 4
 // pattern). It is the batch face of the same analyzer behind the
-// server's CHECK command and the engine's EXPLAIN output.
+// server's CHECK command.
 //
 // Usage:
 //

@@ -257,7 +257,7 @@ func (c *Catalog) FeatureRunsCtx(ctx context.Context, video, name string, lo, hi
 }
 
 // FeatureBATName is the kernel BAT name holding a feature series;
-// EXPLAIN probes it for access plans.
+// EXPLAIN plans the access path of its FEATURE leaves on it.
 func FeatureBATName(video, name string) string { return featureBAT(video, name) }
 
 // FeatureNames lists materialized features of a video.

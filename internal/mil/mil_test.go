@@ -303,6 +303,21 @@ func TestIndexBuiltins(t *testing.T) {
 	}
 }
 
+func TestZoneMapRefusesStringColumn(t *testing.T) {
+	store := monet.NewStore()
+	b := monet.NewBATCap(monet.Void, monet.StrT, 3)
+	for _, v := range []string{"pit", "lap", "flag"} {
+		b.MustInsert(monet.VoidValue(), monet.NewStr(v))
+	}
+	store.Put("labels", b)
+	in := NewInterp(store)
+	_, err := in.Exec(`zonemap("labels");`)
+	if err == nil || !strings.Contains(err.Error(), `cannot zone-map "labels"`) ||
+		!strings.Contains(err.Error(), "no ordered scalar values") {
+		t.Fatalf("zonemap on a string column: err = %v", err)
+	}
+}
+
 func TestUndefinedVariable(t *testing.T) {
 	in := NewInterp(nil)
 	_, err := in.Exec("nosuch;")

@@ -237,7 +237,8 @@ func builtinBAT(in *Interp, args []Value) (Value, error) {
 }
 
 // builtinZoneMap force-builds the zone map (min/max per 1 024-row
-// zone) of a stored column: zonemap("name") returns the morsel count.
+// zone) of a stored numeric column: zonemap("name") returns the morsel
+// count. A string column has none; its selects use the dictionary.
 func builtinZoneMap(in *Interp, args []Value) (Value, error) {
 	if err := wantAtoms("zonemap", args, 1); err != nil {
 		return Value{}, err

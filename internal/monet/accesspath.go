@@ -320,8 +320,9 @@ func (ix *batIndex) buildZoneMap(col Column) {
 	ix.unsafe = ix.unsafe || ix.zm.unsafe
 }
 
-// BuildZoneMap force-builds the zone map of a stored column (the MIL
-// zonemap() builtin) and returns the number of summarized morsels.
+// BuildZoneMap force-builds the zone map of a stored numeric column
+// (the MIL zonemap() builtin) and returns the number of summarized
+// morsels.
 func (s *Store) BuildZoneMap(name string) (int, error) {
 	b, ix, err := s.capture(name)
 	if err != nil {

@@ -397,6 +397,34 @@ func TestPlanAccessHasNoSideEffects(t *testing.T) {
 	}
 }
 
+// TestStringColumnNeverZoneMapped: string selects take the dictionary
+// road, so a string column has no zone map to build or to plan with.
+func TestStringColumnNeverZoneMapped(t *testing.T) {
+	s := NewStore()
+	n := 3 * MorselSize
+	labels := NewBATCap(Void, StrT, n)
+	for i := 0; i < n; i++ {
+		labels.MustInsert(VoidValue(), NewStr(fmt.Sprintf("label-%02d", i/1000)))
+	}
+	s.Put("labels", labels)
+	if _, err := s.BuildZoneMap("labels"); err == nil {
+		t.Fatal("BuildZoneMap summarized a string column")
+	}
+	lo, hi := NewStr("label-03"), NewStr("label-07")
+	for i := 0; i < 3; i++ {
+		info, err := s.PlanAccess("labels", lo, hi)
+		if err != nil || info.Path == PathZoneMap {
+			t.Fatalf("plan %d: %v (err %v), want no zonemap for a string column", i, info, err)
+		}
+		if _, _, err := s.SelectPositions("labels", lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := indexState(t, s, "labels", "zonemap"); got != "none" {
+		t.Fatalf("string column zone map: %s", got)
+	}
+}
+
 func TestSelectRangeShapes(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize

@@ -379,34 +379,6 @@ func (s *Store) SelectRunsCtx(ctx context.Context, name string, lo, hi Value) ([
 	return runs, pl.finish(sp, "select→runs", reason, matched, len(runs)), nil
 }
 
-// FusedDecision reports, without executing the pipeline or building
-// indexes, the fused gate's verdict for a select→aggregate pipeline over
-// pred/agg: "fused" or "fallback(<reason>)". Plan caches fold it into
-// their keys so a memoized fused plan is never replayed once column
-// state (a NaN discovered mid-scan, a type change, re-registration)
-// flips the decision.
-func (s *Store) FusedDecision(pred, agg string, lo, hi Value, op string) string {
-	b, ix, err := s.capture(pred)
-	if err != nil {
-		return "fallback(" + err.Error() + ")"
-	}
-	reason := ix.fuseReason(b.tail, lo, hi)
-	ix.mu.Unlock()
-	if reason == "" && op != "count" {
-		ab, err := s.Get(agg)
-		switch {
-		case err != nil:
-			reason = err.Error()
-		case intReader(ab.tail) == nil:
-			reason = fmt.Sprintf("inexact or non-integer aggregate column %v", ab.TailType())
-		}
-	}
-	if reason != "" {
-		return "fallback(" + reason + ")"
-	}
-	return "fused"
-}
-
 // aggregatePositions is the operator-at-a-time reference the gate
 // falls back to once the qualifying positions are materialized: gather
 // the aggregate column, aggregate the result.

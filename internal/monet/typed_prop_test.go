@@ -312,10 +312,8 @@ func zoneSummary(z *zoneMap, col Column, zi int) (mn, mx Value) {
 		return NewInt(z.ints.mins[zi]), NewInt(z.ints.maxs[zi])
 	case *oidColumn:
 		return NewOID(OID(z.ints.mins[zi])), NewOID(OID(z.ints.maxs[zi]))
-	case *floatColumn:
-		return NewFloat(z.flts.mins[zi]), NewFloat(z.flts.maxs[zi])
 	}
-	return NewStr(z.strs.mins[zi]), NewStr(z.strs.maxs[zi])
+	return NewFloat(z.flts.mins[zi]), NewFloat(z.flts.maxs[zi])
 }
 
 // TestAccessPathsMatchBoxedOracle drives the store-level selects —

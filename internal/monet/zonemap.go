@@ -27,7 +27,6 @@ type zoneMap struct {
 	n    int                 // rows summarized
 	ints zoneBounds[int64]   // int and oid columns, by int64 payload
 	flts zoneBounds[float64] // float columns
-	strs zoneBounds[string]  // string columns
 	// unsafe is set when a NaN was seen: NaN compares equal to
 	// everything under the kernel Compare, so min/max summaries are
 	// meaningless and the owner must fall back to full scans.
@@ -35,17 +34,17 @@ type zoneMap struct {
 }
 
 // zoneBounds holds per-zone extremes of one domain.
-type zoneBounds[T int64 | float64 | string] struct{ mins, maxs []T }
+type zoneBounds[T int64 | float64] struct{ mins, maxs []T }
 
-func newZoneBounds[T int64 | float64 | string](nz int) zoneBounds[T] {
+func newZoneBounds[T int64 | float64](nz int) zoneBounds[T] {
 	return zoneBounds[T]{mins: make([]T, nz), maxs: make([]T, nz)}
 }
 
-// zoneMappable reports whether a column has an ordered scalar tail a
-// zone map can summarize.
+// zoneMappable reports whether a column has a numeric tail a zone map
+// can summarize. String selects take the dictionary road instead.
 func zoneMappable(col Column) bool {
 	switch col.(type) {
-	case *intColumn, *oidColumn, *floatColumn, *strColumn:
+	case *intColumn, *oidColumn, *floatColumn:
 		return true
 	}
 	return false
@@ -63,8 +62,6 @@ func buildZoneMap(col Column) *zoneMap {
 		z.ints = newZoneBounds[int64](nz)
 	case *floatColumn:
 		z.flts = newZoneBounds[float64](nz)
-	case *strColumn:
-		z.strs = newZoneBounds[string](nz)
 	}
 	nan := make([]bool, numMorsels(n))
 	pool, _ := poolFor(n)
@@ -78,10 +75,8 @@ func buildZoneMap(col Column) *zoneMap {
 				z.ints.mins[zi], z.ints.maxs[zi] = minMaxInt(c.v[lo:zhi])
 			case *floatColumn:
 				var u bool
-				z.flts.mins[zi], z.flts.maxs[zi], u = minMaxOrd(c.v[lo:zhi])
+				z.flts.mins[zi], z.flts.maxs[zi], u = minMaxFloat(c.v[lo:zhi])
 				nan[m] = nan[m] || u
-			case *strColumn:
-				z.strs.mins[zi], z.strs.maxs[zi], _ = minMaxOrd(c.v[lo:zhi])
 			}
 			lo = zhi
 		}
@@ -108,9 +103,9 @@ func minMaxInt[T intElem](v []T) (mn, mx int64) {
 	return mn, mx
 }
 
-// minMaxOrd returns the extremes of a non-empty float or string
-// vector, and whether it holds a NaN.
-func minMaxOrd[T ordElem](v []T) (mn, mx T, nan bool) {
+// minMaxFloat returns the extremes of a non-empty float vector, and
+// whether it holds a NaN.
+func minMaxFloat(v []float64) (mn, mx float64, nan bool) {
 	mn, mx = v[0], v[0]
 	for _, e := range v {
 		if e < mn {

@@ -41,7 +41,7 @@ import (
 )
 
 // Cache metrics, exported under /metrics as cobra_qcache_*. The
-// hits:misses ratio is the ramp signal for the qcache.enabled gate;
+// hits:misses ratio says whether the cache earns its memory;
 // invalidations track write pressure on cached queries.
 var (
 	cHits     = obs.C("qcache.hits")
@@ -224,8 +224,7 @@ func (c *Cache) Do(key, fp string, exec func() ([]string, error)) (lines []strin
 }
 
 // Lookup reports whether a fresh entry exists for key at fp without
-// executing anything or perturbing LRU order. Used by tests and the
-// EXPLAIN surface.
+// executing anything or perturbing LRU order. Used by tests.
 func (c *Cache) Lookup(key, fp string) ([]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

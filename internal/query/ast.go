@@ -341,13 +341,26 @@ func (p *parser) eventCond() (Cond, error) {
 		if ec.Attrs == nil {
 			ec.Attrs = map[string]string{}
 		}
-		ec.Attrs[strings.ToLower(key.text)] = val.text
+		ec.Attrs[lowerASCII(key.text)] = val.text
 	}
 	if p.cur().text != ")" {
 		return nil, p.errf("expected ) after EVENT arguments")
 	}
 	p.i++
 	return ec, nil
+}
+
+// lowerASCII folds the ASCII letters of an attribute name. A Unicode
+// fold could turn an ident's bytes into ones the lexer does not read as
+// an ident, and the canonical form would no longer parse.
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 func (p *parser) featureCond() (Cond, error) {

@@ -9,12 +9,14 @@ import (
 )
 
 // Canonical renders a parsed query to a normalized COQL string: the
-// cache key of the serving layer's result cache. Two statements that
-// differ only in spelling — whitespace, keyword case, attribute
-// order, attribute-value case (matching is case-insensitive), float
-// rendering ("0.50" vs ".5") — canonicalize identically and share one
-// cache entry. Structurally different queries never collide because
-// the rendering is an injective encoding of the AST.
+// cache key of the serving layer's result cache, and the text EXPLAIN
+// prints. Two statements that differ only in spelling — whitespace,
+// keyword case, attribute order, attribute-value case (matching is
+// case-insensitive), float rendering ("0.50" vs ".5") — canonicalize
+// identically and share one cache entry. Structurally different
+// queries never collide because the rendering is an injective encoding
+// of the AST. For every parsed query the rendering is itself COQL that
+// parses back to the same canonical form.
 //
 // Canonicalization deliberately does NOT reorder AND/OR operands:
 // evaluation is order-sensitive in its trace and (for OR) in result
@@ -26,7 +28,11 @@ func (q *Query) Canonical() string {
 	b.WriteString("select ")
 	b.WriteString(q.Target)
 	b.WriteString(" from ")
-	b.WriteString(q.Video)
+	if isIdent(q.Video) {
+		b.WriteString(q.Video)
+	} else {
+		canonLit(&b, q.Video) // FROM also takes a string literal
+	}
 	if q.Where != nil {
 		b.WriteString(" where ")
 		canonCond(&b, q.Where)
@@ -55,7 +61,7 @@ func canonCond(b *strings.Builder, c Cond) {
 	switch n := c.(type) {
 	case *EventCond:
 		b.WriteString("event(")
-		b.WriteString(strconv.Quote(n.Type))
+		canonLit(b, n.Type)
 		keys := make([]string, 0, len(n.Attrs))
 		for k := range n.Attrs {
 			keys = append(keys, k)
@@ -67,19 +73,19 @@ func canonCond(b *strings.Builder, c Cond) {
 			b.WriteString("=")
 			// Attribute matching is case-insensitive (attrsMatch uses
 			// EqualFold), so values fold to one spelling here.
-			b.WriteString(strconv.Quote(strings.ToLower(n.Attrs[k])))
+			canonLit(b, strings.ToLower(n.Attrs[k]))
 		}
 		b.WriteString(")")
 	case *TextCond:
 		b.WriteString("text contains ")
-		b.WriteString(strconv.Quote(n.Word))
+		canonLit(b, n.Word)
 	case *ObjectCond:
 		b.WriteString("object(")
-		b.WriteString(strconv.Quote(n.Name))
+		canonLit(b, n.Name)
 		b.WriteString(")")
 	case *FeatureCond:
 		b.WriteString("feature(")
-		b.WriteString(strconv.Quote(n.Name))
+		canonLit(b, n.Name)
 		b.WriteString(") ")
 		b.WriteString(n.Op)
 		b.WriteString(" ")
@@ -116,10 +122,34 @@ func canonCond(b *strings.Builder, c Cond) {
 	}
 }
 
+// canonLit renders a string literal the way the lexer reads it back:
+// between double quotes unless it holds one, else between single
+// quotes. The lexer has no escapes, so a literal holding both quote
+// characters cannot come from Parse; it renders as a backslash and its
+// Go-quoted form. The first byte of every literal thus names its form
+// and each form is self-delimiting, which keeps the encoding injective
+// although that last form does not parse.
+func canonLit(b *strings.Builder, s string) {
+	switch {
+	case !strings.Contains(s, `"`):
+		b.WriteByte('"')
+		b.WriteString(s)
+		b.WriteByte('"')
+	case !strings.Contains(s, "'"):
+		b.WriteByte('\'')
+		b.WriteString(s)
+		b.WriteByte('\'')
+	default:
+		b.WriteByte('\\')
+		b.WriteString(strconv.Quote(s))
+	}
+}
+
 // canonFloat renders a float the shortest way that round-trips, so
-// "0.50", ".5" and "0.5" spell one key.
+// "0.50", ".5" and "0.5" spell one key. No exponent: the lexer reads a
+// number as digits and dots only.
 func canonFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.FormatFloat(v, 'f', -1, 64)
 }
 
 // DepNamesOf returns the kernel BAT names a query reads, in

@@ -86,9 +86,9 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tOp, text: src[i:j], pos: i})
 			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
+		case identStart(c):
 			j := i
-			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_' || src[j] == '-') {
+			for j < len(src) && identByte(src[j]) {
 				j++
 			}
 			toks = append(toks, token{kind: tIdent, text: src[i:j], pos: i})
@@ -99,6 +99,28 @@ func lex(src string) ([]token, error) {
 	}
 	toks = append(toks, token{kind: tEOF, pos: len(src)})
 	return toks, nil
+}
+
+// identStart and identByte say which bytes begin and continue an
+// ident. They test single bytes, so a byte at or above 0x80 counts as
+// its Latin-1 character.
+func identStart(c byte) bool { return unicode.IsLetter(rune(c)) || c == '_' }
+
+func identByte(c byte) bool {
+	return identStart(c) || unicode.IsDigit(rune(c)) || c == '-'
+}
+
+// isIdent reports whether s lexes as exactly one ident token.
+func isIdent(s string) bool {
+	if s == "" || !identStart(s[0]) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !identByte(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // isKeyword matches an ident token against a keyword,

@@ -17,36 +17,22 @@ import (
 // same composable middleware chain before reaching the verb
 // dispatcher:
 //
-//	auth -> gate -> cache -> admit -> execute
+//	auth -> cache -> admit -> execute
 //
 // Each stage is a plain func(Handler) Handler, so the order is
 // spelled in exactly one place (buildChain) and a stage that has
 // nothing to say about a request costs one function call. The order
-// is deliberate: authentication is checked before any work; feature
-// gates can turn a verb class off per tenant before it touches the
-// engine; a cache hit is served before admission control, so a loaded
-// server keeps answering repeated queries from memory even while it
-// sheds fresh work; and only requests that will actually execute
-// occupy an admission slot.
+// is deliberate: authentication is checked before any work; a cache
+// hit is served before admission control, so a loaded server keeps
+// answering repeated queries from memory even while it sheds fresh
+// work; and only requests that will actually execute occupy an
+// admission slot. The cache stage is on exactly when a result cache
+// is attached, the admission stage exactly when a controller is.
 
 // Serving metrics.
 var (
-	cBusy        = obs.C("server.busy_responses")
-	cAuthDenied  = obs.C("server.auth_denied")
-	cGateBlocked = obs.C("server.gate_blocked")
-)
-
-// Gate names the server registers at construction. All default on:
-// gates exist to turn serving features off (or ramp them back on)
-// at runtime without a restart.
-const (
-	// GateQueryCache gates the semantic result cache per tenant.
-	GateQueryCache = "qcache.enabled"
-	// GateAdmission gates admission control (shedding, rate limits).
-	GateAdmission = "admit.enabled"
-	// GateMIL gates raw physical-layer access (MIL, CHECK): the verbs
-	// that bypass the conceptual schema entirely.
-	GateMIL = "mil.enabled"
+	cBusy       = obs.C("server.busy_responses")
+	cAuthDenied = obs.C("server.auth_denied")
 )
 
 // Request is one protocol line flowing through the middleware chain.
@@ -56,8 +42,8 @@ type Request struct {
 	// Line is the full request line; Verb its upper-cased first word
 	// and Rest everything after it.
 	Line, Verb, Rest string
-	// Tenant identifies the caller for gates, rate limits and cache
-	// ramp decisions: the AUTH identity, or "anon" before AUTH.
+	// Tenant identifies the caller for rate limits: the AUTH identity,
+	// or "anon" before AUTH.
 	Tenant string
 	// Authed reports whether the connection presented credentials.
 	Authed bool
@@ -95,7 +81,7 @@ func Chain(h Handler, mw ...Middleware) Handler {
 // executor. The connection loop passes a terminal that also knows the
 // connection-scoped streaming verbs; Serve passes the bare dispatcher.
 func (s *Server) buildChain(terminal Handler) Handler {
-	return Chain(terminal, s.authStage, s.gateStage, s.cacheStage, s.admitStage)
+	return Chain(terminal, s.authStage, s.cacheStage, s.admitStage)
 }
 
 // Serve runs one protocol line through the full middleware chain —
@@ -156,21 +142,6 @@ func (s *Server) authStage(next Handler) Handler {
 	}
 }
 
-// gateStage enforces verb-class feature gates. Only MIL-level access
-// is gated here; the cache and admission stages consult their own
-// flags so a gate flip takes effect exactly where the feature lives.
-func (s *Server) gateStage(next Handler) Handler {
-	return func(req *Request, w io.Writer) {
-		if (req.Verb == "MIL" || req.Verb == "CHECK") && s.gates != nil &&
-			!s.gates.Enabled(GateMIL, req.Tenant) {
-			cGateBlocked.Inc()
-			fmt.Fprintln(w, "ERR physical-layer access is gated off (GATES SET mil.enabled on)")
-			return
-		}
-		next(req, w)
-	}
-}
-
 // rawResponse carries a downstream response the cache stage must
 // relay verbatim instead of caching: an ERR, a BUSY, anything that is
 // not a well-formed OK body.
@@ -190,10 +161,6 @@ func (s *Server) cacheStage(next Handler) Handler {
 	return func(req *Request, w io.Writer) {
 		cache := s.Cache()
 		if cache == nil || !queryVerb(req.Verb) {
-			next(req, w)
-			return
-		}
-		if s.gates != nil && !s.gates.Enabled(GateQueryCache, req.Tenant) {
 			next(req, w)
 			return
 		}
@@ -280,10 +247,6 @@ func (s *Server) admitStage(next Handler) Handler {
 	return func(req *Request, w io.Writer) {
 		adm := s.Admission()
 		if adm == nil || !heavyVerb(req.Verb) {
-			next(req, w)
-			return
-		}
-		if s.gates != nil && !s.gates.Enabled(GateAdmission, req.Tenant) {
 			next(req, w)
 			return
 		}

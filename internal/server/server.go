@@ -8,8 +8,8 @@
 //	COQL <statement>      -> "OK <n>" then n result lines, then "END"
 //	MIL <statement(s)>    -> "OK 1", the value, "END"
 //	CHECK <mil>           -> static verification: diagnostics, or "program OK"
-//	EXPLAIN <coql>        -> the verified MIL access plan for the statement
-//	EXPLAIN ANALYZE <coql> -> the plan, then the executed trace with access paths
+//	EXPLAIN <coql>        -> the condition tree evaluation walks, with access paths
+//	EXPLAIN ANALYZE <coql> -> the tree, then the executed trace
 //	INDEXINFO <bat>       -> adaptive index state of a stored BAT
 //	HMM EVAL <model> <c,s,v>  -> "OK 1", log-likelihood, "END"
 //	HMM CLASSIFY <c,s,v>      -> "OK 1", best model name, "END"
@@ -25,14 +25,13 @@
 //	                         asynchronously as EVENT frames (see below)
 //	UNSUBSCRIBE <id>      -> cancel one of this connection's subscriptions
 //	SUBSCRIPTIONS         -> list active subscriptions
-//	AUTH <tenant> [token] -> name the connection (gates, rate limits);
+//	AUTH <tenant> [token] -> name the connection (rate limits);
 //	                         unlocks heavy verbs when a token is required
-//	CACHESTATS            -> result-cache and plan-cache counters
-//	GATES [SET <f> <v>]   -> list feature gates; flip one at runtime
+//	CACHESTATS            -> result-cache counters
 //	PING                  -> "OK 0", "END"
 //
 // Every request line flows through the serving middleware chain
-// (auth -> gate -> cache -> admit -> execute; see middleware.go).
+// (auth -> cache -> admit -> execute; see middleware.go).
 // One-shot COQL responses may be served from the semantic result
 // cache — byte-identical to execution and invalidated by dependency
 // epoch, never stale. An overloaded server answers heavy requests
@@ -69,7 +68,6 @@ import (
 	"cobra/internal/admit"
 	"cobra/internal/cobra"
 	"cobra/internal/ext"
-	"cobra/internal/gate"
 	"cobra/internal/hmm"
 	"cobra/internal/mil"
 	"cobra/internal/milcheck"
@@ -116,13 +114,10 @@ type Server struct {
 	stream *stream.Manager
 
 	// Serving pipeline state (see middleware.go): the semantic result
-	// cache, the prepared-plan cache behind EXPLAIN, the admission
-	// controller, the feature-gate registry, and the optional shared
-	// auth token.
+	// cache, the admission controller and the optional shared auth
+	// token.
 	cache     *qcache.Cache
-	planCache *query.PlanCache
 	adm       *admit.Controller
-	gates     *gate.Registry
 	authToken string
 
 	inprocOnce sync.Once
@@ -138,17 +133,11 @@ func New(pre *cobra.Preprocessor, pool *hmm.EnginePool) *Server {
 	if pool != nil {
 		ext.RegisterHMM(interp, pool)
 	}
-	gates := gate.NewRegistry()
-	gates.Register(GateQueryCache, true)
-	gates.Register(GateAdmission, true)
-	gates.Register(GateMIL, true)
 	return &Server{
-		eng:       query.NewEngine(pre),
-		cat:       pre.Catalog(),
-		interp:    interp,
-		pool:      pool,
-		planCache: query.NewPlanCache(0),
-		gates:     gates,
+		eng:    query.NewEngine(pre),
+		cat:    pre.Catalog(),
+		interp: interp,
+		pool:   pool,
 	}
 }
 
@@ -189,10 +178,6 @@ func (s *Server) SetAuthToken(token string) {
 	defer s.mu.Unlock()
 	s.authToken = token
 }
-
-// Gates returns the server's feature-gate registry, live for runtime
-// flips (also reachable over the wire via GATES SET).
-func (s *Server) Gates() *gate.Registry { return s.gates }
 
 // SetCheckpointer attaches the durability subsystem serving the
 // CHECKPOINT command. Call before Listen; a nil (or absent)
@@ -371,9 +356,8 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // execAuth serves the connection-scoped AUTH verb: "AUTH <tenant>
-// [token]" names the connection for gates, rate limits and cache ramp
-// decisions, and — when the server requires a token — unlocks the
-// heavy verbs. Called with st.mu held.
+// [token]" names the connection for rate limits and — when the server
+// requires a token — unlocks the heavy verbs. Called with st.mu held.
 func (s *Server) execAuth(st *connState, rest string) {
 	cRequests.Inc()
 	fields := strings.Fields(rest)
@@ -528,31 +512,19 @@ func (s *Server) ExecuteCtx(ctx context.Context, line string, w io.Writer) {
 			fmt.Fprintln(w, "ERR usage: EXPLAIN [ANALYZE] <coql statement>")
 			return
 		}
-		if fields := strings.Fields(stmt); len(fields) > 0 && strings.EqualFold(fields[0], "ANALYZE") {
+		explain := s.eng.Explain
+		if fields := strings.Fields(stmt); strings.EqualFold(fields[0], "ANALYZE") {
 			stmt = strings.TrimSpace(stmt[len(fields[0]):])
 			if stmt == "" {
 				fmt.Fprintln(w, "ERR usage: EXPLAIN ANALYZE <coql statement>")
 				return
 			}
-			ex, res, span, err := s.eng.ExplainAnalyze(stmt)
-			if err != nil {
-				fmt.Fprintf(w, "ERR %v\n", err)
-				return
-			}
-			lines := strings.Split(strings.TrimRight(ex.String(), "\n"), "\n")
-			lines = append(lines, fmt.Sprintf("# executed: %d segments", len(res)))
-			lines = append(lines, strings.Split(strings.TrimRight(span.Render(), "\n"), "\n")...)
-			writeLines(w, lines)
-			return
+			explain = s.eng.ExplainAnalyze
 		}
-		ex, cached, err := s.explain(stmt)
+		lines, err := explain(stmt)
 		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
-		}
-		lines := strings.Split(strings.TrimRight(ex.String(), "\n"), "\n")
-		if cached {
-			lines = append(lines, "# plan: prepared (plan cache hit)")
 		}
 		writeLines(w, lines)
 	case "INDEXINFO":
@@ -624,8 +596,6 @@ func (s *Server) ExecuteCtx(ctx context.Context, line string, w io.Writer) {
 		writeLines(w, []string{fmt.Sprintf("checkpoint complete in %v", time.Since(start).Round(time.Millisecond))})
 	case "CACHESTATS":
 		s.execCacheStats(w)
-	case "GATES":
-		s.execGates(rest, w)
 	case "AUTH":
 		// Reached only without a connection (in-process Execute); the
 		// connection handler owns AUTH because it mutates conn state.
@@ -682,19 +652,9 @@ func (s *Server) ExecuteCtx(ctx context.Context, line string, w io.Writer) {
 	}
 }
 
-// explain compiles a COQL statement through the prepared-plan cache
-// when one is attached, falling back to direct compilation.
-func (s *Server) explain(stmt string) (*query.Explanation, bool, error) {
-	if s.planCache != nil {
-		return s.planCache.Explain(s.eng, stmt)
-	}
-	ex, err := s.eng.Explain(stmt)
-	return ex, false, err
-}
-
-// execCacheStats serves CACHESTATS: the result cache's counters and
-// the prepared-plan cache's hit rate, one "name value" pair per line
-// in the same dotted namespace the /metrics endpoint exports.
+// execCacheStats serves CACHESTATS: the result cache's counters, one
+// "name value" pair per line in the same dotted namespace the /metrics
+// endpoint exports.
 func (s *Server) execCacheStats(w io.Writer) {
 	cache := s.Cache()
 	if cache == nil {
@@ -712,44 +672,7 @@ func (s *Server) execCacheStats(w io.Writer) {
 		fmt.Sprintf("qcache.bytes %d", st.Bytes),
 		fmt.Sprintf("qcache.max_bytes %d", st.MaxBytes),
 	}
-	if s.planCache != nil {
-		hits, misses, entries := s.planCache.Stats()
-		lines = append(lines,
-			fmt.Sprintf("plancache.hits %d", hits),
-			fmt.Sprintf("plancache.misses %d", misses),
-			fmt.Sprintf("plancache.entries %d", entries),
-		)
-	}
 	writeLines(w, lines)
-}
-
-// execGates serves the GATES verb: bare GATES lists every flag with
-// its live state and registered default; "GATES SET <name> <value>"
-// flips one at runtime (on, off, or "NN%" for a percentage ramp).
-func (s *Server) execGates(rest string, w io.Writer) {
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		flags := s.gates.List()
-		lines := make([]string, len(flags))
-		for i, f := range flags {
-			def := "off"
-			if f.Default() {
-				def = "on"
-			}
-			lines[i] = fmt.Sprintf("%s %s default=%s", f.Name(), f.State(), def)
-		}
-		writeLines(w, lines)
-		return
-	}
-	if len(fields) != 3 || !strings.EqualFold(fields[0], "SET") {
-		fmt.Fprintln(w, "ERR usage: GATES [SET <flag> <on|off|NN%>]")
-		return
-	}
-	if err := s.gates.Set(fields[1], fields[2]); err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	writeLines(w, []string{fields[1] + " " + s.gates.Lookup(fields[1]).State()})
 }
 
 // execMILTraced runs one MIL request as its own trace ("mil.request"):

@@ -465,26 +465,54 @@ func TestCheckSeesSessionState(t *testing.T) {
 }
 
 func TestExplainOverWire(t *testing.T) {
-	_, cl := testServer(t)
-	out, err := cl.Do(`EXPLAIN SELECT SEGMENTS FROM v WHERE EVENT('highlight')`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := strings.Join(out, "\n")
-	for _, want := range []string{
-		`bat("cobra/event/v/type").uselect("highlight")`,
-		"RETURN res_start;",
-		"# milcheck: plan OK",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("EXPLAIN output missing %q:\n%s", want, body)
+	srv, cl := testServer(t)
+	vals := make([]float64, 40000)
+	srv.cat.PutFeature(cobra.Feature{Video: "v", Name: "dust", SampleRate: 10, Values: vals})
+	stmt := `SELECT SEGMENTS FROM v WHERE EVENT('highlight', DRIVER='Ralf') AND NOT FEATURE('dust') > 0.5`
+	index := func() []string {
+		out, err := cl.Do(`INDEXINFO cobra/feature/v/dust`)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return out
+	}
+	before := index()
+	var out []string
+	for i := 0; i < 2; i++ {
+		var err error
+		if out, err = cl.Do(`EXPLAIN ` + stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		`select segments from v where (event("highlight", driver="ralf")) and (not (feature("dust") > 0.5))`,
+		`and`,
+		`  event("highlight", driver="ralf")`,
+		`  not`,
+		`    feature("dust") > 0.5  # access path=zonemap rows=40000 matched=0`,
+	}
+	if strings.Join(out, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("EXPLAIN =\n%s\nwant\n%s", strings.Join(out, "\n"), strings.Join(want, "\n"))
+	}
+	// Planning built no index and counted no select.
+	if after := index(); strings.Join(after, "\n") != strings.Join(before, "\n") {
+		t.Fatalf("EXPLAIN moved the index state:\n%v\n%v", before, after)
+	}
+	out, err := cl.Do(`EXPLAIN SELECT SEGMENTS FROM v WHERE FEATURE('rpm') < 3`)
+	if err != nil || len(out) != 2 || out[1] != `feature("rpm") < 3  # access not materialized` {
+		t.Fatalf("EXPLAIN of an unextracted feature = %v, %v", out, err)
+	}
+	// An unknown video fails as execution does.
+	_, explainErr := cl.Do(`EXPLAIN SELECT SEGMENTS FROM nosuch`)
+	_, runErr := cl.Do(`SELECT SEGMENTS FROM nosuch`)
+	if explainErr == nil || runErr == nil || explainErr.Error() != runErr.Error() {
+		t.Fatalf("EXPLAIN err = %v, COQL err = %v", explainErr, runErr)
 	}
 	if _, err := cl.Do(`EXPLAIN`); err == nil {
 		t.Fatal("bare EXPLAIN accepted")
 	}
-	if _, err := cl.Do(`EXPLAIN SELECT NONSENSE`); err == nil {
-		t.Fatal("unparseable COQL accepted")
+	if _, err := cl.Do(`EXPLAIN SELECT NONSENSE`); err == nil || !strings.Contains(err.Error(), "query: ") {
+		t.Fatalf("unparseable COQL: err = %v", err)
 	}
 }
 
@@ -499,18 +527,23 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := strings.Join(out, "\n")
-	for _, want := range []string{
-		"# s1: access path:", // static plan annotation
-		"# executed: 1 segments",
-		"coql.query", // the execution trace follows the plan
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", want, body)
-		}
+	// The tree as it stood before execution, then the run and its trace.
+	if len(out) < 4 ||
+		out[0] != `select segments from v where feature("dust") > 0.5` ||
+		out[1] != `feature("dust") > 0.5  # access path=zonemap rows=40000 matched=0` ||
+		out[2] != "# executed: 1 segments" ||
+		!strings.HasPrefix(out[3], "coql.query") {
+		t.Fatalf("EXPLAIN ANALYZE =\n%s", strings.Join(out, "\n"))
+	}
+	// The span tree carries the access path and fused verdict that ran.
+	if body := strings.Join(out, "\n"); !strings.Contains(body, "monet.select") || !strings.Contains(body, "fused=") {
+		t.Fatalf("EXPLAIN ANALYZE trace lacks the kernel select:\n%s", body)
 	}
 	if _, err := cl.Do(`EXPLAIN ANALYZE`); err == nil {
 		t.Fatal("bare EXPLAIN ANALYZE accepted")
+	}
+	if _, err := cl.Do(`EXPLAIN ANALYZE SELECT SEGMENTS FROM nosuch`); err == nil {
+		t.Fatal("EXPLAIN ANALYZE of an unknown video accepted")
 	}
 }
 
