@@ -28,6 +28,9 @@ type Span struct {
 	dur      time.Duration // 0 while the span is open
 	attrs    []Attr
 	children []*Span
+	// attrBuf holds the first attrs in the span itself: most spans
+	// carry a handful, and a trace is opened on every request.
+	attrBuf [4]Attr
 }
 
 // StartSpan starts a root span outside any trace (no trace ID, no
@@ -40,10 +43,28 @@ func StartSpan(name string) *Span {
 // process-unique trace ID and a fresh Resources accumulator, both
 // inherited by every child span in the tree.
 func StartTrace(name string) *Span {
-	s := StartSpan(name)
-	s.trace = fmt.Sprintf("t%06x", traceSeq.Add(1))
-	s.res = &Resources{}
-	return s
+	return StartTraceAt(name, time.Now())
+}
+
+// StartTraceAt is StartTrace for a trace whose first step was timed
+// before its root could be opened: the root starts at start.
+func StartTraceAt(name string, start time.Time) *Span {
+	return &Span{name: name, start: start, id: spanSeq.Add(1), trace: traceID(traceSeq.Add(1)), res: &Resources{}}
+}
+
+// traceID renders trace number n as "t" and at least six lowercase hex
+// digits, the form fmt's "t%06x" gives.
+func traceID(n uint64) string {
+	var b [17]byte
+	i := len(b)
+	for n > 0 || i > len(b)-6 {
+		i--
+		b[i] = "0123456789abcdef"[n&0xf]
+		n >>= 4
+	}
+	i--
+	b[i] = 't'
+	return string(b[i:])
 }
 
 // StartChild starts and attaches a child span, inheriting the parent's
@@ -55,6 +76,19 @@ func (s *Span) StartChild(name string) *Span {
 	c := StartSpan(name)
 	c.trace = s.trace
 	c.res = s.res
+	s.mu.Lock()
+	s.children = append(s.children, c)
+	s.mu.Unlock()
+	return c
+}
+
+// AddChild attaches a finished child span that started at start and
+// ran for d: a step timed before its parent was opened. Nil-safe.
+func (s *Span) AddChild(name string, start time.Time, d time.Duration) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{name: name, start: start, id: spanSeq.Add(1), trace: s.trace, res: s.res, dur: max(d, time.Nanosecond)}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
@@ -101,6 +135,9 @@ func (s *Span) SetAttr(key, val string) {
 		return
 	}
 	s.mu.Lock()
+	if s.attrs == nil {
+		s.attrs = s.attrBuf[:0]
+	}
 	s.attrs = append(s.attrs, Attr{Key: key, Val: val})
 	s.mu.Unlock()
 }

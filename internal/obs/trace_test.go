@@ -13,6 +13,30 @@ import (
 	"time"
 )
 
+// TestTraceIDMatchesSprintf pins the trace ID form: what fmt's
+// "t%06x" renders, padded to six digits and growing past them.
+func TestTraceIDMatchesSprintf(t *testing.T) {
+	for _, n := range []uint64{0, 1, 0xfffff, 0xffffff, 0x1000000, 1<<64 - 1} {
+		if got, want := traceID(n), fmt.Sprintf("t%06x", n); got != want {
+			t.Fatalf("traceID(%#x) = %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestAddChildKeepsTiming: a child attached after the fact reports the
+// start and duration it was given and joins its parent's trace.
+func TestAddChildKeepsTiming(t *testing.T) {
+	start := time.Now().Add(-time.Millisecond)
+	root := StartTraceAt("q", start)
+	c := root.AddChild("step", start, 250*time.Microsecond)
+	if !root.StartTime().Equal(start) || !c.StartTime().Equal(start) || c.Duration() != 250*time.Microsecond {
+		t.Fatalf("root start %v, child start %v dur %v", root.StartTime(), c.StartTime(), c.Duration())
+	}
+	if c.TraceID() != root.TraceID() || len(root.Children()) != 1 {
+		t.Fatalf("child trace %q (root %q), %d children", c.TraceID(), root.TraceID(), len(root.Children()))
+	}
+}
+
 func TestTraceIDsUniqueConcurrent(t *testing.T) {
 	const goroutines, perG = 16, 200
 	ids := make(chan string, goroutines*perG)

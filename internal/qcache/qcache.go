@@ -31,6 +31,7 @@
 package qcache
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"strconv"
@@ -90,11 +91,11 @@ func Fingerprint(store *monet.Store, deps []string) string {
 // panicked instead of returning.
 var errAborted = errors.New("qcache: execution aborted")
 
-// entry is one cached result set.
+// entry is one cached result set, held as its wire response.
 type entry struct {
 	key   string
 	fp    string
-	lines []string
+	resp  []byte
 	bytes int64
 	elem  *list.Element
 	hit   bool // served at least once: on lru, else on fresh
@@ -103,9 +104,9 @@ type entry struct {
 // flight is one in-progress execution that concurrent identical
 // misses wait on.
 type flight struct {
-	done  chan struct{}
-	lines []string
-	err   error
+	done chan struct{}
+	resp []byte
+	err  error
 }
 
 // Stats is a point-in-time snapshot of one cache's counters, the body
@@ -129,9 +130,10 @@ type Stats struct {
 	Entries, Bytes, MaxBytes int64
 }
 
-// Cache is a bounded, single-flight, epoch-validated result cache.
-// It is safe for concurrent use. Result line slices handed out by Do
-// are shared and must be treated as immutable by callers.
+// Cache is a bounded, single-flight, epoch-validated cache of wire
+// responses: a hit hands back the complete "OK <n>" … "END" bytes an
+// execution wrote. It is safe for concurrent use; responses handed out
+// by Do are shared and must be treated as immutable by callers.
 type Cache struct {
 	mu      sync.Mutex
 	maxB    int64
@@ -162,9 +164,10 @@ func New(maxBytes int64) *Cache {
 // Do serves the result for key at freshness fp: from the cache when a
 // fresh entry exists, by waiting on an identical in-progress
 // execution, or by running exec and storing its result under fp.
-// hit reports whether exec was avoided. An exec error is returned to
-// every collapsed waiter and nothing is stored.
-func (c *Cache) Do(key, fp string, exec func() ([]string, error)) (lines []string, hit bool, err error) {
+// hit reports whether exec, which returns a complete response, was
+// avoided. An exec error is returned to every collapsed waiter and
+// nothing is stored.
+func (c *Cache) Do(key, fp string, exec func() ([]byte, error)) (resp []byte, hit bool, err error) {
 	fk := key + "\x00" + fp
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -176,10 +179,10 @@ func (c *Cache) Do(key, fp string, exec func() ([]string, error)) (lines []strin
 				e.elem, e.hit = c.lru.PushFront(e), true
 			}
 			c.hits++
-			lines = e.lines
+			resp = e.resp
 			c.mu.Unlock()
 			cHits.Inc()
-			return lines, true, nil
+			return resp, true, nil
 		}
 		// A dependency epoch moved since this entry was stored: the
 		// entry can never be served again (epochs only advance), drop it.
@@ -195,7 +198,7 @@ func (c *Cache) Do(key, fp string, exec func() ([]string, error)) (lines []strin
 		if f.err != nil {
 			return nil, false, f.err
 		}
-		return f.lines, true, nil
+		return f.resp, true, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[fk] = f
@@ -211,28 +214,28 @@ func (c *Cache) Do(key, fp string, exec func() ([]string, error)) (lines []strin
 		c.mu.Lock()
 		delete(c.flights, fk)
 		if completed && f.err == nil {
-			c.storeLocked(key, fp, f.lines)
+			c.storeLocked(key, fp, f.resp)
 		} else if !completed {
 			f.err = errAborted
 		}
 		c.mu.Unlock()
 		close(f.done)
 	}()
-	f.lines, f.err = exec()
+	f.resp, f.err = exec()
 	completed = true
-	return f.lines, false, f.err
+	return f.resp, false, f.err
 }
 
 // Lookup reports whether a fresh entry exists for key at fp without
 // executing anything or perturbing LRU order. Used by tests.
-func (c *Cache) Lookup(key, fp string) ([]string, bool) {
+func (c *Cache) Lookup(key, fp string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok || e.fp != fp {
 		return nil, false
 	}
-	return e.lines, true
+	return e.resp, true
 }
 
 // Flush drops every entry (counters survive).
@@ -265,11 +268,10 @@ func (c *Cache) Stats() Stats {
 // them, and then — never-hit entries first, LRU tail next — until the
 // byte budget holds. Oversize results (bigger than the whole budget)
 // are not stored at all.
-func (c *Cache) storeLocked(key, fp string, lines []string) {
-	size := int64(len(key)+len(fp)) + entryOverhead
-	for _, l := range lines {
-		size += int64(len(l)) + 16
-	}
+func (c *Cache) storeLocked(key, fp string, resp []byte) {
+	// Each body line costs its length and 16 bytes; the framing is free.
+	lines := int64(bytes.Count(resp, []byte{'\n'}) - 2)
+	size := int64(len(key)+len(fp)+len(resp)-bytes.IndexByte(resp, '\n')-len("\nEND\n")) + entryOverhead + 15*lines
 	if size > c.maxB {
 		cOversize.Inc()
 		return
@@ -280,7 +282,7 @@ func (c *Cache) storeLocked(key, fp string, lines []string) {
 		// fingerprint check at lookup keeps either answer safe.
 		c.removeLocked(old)
 	}
-	e := &entry{key: key, fp: fp, lines: lines, bytes: size}
+	e := &entry{key: key, fp: fp, resp: resp, bytes: size}
 	e.elem = c.fresh.PushFront(e)
 	c.entries[key] = e
 	c.bytes += size

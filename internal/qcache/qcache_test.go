@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,13 +12,37 @@ import (
 	"cobra/internal/monet"
 )
 
+// wire frames result lines as the complete response the cache stores.
+func wire(lines ...string) []byte {
+	resp := fmt.Appendf(nil, "OK %d\n", len(lines))
+	for _, l := range lines {
+		resp = append(append(resp, l...), '\n')
+	}
+	return append(resp, "END\n"...)
+}
+
+// body splits a stored response back into its result lines, checking
+// the framing on the way.
+func body(t *testing.T, resp []byte) []string {
+	t.Helper()
+	s := string(resp)
+	if !strings.HasPrefix(s, "OK ") || !strings.HasSuffix(s, "\nEND\n") {
+		t.Fatalf("response %q is not OK ... END framed", s)
+	}
+	lines := strings.Split(strings.TrimSuffix(s, "\nEND\n"), "\n")[1:]
+	if want := fmt.Sprintf("OK %d", len(lines)); !strings.HasPrefix(s, want+"\n") {
+		t.Fatalf("response %q: header does not count its %d lines", s, len(lines))
+	}
+	return lines
+}
+
 func mustLines(t *testing.T, c *Cache, key, fp string, lines []string) (got []string, hit bool) {
 	t.Helper()
-	got, hit, err := c.Do(key, fp, func() ([]string, error) { return lines, nil })
+	resp, hit, err := c.Do(key, fp, func() ([]byte, error) { return wire(lines...), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, hit
+	return body(t, resp), hit
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -27,9 +52,13 @@ func TestMissThenHit(t *testing.T) {
 		t.Fatalf("first Do = %v hit=%v", got, hit)
 	}
 	execs := 0
-	got, hit, err := c.Do("q1", "1", func() ([]string, error) { execs++; return nil, nil })
-	if err != nil || !hit || execs != 0 || len(got) != 2 {
-		t.Fatalf("second Do = %v hit=%v execs=%d err=%v", got, hit, execs, err)
+	resp, hit, err := c.Do("q1", "1", func() ([]byte, error) { execs++; return nil, nil })
+	if err != nil || !hit || execs != 0 || len(body(t, resp)) != 2 {
+		t.Fatalf("second Do = %q hit=%v execs=%d err=%v", resp, hit, execs, err)
+	}
+	// A hit hands back the stored response byte for byte.
+	if string(resp) != "OK 2\na\nb\nEND\n" {
+		t.Fatalf("hit served %q", resp)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -60,11 +89,11 @@ func TestEpochInvalidation(t *testing.T) {
 func TestErrorNotCached(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
-	if _, _, err := c.Do("q", "1", func() ([]string, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do("q", "1", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	execs := 0
-	_, hit, err := c.Do("q", "1", func() ([]string, error) { execs++; return []string{"ok"}, nil })
+	_, hit, err := c.Do("q", "1", func() ([]byte, error) { execs++; return wire("ok"), nil })
 	if err != nil || hit || execs != 1 {
 		t.Fatalf("error was cached: hit=%v execs=%d err=%v", hit, execs, err)
 	}
@@ -74,7 +103,7 @@ func TestEmptyResultCached(t *testing.T) {
 	c := New(1 << 20)
 	mustLines(t, c, "q", "1", nil)
 	execs := 0
-	_, hit, err := c.Do("q", "1", func() ([]string, error) { execs++; return nil, nil })
+	_, hit, err := c.Do("q", "1", func() ([]byte, error) { execs++; return nil, nil })
 	if err != nil || !hit || execs != 0 {
 		t.Fatalf("empty result not cached: hit=%v execs=%d", hit, execs)
 	}
@@ -138,21 +167,21 @@ func TestSingleFlightCollapses(t *testing.T) {
 	gate := make(chan struct{})
 	const n = 16
 	var wg sync.WaitGroup
-	results := make([][]string, n)
+	results := make([][]byte, n)
 	hits := make([]bool, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lines, hit, err := c.Do("q", "1", func() ([]string, error) {
+			resp, hit, err := c.Do("q", "1", func() ([]byte, error) {
 				execs.Add(1)
 				<-gate
-				return []string{"r"}, nil
+				return wire("r"), nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			results[i], hits[i] = lines, hit
+			results[i], hits[i] = resp, hit
 		}(i)
 	}
 	// Let the herd pile up on the flight, then release it. A short
@@ -166,8 +195,8 @@ func TestSingleFlightCollapses(t *testing.T) {
 		t.Fatalf("exec ran %d times under single-flight", got)
 	}
 	for i := range results {
-		if len(results[i]) != 1 || results[i][0] != "r" {
-			t.Fatalf("waiter %d got %v", i, results[i])
+		if got := body(t, results[i]); len(got) != 1 || got[0] != "r" {
+			t.Fatalf("waiter %d got %q", i, results[i])
 		}
 	}
 	st := c.Stats()
@@ -183,7 +212,7 @@ func TestFlightPanicReleasesWaiters(t *testing.T) {
 	waited := make(chan error, 1)
 	go func() {
 		defer func() { recover() }()
-		c.Do("q", "1", func() ([]string, error) {
+		c.Do("q", "1", func() ([]byte, error) {
 			close(started)
 			<-release
 			panic("exec exploded")
@@ -191,7 +220,7 @@ func TestFlightPanicReleasesWaiters(t *testing.T) {
 	}()
 	<-started
 	go func() {
-		_, _, err := c.Do("q", "1", func() ([]string, error) { return []string{"fresh"}, nil })
+		_, _, err := c.Do("q", "1", func() ([]byte, error) { return wire("fresh"), nil })
 		waited <- err
 	}()
 	close(release)
@@ -311,5 +340,22 @@ func TestNeverHitCapKeepsByteBudget(t *testing.T) {
 	}
 	if _, ok := c.Lookup("hot0", "1"); ok {
 		t.Fatal("least recent hit entry survived five newer hit ones")
+	}
+}
+
+// TestChargeCountsBodyLines pins the byte charge of a stored response:
+// key, fingerprint and entryOverhead, plus each body line's length and
+// 16 bytes — the framing itself is free.
+func TestChargeCountsBodyLines(t *testing.T) {
+	for _, lines := range [][]string{nil, {""}, {"a"}, {"a", "bc"}, {"0.0 1.0 1.000 -", "12.5 13.5 0.250 driver=SCH", string(make([]byte, 300))}} {
+		want := int64(len("key")+len("fp")) + entryOverhead
+		for _, l := range lines {
+			want += int64(len(l)) + 16
+		}
+		c := New(1 << 20)
+		mustLines(t, c, "key", "fp", lines)
+		if st := c.Stats(); st.Bytes != want {
+			t.Fatalf("qcache.bytes = %d after storing %q, want %d", st.Bytes, lines, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"cobra/internal/cobra"
 	"cobra/internal/monet"
@@ -60,21 +61,54 @@ func (e *Engine) RunTraced(src string) ([]Result, *obs.Span, error) {
 	return e.RunTracedCtx(context.Background(), src)
 }
 
-// RunTracedCtx parses and executes a COQL statement as one trace: the
-// root "coql.query" span gets a process-unique trace ID and a shared
-// resource accumulator, and the span handle rides ctx down through the
-// preprocessor, the COQL condition evaluator, and the monet kernel's
-// morsel fan-outs. The span tree covers all three levels of the stack:
-// conceptual (parse, preprocessing, method selection), logical
-// (condition-tree evaluation) and physical (kernel selects with their
-// access paths and per-morsel queue-wait/run timings).
+// Statement is a COQL statement parsed once, with the timing of that
+// parse. The serving layer parses a request to key its result cache
+// and hands the statement on, so a cache miss executes the AST it
+// already has instead of parsing the text again.
+type Statement struct {
+	// Src is the statement text.
+	Src string
+	// Query is the parsed statement, nil when Err is set.
+	Query *Query
+	// Err is the parse error.
+	Err error
+
+	parsedAt time.Time
+	parseDur time.Duration
+}
+
+// ParseStatement parses src, timing the parse for the statement's
+// trace.
+func ParseStatement(src string) *Statement {
+	start := time.Now()
+	q, err := Parse(src)
+	return &Statement{Src: src, Query: q, Err: err, parsedAt: start, parseDur: time.Since(start)}
+}
+
+// RunTracedCtx parses and executes a COQL statement as one trace; see
+// RunStatement.
+func (e *Engine) RunTracedCtx(ctx context.Context, src string) ([]Result, *obs.Span, error) {
+	return e.RunStatement(ctx, ParseStatement(src))
+}
+
+// RunStatement executes a parsed statement as one trace: the root
+// "coql.query" span starts when the parse did, gets a process-unique
+// trace ID and a shared resource accumulator, and the span handle
+// rides ctx down through the preprocessor, the COQL condition
+// evaluator, and the monet kernel's morsel fan-outs. The span tree
+// covers all three levels of the stack: conceptual (parse,
+// preprocessing, method selection), logical (condition-tree
+// evaluation) and physical (kernel selects with their access paths
+// and per-morsel queue-wait/run timings). The "coql.parse" child is
+// the statement's own parse, timed when it ran.
 //
 // On completion the trace is pushed to obs.DefaultTraces (TRACEDUMP's
 // ring) and, when slow enough, to obs.DefaultSlowLog with its full
 // span tree. The span is returned even on error, annotated with the
-// failure.
-func (e *Engine) RunTracedCtx(ctx context.Context, src string) ([]Result, *obs.Span, error) {
-	root := obs.StartTrace("coql.query")
+// failure; a statement that did not parse fails with its parse error.
+func (e *Engine) RunStatement(ctx context.Context, st *Statement) ([]Result, *obs.Span, error) {
+	src := st.Src
+	root := obs.StartTraceAt("coql.query", st.parsedAt)
 	root.SetAttr("level", "conceptual")
 	root.SetAttr("query", src)
 	cQueries.Inc()
@@ -107,15 +141,12 @@ func (e *Engine) RunTracedCtx(ctx context.Context, src string) ([]Result, *obs.S
 		obs.DefaultSlowLog.RecordTrace(src, d, root)
 	}
 
-	parseSp := root.StartChild("coql.parse")
-	parseSp.SetAttr("level", "conceptual")
-	q, err := Parse(src)
-	parseSp.Finish()
-	if err != nil {
-		finish(0, err)
-		return nil, root, err
+	root.AddChild("coql.parse", st.parsedAt, st.parseDur).SetAttr("level", "conceptual")
+	if st.Err != nil {
+		finish(0, st.Err)
+		return nil, root, st.Err
 	}
-	res, err := e.executeTraced(ctx, q, root)
+	res, err := e.executeTraced(ctx, st.Query, root)
 	finish(len(res), err)
 	return res, root, err
 }
@@ -297,7 +328,7 @@ func indexedFeatureRuns(ctx context.Context, cat *cobra.Catalog, video string, n
 // a run of consecutive positions a..b spans [a*step, (b+1)*step).
 func resultsFromRuns(runs []monet.Run, rate float64) []Result {
 	step := 1 / rate
-	var out []Result
+	out := make([]Result, 0, len(runs))
 	for _, r := range runs {
 		start := float64(r.Start) * step
 		end := float64(r.Start+r.Len) * step
@@ -349,7 +380,10 @@ func intersect(l, r []Result) []Result {
 			if b.Confidence < conf {
 				conf = b.Confidence
 			}
-			attrs := map[string]string{}
+			var attrs map[string]string
+			if len(a.Attrs)+len(b.Attrs) > 0 {
+				attrs = make(map[string]string, len(a.Attrs)+len(b.Attrs))
+			}
 			for k, v := range a.Attrs {
 				attrs[k] = v
 			}

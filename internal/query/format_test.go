@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,6 +53,79 @@ func TestFormatResultMatchesFmt(t *testing.T) {
 		if got, want := FormatResult(res), formatResultRef(res); got != want {
 			t.Fatalf("FormatResult(%+v) = %q, fmt renders %q", res, got, want)
 		}
+	}
+}
+
+// fixedCases are the values appendFixed is checked on beyond random
+// bits: exact ties at each precision, signed zeros, negatives, the
+// values strconv must answer (NaN, infinities, 2^40 and up), and the
+// clip-time and confidence grids results are made of.
+func fixedCases(grid int) []float64 {
+	xs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		0.25, 2.5, 0.0015, 0.0005, 0.05, 0.15, 0.5, 1.5, 0.125, 0.9995, 1e-9, -0.04, -0.05, -2.5,
+		1 << 40, 1<<40 - 1, 1 << 39, (1<<40)/10 - 0.05, (1<<40)/10 + 0.05, 1e12, 1e21, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 5e-324, 0.1, 0.2, 0.3, 1.0 / 3, 2.0 / 3}
+	for k := 0; k <= grid; k++ {
+		xs = append(xs, float64(k)/10, float64(k)*0.04, float64(k)/1000, float64(k)+0.5, float64(k)/1000+0.0005)
+	}
+	n := len(xs)
+	for _, x := range xs[:n] {
+		xs = append(xs, -x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1)))
+	}
+	return xs
+}
+
+// TestAppendFixedMatchesStrconv is the formatter's oracle: every value
+// at every precision the table covers, and one past it, renders as
+// strconv renders it.
+func TestAppendFixedMatchesStrconv(t *testing.T) {
+	check := func(x float64, prec int) {
+		t.Helper()
+		if got, want := string(appendFixed(nil, x, prec)), strconv.FormatFloat(x, 'f', prec, 64); got != want {
+			t.Fatalf("appendFixed(%v (bits %#x), %d) = %q, strconv renders %q", x, math.Float64bits(x), prec, got, want)
+		}
+	}
+	grid, random := 2000, 50000
+	if testing.Short() {
+		grid, random = 400, 10000
+	}
+	for _, x := range fixedCases(grid) {
+		for prec := 0; prec <= len(pow10); prec++ {
+			check(x, prec)
+		}
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < random; i++ {
+		check(math.Float64frombits(r.Uint64()), r.Intn(len(pow10)+1))
+		check((r.Float64()-0.5)*math.Pow(10, float64(r.Intn(14))), r.Intn(len(pow10)+1))
+	}
+}
+
+// FuzzAppendFixed checks the formatter's identity with strconv on
+// arbitrary bits and precisions.
+func FuzzAppendFixed(f *testing.F) {
+	for _, x := range []float64{0, math.Copysign(0, -1), 0.25, 2.5, 0.0015, -0.04, math.NaN(), math.Inf(-1), 1 << 40, 123.45} {
+		f.Add(math.Float64bits(x), uint8(1))
+		f.Add(math.Float64bits(x), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, prec uint8) {
+		x, p := math.Float64frombits(bits), int(prec%12)
+		if got, want := string(appendFixed(nil, x, p)), strconv.FormatFloat(x, 'f', p, 64); got != want {
+			t.Fatalf("appendFixed(%v (bits %#x), %d) = %q, strconv renders %q", x, bits, p, got, want)
+		}
+	})
+}
+
+// TestAppendResultAppends checks AppendResult extends the buffer it is
+// given and that FormatResult is its string.
+func TestAppendResultAppends(t *testing.T) {
+	r := Result{Interval: cobra.Interval{Start: 1.25, End: 12.35}, Confidence: 0.0015, Attrs: map[string]string{"driver": "SCH"}}
+	got := string(AppendResult([]byte("OK 1\n"), r))
+	if want := "OK 1\n" + formatResultRef(r); got != want {
+		t.Fatalf("AppendResult = %q, want %q", got, want)
+	}
+	if FormatResult(r) != formatResultRef(r) {
+		t.Fatalf("FormatResult = %q, want %q", FormatResult(r), formatResultRef(r))
 	}
 }
 

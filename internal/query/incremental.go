@@ -9,47 +9,8 @@ import (
 	"strings"
 
 	"cobra/internal/cobra"
-	"cobra/internal/monet"
 	"cobra/internal/obs"
 )
-
-// FormatResult renders one result segment in the wire format shared by
-// one-shot COQL responses and streaming notifications:
-//
-//	<start> <end> <confidence> <attrs>
-//
-// with attrs comma-joined as key=value pairs in key order, or "-" when
-// the segment carries none. The streaming acceptance criterion — a
-// SUBSCRIBE notification is byte-identical to a one-shot query at the
-// same watermark — is checked against this rendering.
-func FormatResult(r Result) string {
-	buf := make([]byte, 0, 48)
-	buf = strconv.AppendFloat(buf, r.Interval.Start, 'f', 1, 64)
-	buf = append(buf, ' ')
-	buf = strconv.AppendFloat(buf, r.Interval.End, 'f', 1, 64)
-	buf = append(buf, ' ')
-	buf = strconv.AppendFloat(buf, r.Confidence, 'f', 3, 64)
-	buf = append(buf, ' ')
-	return string(appendAttrs(buf, r.Attrs))
-}
-
-func appendAttrs(buf []byte, attrs map[string]string) []byte {
-	if len(attrs) == 0 {
-		return append(buf, '-')
-	}
-	parts := make([]string, 0, len(attrs))
-	for k, v := range attrs {
-		parts = append(parts, k+"="+v)
-	}
-	sort.Strings(parts)
-	for i, p := range parts {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, p...)
-	}
-	return buf
-}
 
 // Catalog exposes the engine's catalog. The subscription manager reads
 // kernel watermarks and epochs through it to decide which standing
@@ -92,8 +53,9 @@ type featureLeaf struct {
 //
 // A one-shot Incremental (Engine.Execute) keeps no leaf state: its
 // leaves read from row 0, feature leaves try the kernel's indexed
-// access paths first, and binary operands run side by side on the
-// kernel pool.
+// access paths first, and binary operands run in order on the
+// caller's goroutine while the kernel fans large selects out per
+// morsel.
 //
 // A standing Incremental is not safe for concurrent use; the
 // subscription manager owns one per class of identical standing
@@ -289,25 +251,16 @@ func (inc *Incremental) evalCond(ctx context.Context, cat *cobra.Catalog, video 
 	return nil, fmt.Errorf("query: unknown condition %T", c)
 }
 
-// evalBoth evaluates a binary condition's operands. A one-shot query
-// runs them as tasks on the shared kernel pool, so independent
-// subtrees overlap (catalog reads go through the store's read lock,
-// spans are concurrency-safe, and one-shot leaves share no state).
-// Standing queries get their parallelism across query classes instead
-// and evaluate in order, which keeps the per-node leaf caches free of
-// locks. Errors from both sides are joined.
+// evalBoth evaluates a binary condition's operands, left then right,
+// one-shot and standing queries alike. An interactive query's subtrees
+// cost microseconds, less than handing each to a pool worker and
+// waiting for it, and a large leaf still fans out per morsel inside
+// the kernel; standing queries get their parallelism across query
+// classes, and in-order evaluation keeps their per-node leaf caches
+// free of locks. Errors from both sides are joined.
 func (inc *Incremental) evalBoth(ctx context.Context, cat *cobra.Catalog, video string, duration float64, l, r Cond, span *obs.Span) ([]Result, []Result, error) {
-	var lRes, rRes []Result
-	var lErr, rErr error
-	if inc.oneShot {
-		batch := monet.DefaultPool().Batch()
-		batch.Submit(func() { lRes, lErr = inc.evalCond(ctx, cat, video, duration, l, span) })
-		batch.Submit(func() { rRes, rErr = inc.evalCond(ctx, cat, video, duration, r, span) })
-		batch.Wait()
-	} else {
-		lRes, lErr = inc.evalCond(ctx, cat, video, duration, l, span)
-		rRes, rErr = inc.evalCond(ctx, cat, video, duration, r, span)
-	}
+	lRes, lErr := inc.evalCond(ctx, cat, video, duration, l, span)
+	rRes, rErr := inc.evalCond(ctx, cat, video, duration, r, span)
 	return lRes, rRes, errors.Join(lErr, rErr)
 }
 

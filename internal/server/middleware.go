@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"cobra/internal/obs"
@@ -47,6 +48,10 @@ type Request struct {
 	Tenant string
 	// Authed reports whether the connection presented credentials.
 	Authed bool
+	// Stmt is the COQL statement the cache stage parsed, handed on so
+	// execution runs its AST instead of parsing the text again; nil
+	// when no stage parsed the request.
+	Stmt *query.Statement
 }
 
 // newRequest splits a protocol line into a Request.
@@ -97,7 +102,7 @@ func (s *Server) Serve(line string, w io.Writer) {
 func (s *Server) ServeCtx(ctx context.Context, line string, w io.Writer) {
 	s.inprocOnce.Do(func() {
 		s.inproc = s.buildChain(func(req *Request, w io.Writer) {
-			s.ExecuteCtx(req.Ctx, req.Line, w)
+			s.execute(req.Ctx, req.Line, req.Stmt, w)
 		})
 	})
 	s.inproc(newRequest(ctx, line, "local", true), w)
@@ -145,18 +150,20 @@ func (s *Server) authStage(next Handler) Handler {
 // rawResponse carries a downstream response the cache stage must
 // relay verbatim instead of caching: an ERR, a BUSY, anything that is
 // not a well-formed OK body.
-type rawResponse struct{ text string }
+type rawResponse struct{ resp []byte }
 
 func (r *rawResponse) Error() string { return "server: uncacheable response" }
 
 // cacheStage serves one-shot COQL queries from the semantic result
 // cache. Keyed on the statement's canonical form and fingerprinted by
-// its dependency BAT epochs, a hit replays the stored body —
-// byte-identical to execution, because the stored body IS a previous
-// execution's body — without touching the engine, the kernel pool, or
-// the admission controller. A miss executes through the rest of the
-// chain (so fresh work still pays admission) into a capture buffer,
-// and concurrent identical misses collapse into one execution.
+// its dependency BAT epochs, a hit writes the stored response in one
+// Write — byte-identical to execution, because the stored bytes ARE a
+// previous execution's response — without touching the engine, the
+// kernel pool, or the admission controller. A miss executes through
+// the rest of the chain (so fresh work still pays admission) into a
+// capture buffer, and concurrent identical misses collapse into one
+// execution. The statement is parsed here once: the parse rides on
+// the request into execution.
 func (s *Server) cacheStage(next Handler) Handler {
 	return func(req *Request, w io.Writer) {
 		cache := s.Cache()
@@ -168,45 +175,48 @@ func (s *Server) cacheStage(next Handler) Handler {
 		if req.Verb != "COQL" {
 			stmt = req.Line // SELECT/RETRIEVE given directly
 		}
-		q, err := query.Parse(stmt)
-		if err != nil {
+		req.Stmt = query.ParseStatement(stmt)
+		if req.Stmt.Err != nil {
 			// Let the engine surface parse errors with its own wording.
 			next(req, w)
 			return
 		}
-		key := q.Canonical()
+		key := req.Stmt.Query.Canonical()
 		// The fingerprint is observed BEFORE execution: a write racing
 		// the miss leaves the stored entry stale by its own fingerprint,
 		// so the race resolves to a recomputation, never a stale serve.
-		fp := qcache.Fingerprint(s.cat.Store(), query.DepNamesOf(q))
-		lines, hit, err := cache.Do(key, fp, func() ([]string, error) {
+		fp := qcache.Fingerprint(s.cat.Store(), query.DepNamesOf(req.Stmt.Query))
+		resp, hit, err := cache.Do(key, fp, func() ([]byte, error) {
 			var buf bytes.Buffer
 			next(req, &buf)
-			body, ok := parseOKBody(buf.String())
-			if !ok {
-				return nil, &rawResponse{text: buf.String()}
+			resp := buf.Bytes()
+			if !bytes.HasPrefix(resp, []byte("OK ")) || !bytes.HasSuffix(resp, []byte("\nEND\n")) {
+				return nil, &rawResponse{resp}
 			}
-			return body, nil
+			return resp, nil
 		})
 		if err != nil {
 			if raw, ok := err.(*rawResponse); ok {
-				io.WriteString(w, raw.text)
+				w.Write(raw.resp)
 				return
 			}
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
 		}
 		if hit {
-			s.traceCacheHit(stmt, len(lines))
+			s.traceCacheHit(stmt, resp)
 		}
-		writeLines(w, lines)
+		w.Write(resp)
 	}
 }
 
 // traceCacheHit records a cache-served query in the trace ring, so
 // TRACEDUMP shows cached answers alongside executed ones instead of
 // queries silently vanishing from the timeline when the cache warms.
-func (s *Server) traceCacheHit(stmt string, nLines int) {
+// Its rows returned are the count in the response's "OK <n>" header.
+func (s *Server) traceCacheHit(stmt string, resp []byte) {
+	head, _, _ := bytes.Cut(resp[len("OK "):], []byte{'\n'})
+	nLines, _ := strconv.Atoi(string(head))
 	root := obs.StartTrace("coql.query")
 	root.SetAttr("level", "conceptual")
 	root.SetAttr("query", stmt)
@@ -223,20 +233,6 @@ func (s *Server) traceCacheHit(stmt string, nLines int) {
 		Res:      stat,
 		Root:     root,
 	})
-}
-
-// parseOKBody strips "OK <n>" / body / "END" framing, reporting false
-// for any other response shape.
-func parseOKBody(resp string) ([]string, bool) {
-	lines := strings.Split(strings.TrimRight(resp, "\n"), "\n")
-	if len(lines) < 2 || !strings.HasPrefix(lines[0], "OK ") || lines[len(lines)-1] != "END" {
-		return nil, false
-	}
-	body := lines[1 : len(lines)-1]
-	if len(body) == 0 {
-		return nil, true
-	}
-	return body, true
 }
 
 // admitStage charges heavy verbs against the admission controller. A

@@ -326,7 +326,7 @@ func (s *Server) handle(conn net.Conn) {
 	// terminal handler knows the connection-scoped streaming verbs.
 	chain := s.buildChain(func(req *Request, w io.Writer) {
 		if !s.execStream(conn, st, req.Line) {
-			s.ExecuteCtx(req.Ctx, req.Line, w)
+			s.execute(req.Ctx, req.Line, req.Stmt, w)
 		}
 	})
 	sc := bufio.NewScanner(conn)
@@ -338,8 +338,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if strings.EqualFold(line, "QUIT") {
 			st.mu.Lock()
-			fmt.Fprintln(st.w, "OK 0")
-			fmt.Fprintln(st.w, "END")
+			writeLines(st.w, nil)
 			st.w.Flush()
 			st.mu.Unlock()
 			return
@@ -350,6 +349,13 @@ func (s *Server) handle(conn net.Conn) {
 		} else {
 			chain(newRequest(context.Background(), line, st.tenant, st.authed), st.w)
 		}
+		st.w.Flush()
+		st.mu.Unlock()
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// Say why the connection closes instead of dropping it silently.
+		st.mu.Lock()
+		fmt.Fprintln(st.w, "ERR request line exceeds 1 MiB")
 		st.w.Flush()
 		st.mu.Unlock()
 	}
@@ -407,19 +413,18 @@ func (s *Server) execStream(conn net.Conn, st *connState, line string) bool {
 		st.pushers.Add(1)
 		go func() {
 			defer st.pushers.Done()
+			var frame []byte
 			for {
 				n, ok := sub.Next()
 				if !ok {
 					return
 				}
-				st.mu.Lock()
-				fmt.Fprintf(st.w, "EVENT %s %d %g %d\n", n.SubID, n.Seq, n.Watermark, len(n.Lines))
 				// n.Lines is shared with every subscriber of the same
 				// query, on this and other connections: read, never written.
-				for _, l := range n.Lines {
-					fmt.Fprintln(st.w, l)
-				}
-				fmt.Fprintln(st.w, "END")
+				frame = fmt.Appendf(frame[:0], "EVENT %s %d %g %d\n", n.SubID, n.Seq, n.Watermark, len(n.Lines))
+				frame = appendBody(frame, n.Lines)
+				st.mu.Lock()
+				st.w.Write(frame)
 				st.w.Flush()
 				st.mu.Unlock()
 			}
@@ -456,36 +461,42 @@ func (s *Server) Execute(line string, w io.Writer) {
 // ID, threads the trace handle down the stack, and pushes the
 // completed span tree into obs.DefaultTraces for TRACEDUMP.
 func (s *Server) ExecuteCtx(ctx context.Context, line string, w io.Writer) {
+	s.execute(ctx, line, nil, w)
+}
+
+// execute is ExecuteCtx for a line whose COQL statement the serving
+// chain may already have parsed (stmt, nil if not).
+func (s *Server) execute(ctx context.Context, line string, stmt *query.Statement, w io.Writer) {
 	cRequests.Inc()
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(cmd) {
 	case "PING":
-		fmt.Fprintln(w, "OK 0")
-		fmt.Fprintln(w, "END")
+		writeLines(w, nil)
 	case "COQL", "SELECT", "RETRIEVE":
-		stmt := rest
-		if !strings.EqualFold(cmd, "COQL") {
-			stmt = line // SELECT/RETRIEVE given directly
+		if stmt == nil {
+			src := rest
+			if !strings.EqualFold(cmd, "COQL") {
+				src = line // SELECT/RETRIEVE given directly
+			}
+			stmt = query.ParseStatement(src)
 		}
-		res, _, err := s.eng.RunTracedCtx(ctx, stmt)
+		res, _, err := s.eng.RunStatement(ctx, stmt)
 		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
 		}
-		fmt.Fprintf(w, "OK %d\n", len(res))
+		buf := fmt.Appendf(make([]byte, 0, 64+48*len(res)), "OK %d\n", len(res))
 		for _, r := range res {
-			fmt.Fprintln(w, query.FormatResult(r))
+			buf = append(query.AppendResult(buf, r), '\n')
 		}
-		fmt.Fprintln(w, "END")
+		w.Write(append(buf, "END\n"...))
 	case "MIL":
 		v, err := s.execMILTraced(ctx, rest)
 		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
 		}
-		fmt.Fprintln(w, "OK 1")
-		fmt.Fprintln(w, v.String())
-		fmt.Fprintln(w, "END")
+		writeLines(w, []string{v.String()})
 	case "CHECK":
 		stmt := strings.TrimSpace(rest)
 		if stmt == "" {
@@ -552,12 +563,7 @@ func (s *Server) ExecuteCtx(ctx context.Context, line string, w io.Writer) {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
 		}
-		lines := strings.Split(strings.TrimRight(string(out), "\n"), "\n")
-		fmt.Fprintf(w, "OK %d\n", len(lines))
-		for _, l := range lines {
-			fmt.Fprintln(w, l)
-		}
-		fmt.Fprintln(w, "END")
+		writeLines(w, strings.Split(strings.TrimRight(string(out), "\n"), "\n"))
 	case "STATS":
 		var sb strings.Builder
 		if err := obs.Default.WriteText(&sb); err != nil {
@@ -638,12 +644,7 @@ func (s *Server) ExecuteCtx(ctx context.Context, line string, w io.Writer) {
 		fmt.Fprintf(w, "ERR %s requires a client connection\n", strings.ToUpper(cmd))
 	case "LIST":
 		if strings.EqualFold(strings.TrimSpace(rest), "videos") {
-			videos := s.cat.Videos()
-			fmt.Fprintf(w, "OK %d\n", len(videos))
-			for _, v := range videos {
-				fmt.Fprintln(w, v)
-			}
-			fmt.Fprintln(w, "END")
+			writeLines(w, s.cat.Videos())
 			return
 		}
 		fmt.Fprintln(w, "ERR unknown LIST target")
@@ -766,13 +767,18 @@ func (s *Server) checkOptions() *milcheck.Options {
 	return opts
 }
 
-// writeLines emits a standard "OK <n>" body.
+// writeLines emits a standard "OK <n>" body in one Write.
 func writeLines(w io.Writer, lines []string) {
-	fmt.Fprintf(w, "OK %d\n", len(lines))
+	w.Write(appendBody(fmt.Appendf(nil, "OK %d\n", len(lines)), lines))
+}
+
+// appendBody appends the body of a response or push frame: each line
+// newline-terminated, then "END".
+func appendBody(buf []byte, lines []string) []byte {
 	for _, l := range lines {
-		fmt.Fprintln(w, l)
+		buf = append(append(buf, l...), '\n')
 	}
-	fmt.Fprintln(w, "END")
+	return append(buf, "END\n"...)
 }
 
 func (s *Server) execHMM(rest string, w io.Writer) {
@@ -800,9 +806,7 @@ func (s *Server) execHMM(rest string, w io.Writer) {
 		}
 		for _, e := range evals {
 			if e.Model == model {
-				fmt.Fprintln(w, "OK 1")
-				fmt.Fprintf(w, "%g\n", e.LogLikelihood)
-				fmt.Fprintln(w, "END")
+				writeLines(w, []string{fmt.Sprintf("%g", e.LogLikelihood)})
 				return
 			}
 		}
@@ -818,9 +822,7 @@ func (s *Server) execHMM(rest string, w io.Writer) {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return
 		}
-		fmt.Fprintln(w, "OK 1")
-		fmt.Fprintln(w, best)
-		fmt.Fprintln(w, "END")
+		writeLines(w, []string{best})
 	default:
 		fmt.Fprintf(w, "ERR unknown HMM operation %q\n", op)
 	}

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +73,37 @@ func TestCOQLOverWire(t *testing.T) {
 	}
 	if len(out) != 1 {
 		t.Fatalf("out = %v", out)
+	}
+}
+
+// TestOverlongRequestLine: a line just under the 1 MiB cap is served;
+// one that fills the cap without a newline is answered with ERR before
+// the connection closes, instead of a silent hang-up.
+func TestOverlongRequestLine(t *testing.T) {
+	srv, _ := testServer(t)
+	srv.mu.Lock()
+	addr := srv.listener.Addr().String()
+	srv.mu.Unlock()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	long := "PING" + strings.Repeat(" ", 1<<20-6) // 1 MiB - 2 bytes before the newline
+	if got := rawDo(t, conn, r, long); got != "OK 0\nEND\n" {
+		t.Fatalf("line of %d bytes answered %q", len(long), got)
+	}
+	if _, err := conn.Write(bytes.Repeat([]byte{'a'}, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rest, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(rest) != "ERR request line exceeds 1 MiB\n" {
+		t.Fatalf("over-long line answered %q, then the connection closed", rest)
 	}
 }
 

@@ -77,7 +77,7 @@ type Notification struct {
 	Seq int
 	// Watermark is the video duration the result was evaluated at.
 	Watermark float64
-	// Lines is the rendered result set (query.FormatResult per segment).
+	// Lines is the rendered result set (query.AppendResult per segment).
 	// Every member of a class receives the same slice: read-only.
 	Lines []string
 }
@@ -435,8 +435,10 @@ func (m *Manager) refresh(ctx context.Context, c *class) int {
 		// moves (e.g. a feed series that appears later).
 	} else {
 		lines := make([]string, len(res))
+		var buf []byte
 		for i, r := range res {
-			lines[i] = query.FormatResult(r)
+			buf = query.AppendResult(buf[:0], r)
+			lines[i] = string(buf)
 		}
 		c.epochs = epochs
 		if changed = !c.primed || !slices.Equal(lines, c.lines); changed {
