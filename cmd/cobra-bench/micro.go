@@ -504,8 +504,9 @@ func benchFusedSelectAgg1M(b *testing.B) {
 // eight ranges per selectivity, answered with the gate held on the
 // scan and on the zone map, and then left alone —
 //
-//	TypedScan1M      the full typed scan (a NaN row appended to the
-//	                 column marks it unsafe, which pins the scan)
+//	TypedScan1M      the full typed scan (a NaN and a +Inf at the
+//	                 start of every zone leave no zone a summary can
+//	                 settle, so every zone runs the kernel)
 //	ZoneMapSelect1M  zone-map pruning, the gate's one numeric road
 //	GateSelect1M     the gate's own choice on a warmed column
 //
@@ -539,15 +540,17 @@ func ablationValues(layout string) []float64 {
 }
 
 // ablationStore stores vals as "bench/val", pinned to the scan for
-// TypedScan1M.
+// TypedScan1M: a zone holding NaN (the least float) and +Inf is
+// neither covered by nor disjoint from any range with numeric bounds.
 func ablationStore(b *testing.B, path string, vals []float64) *monet.Store {
 	store := monet.NewStore()
-	bat := monet.NewBATCap(monet.Void, monet.FloatT, len(vals)+1)
-	for _, v := range vals {
+	bat := monet.NewBATCap(monet.Void, monet.FloatT, len(vals)+len(vals)/(monet.ZoneSize-2)*2+2)
+	for i, v := range vals {
+		if path == "TypedScan1M" && i%(monet.ZoneSize-2) == 0 {
+			bat.MustInsert(monet.VoidValue(), monet.NewFloat(math.NaN()))
+			bat.MustInsert(monet.VoidValue(), monet.NewFloat(math.Inf(1)))
+		}
 		bat.MustInsert(monet.VoidValue(), monet.NewFloat(v))
-	}
-	if path == "TypedScan1M" {
-		bat.MustInsert(monet.VoidValue(), monet.NewFloat(math.NaN()))
 	}
 	if err := store.Put("bench/val", bat); err != nil {
 		b.Fatal(err)

@@ -25,7 +25,8 @@
 // observability guide against the code: every backquoted name in the
 // first column of a "| metric |" table must be a string literal passed
 // to obs.C/G/H or a Registry's Counter/Gauge/Histogram, and every name
-// in a "| span |" table a literal passed to StartChild/StartTrace, in
+// in a "| span |" table a literal passed to StartChild/StartTrace/
+// StartTraceAt or AddChild (a span recorded after the fact), in
 // the module's non-test Go files. A span name may end in "*", which
 // matches any literal, or literal prefix of a concatenation, that
 // starts with the rest — so a row can neither name a metric or span
@@ -157,7 +158,7 @@ func spanRecorded(spans map[string]bool, name string) bool {
 func recordedNames(root string) (metrics, spans map[string]bool, err error) {
 	metrics, spans = map[string]bool{}, map[string]bool{}
 	metricFuncs := map[string]bool{"C": true, "G": true, "H": true, "Counter": true, "Gauge": true, "Histogram": true}
-	spanFuncs := map[string]bool{"StartChild": true, "StartTrace": true}
+	spanFuncs := map[string]bool{"StartChild": true, "StartTrace": true, "StartTraceAt": true, "AddChild": true}
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

@@ -26,6 +26,7 @@ var lat = reg.Histogram("x.latency")
 func f(sp *obs.Span, name string) {
 	sp.StartChild("x.eval")
 	sp.StartChild("select:" + name)
+	sp.AddChild("x.parse", start, d)
 }
 `)
 	write("code_test.go", `package x
@@ -40,6 +41,7 @@ var only = obs.G("x.test_only")
 		"| span | level |\n"+
 		"|---|---|\n"+
 		"| `x.eval` | ok |\n"+
+		"| `x.parse` | ok: recorded after the fact |\n"+
 		"| `select:*` | ok: literal prefix of a concatenation |\n"+
 		"| `select:` | flagged: a prefix is not a full name |\n"+
 		"| `gone.eval` | flagged |\n"+

@@ -147,6 +147,34 @@ func TestDropEvents(t *testing.T) {
 	}
 }
 
+// TestHasEventsAllocsFlatInEvents: HasEvents reads the type column and
+// stops at the first match, so it allocates no more at 50 000 events
+// than at 100 — whether the type is on almost every row, only the
+// last, only the first, or absent.
+func TestHasEventsAllocsFlatInEvents(t *testing.T) {
+	allocs := func(n int, typ string) float64 {
+		c := newCat(t)
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{Type: "passing", Interval: Interval{Start: float64(i), End: float64(i) + 1}, Confidence: 1,
+				Attrs: map[string]string{"driver": "HILL"}}
+		}
+		evs[0].Type, evs[n-1].Type = "start", "pitstop"
+		if err := c.PutEvents("v", evs); err != nil {
+			t.Fatal(err)
+		}
+		if !c.HasEvents("v", "pitstop") || !c.HasEvents("v", "start") || c.HasEvents("v", "flyout") {
+			t.Fatalf("%d events: HasEvents wrong", n)
+		}
+		return testing.AllocsPerRun(20, func() { c.HasEvents("v", typ) })
+	}
+	for _, typ := range []string{"passing", "pitstop", "start", "flyout"} {
+		if small, large := allocs(100, typ), allocs(50000, typ); large != small {
+			t.Fatalf("HasEvents(%q): %v allocs at 50 000 events, %v at 100", typ, large, small)
+		}
+	}
+}
+
 func TestObjectRoundTrip(t *testing.T) {
 	c := newCat(t)
 	o := Object{Video: "v", Name: "SCHUMACHER", Class: "driver",

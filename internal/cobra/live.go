@@ -2,7 +2,6 @@ package cobra
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"cobra/internal/monet"
@@ -11,9 +10,10 @@ import (
 // This file is the catalog's streaming-ingestion surface: live-video
 // registration, the live-chunk append (one atomic, write-ahead
 // monet.Store.Commit per ingest tick, copy-on-write so concurrent
-// readers keep consistent snapshots), and the tail readers the
+// readers keep consistent snapshots), and the event tail reader the
 // incremental query evaluator uses to re-scan only rows appended since
-// a watermark.
+// a watermark. Feature tails are range-selected in the kernel instead
+// (Catalog.FeatureRuns).
 
 // liveBAT names the BAT recording which videos are live streams.
 func liveBAT() string { return "cobra/live" }
@@ -235,34 +235,6 @@ func (c *Catalog) AppendEvents(video string, events []Event) (fromRow int, err e
 func (c *Catalog) AppendFeatureSamples(video, name string, rate float64, vals []float64) (fromRow int, err error) {
 	marks, err := c.AppendLive(video, LiveChunk{Features: []FeatureSamples{{Name: name, Rate: rate, Values: vals}}})
 	return marks.FeatureRows[0], err
-}
-
-// FeatureTail reads the samples of a feature series from a row
-// watermark on: vals holds rows [fromRow, total) of a consistent
-// snapshot, in O(tail). The incremental evaluator carries its
-// run-detection state across calls so re-evaluation touches only the
-// appended rows.
-func (c *Catalog) FeatureTail(video, name string, fromRow int) (vals []float64, rate float64, total int, err error) {
-	b, err := c.store.Get(featureBAT(video, name))
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("%w: feature %s/%s", ErrNotFound, video, name)
-	}
-	rb, err := c.store.Get(featureBAT(video, name) + "/rate")
-	if err != nil || rb.Len() == 0 {
-		return nil, 0, 0, fmt.Errorf("cobra: feature %s/%s missing sample rate", video, name)
-	}
-	total = b.Len()
-	if fromRow < 0 {
-		fromRow = 0
-	}
-	if fromRow > total {
-		fromRow = total
-	}
-	vals = make([]float64, 0, total-fromRow)
-	for i := fromRow; i < total; i++ {
-		vals = append(vals, b.Tail(i).Float())
-	}
-	return vals, rb.Tail(0).Float(), total, nil
 }
 
 // EventsSince reads a video's event rows from a row watermark on, in

@@ -88,8 +88,8 @@ func TestAppendLiveAllOrNothing(t *testing.T) {
 	}
 	unchanged := func(when string) {
 		t.Helper()
-		if _, n, _ := c.FeatureMeta("live", "motion"); n != 2 {
-			t.Fatalf("%s: motion has %d rows, want 2", when, n)
+		if f, _ := c.Feature("live", "motion"); len(f.Values) != 2 {
+			t.Fatalf("%s: motion has %d rows, want 2", when, len(f.Values))
 		}
 		if evs := c.Events("live", ""); len(evs) != 1 {
 			t.Fatalf("%s: %d events, want 1", when, len(evs))

@@ -206,11 +206,11 @@ func (c *Catalog) Feature(video, name string) (Feature, error) {
 	if err != nil {
 		return Feature{}, fmt.Errorf("%w: feature %s/%s", ErrNotFound, video, name)
 	}
-	rb, err := c.store.Get(featureBAT(video, name) + "/rate")
-	if err != nil || rb.Len() == 0 {
-		return Feature{}, fmt.Errorf("cobra: feature %s/%s missing sample rate", video, name)
+	rate, err := c.featureRate(video, name, featureBAT(video, name))
+	if err != nil {
+		return Feature{}, err
 	}
-	f := Feature{Video: video, Name: name, SampleRate: rb.Tail(0).Float()}
+	f := Feature{Video: video, Name: name, SampleRate: rate}
 	f.Values = make([]float64, b.Len())
 	for i := 0; i < b.Len(); i++ {
 		f.Values[i] = b.Tail(i).Float()
@@ -218,42 +218,41 @@ func (c *Catalog) Feature(video, name string) (Feature, error) {
 	return f, nil
 }
 
-// FeatureMeta returns the sample rate and sample count of a
-// materialized feature without loading its values.
-func (c *Catalog) FeatureMeta(video, name string) (rate float64, n int, err error) {
-	b, err := c.store.Get(featureBAT(video, name))
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: feature %s/%s", ErrNotFound, video, name)
-	}
-	rb, err := c.store.Get(featureBAT(video, name) + "/rate")
+// featureRate reads the sample rate of the feature stored as bat.
+func (c *Catalog) featureRate(video, name, bat string) (float64, error) {
+	rb, err := c.store.Get(bat + "/rate")
 	if err != nil || rb.Len() == 0 {
-		return 0, 0, fmt.Errorf("cobra: feature %s/%s missing sample rate", video, name)
+		return 0, fmt.Errorf("cobra: feature %s/%s missing sample rate", video, name)
 	}
-	return rb.Tail(0).Float(), b.Len(), nil
+	return rb.Tail(0).Float(), nil
 }
 
-// FeatureSelect returns the ascending sample positions whose value
-// lies in [lo, hi], routed through the kernel's adaptive access paths
-// (zone map or scan, chosen by the store's access-path gate), along
-// with the access path taken.
-func (c *Catalog) FeatureSelect(video, name string, lo, hi float64) ([]int, *monet.AccessInfo, error) {
-	return c.FeatureSelectCtx(c.ctx(), video, name, lo, hi)
+// FeatureRuns range-selects samples [from, total) of a feature series
+// in the kernel and returns the qualifying sample positions as maximal
+// runs, with the series' sample rate and its row count total in the
+// snapshot the select read. From sample 0 the select takes the kernel's
+// access paths; a later from scans only the tail (monet's
+// SelectRunsFrom), which is how a standing query reads what was
+// appended since its last evaluation.
+func (c *Catalog) FeatureRuns(ctx context.Context, video, name string, from int, lo, hi float64) (runs []monet.Run, rate float64, total int, err error) {
+	bat := featureBAT(video, name)
+	runs, total, _, err = c.store.SelectRunsFrom(ctx, bat, from, monet.NewFloat(lo), monet.NewFloat(hi))
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("%w: feature %s/%s", ErrNotFound, video, name)
+	}
+	if rate, err = c.featureRate(video, name, bat); err != nil {
+		return nil, 0, 0, err
+	}
+	return runs, rate, total, nil
 }
 
-// FeatureSelectCtx is FeatureSelect under a trace context: the kernel
-// select records its access-path decision and morsel spans into the
-// trace carried by ctx.
-func (c *Catalog) FeatureSelectCtx(ctx context.Context, video, name string, lo, hi float64) ([]int, *monet.AccessInfo, error) {
-	return c.store.SelectPositionsCtx(ctx, featureBAT(video, name), monet.NewFloat(lo), monet.NewFloat(hi))
-}
-
-// FeatureRunsCtx range-selects a feature series through the kernel's
-// fused pipeline and returns the qualifying sample positions as
-// maximal runs instead of a position slice: on the fused path no
-// intermediate position list is materialized at all. The FusedInfo
-// reports whether fusion ran and the access path taken.
+// FeatureRunsCtx is FeatureRuns from sample 0 with the kernel's report
+// of the select in place of the rate and row count. The benchmark
+// harness's call ladder (bench/ladder.go) times the catalog layer
+// through it.
 func (c *Catalog) FeatureRunsCtx(ctx context.Context, video, name string, lo, hi float64) ([]monet.Run, *monet.FusedInfo, error) {
-	return c.store.SelectRunsCtx(ctx, featureBAT(video, name), monet.NewFloat(lo), monet.NewFloat(hi))
+	runs, _, fi, err := c.store.SelectRunsFrom(ctx, featureBAT(video, name), 0, monet.NewFloat(lo), monet.NewFloat(hi))
+	return runs, fi, err
 }
 
 // FeatureBATName is the kernel BAT name holding a feature series;
@@ -348,9 +347,19 @@ func (c *Catalog) Events(video, typ string) []Event {
 }
 
 // HasEvents reports whether any events of the given type are
-// materialized for the video.
+// materialized for the video. It reads the type column alone and stops
+// at the first match.
 func (c *Catalog) HasEvents(video, typ string) bool {
-	return len(c.Events(video, typ)) > 0
+	types, err := c.store.Get(eventBAT(video, "type"))
+	if err != nil {
+		return false
+	}
+	for i := 0; i < types.Len(); i++ {
+		if types.Tail(i).Str() == typ {
+			return true
+		}
+	}
+	return false
 }
 
 // DropEvents removes all events of the given type for a video.

@@ -1,6 +1,7 @@
 package mil
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -478,33 +479,24 @@ func (in *Interp) evalBinary(e *env, ex *Binary) (Value, error) {
 	a, b := l.Atom, r.Atom
 	switch ex.Op {
 	case "=", "!=", "<", ">", "<=", ">=":
-		var cmp int
-		if a.Typ == b.Typ {
-			cmp = monet.Compare(a, b)
-		} else if isNumeric(a.Typ) && isNumeric(b.Typ) {
-			switch {
-			case a.Float() < b.Float():
-				cmp = -1
-			case a.Float() > b.Float():
-				cmp = 1
-			}
-		} else {
-			cmp = monet.Compare(a, b)
+		c := monet.Compare(a, b)
+		if a.Typ != b.Typ && isNumeric(a.Typ) && isNumeric(b.Typ) {
+			c = cmp.Compare(a.Float(), b.Float()) // the kernel's float order
 		}
 		var res bool
 		switch ex.Op {
 		case "=":
-			res = cmp == 0
+			res = c == 0
 		case "!=":
-			res = cmp != 0
+			res = c != 0
 		case "<":
-			res = cmp < 0
+			res = c < 0
 		case ">":
-			res = cmp > 0
+			res = c > 0
 		case "<=":
-			res = cmp <= 0
+			res = c <= 0
 		case ">=":
-			res = cmp >= 0
+			res = c >= 0
 		}
 		return AtomValue(monet.NewBool(res)), nil
 	case "+":

@@ -27,8 +27,8 @@ import (
 // Drop bump the epoch under the write lock, and the next indexed
 // select observes the mismatch and rebuilds from scratch. Results are
 // always byte-identical to the naive scan: every path ends in the typed
-// range-select kernel (rangesel.go), and a column holding NaN — which
-// no min/max summary can represent — keeps the full scan.
+// range-select kernel (rangesel.go), and the zone summaries use
+// Compare's order, in which a NaN is a zone's minimum.
 
 // Access-path metrics (monet.index.*): how often each structure is
 // built and consulted, and how much work pruning saves.
@@ -115,8 +115,7 @@ func (ai *AccessInfo) String() string {
 type batIndex struct {
 	mu      sync.Mutex
 	epoch   uint64
-	selects int  // indexed selects since the last rebuild
-	unsafe  bool // NaN observed in the column: always the full scan
+	selects int // indexed selects since the last rebuild
 	zm      *zoneMap
 	dict    *strDict
 }
@@ -128,7 +127,6 @@ func (ix *batIndex) syncEpoch(epoch uint64) {
 	}
 	ix.epoch = epoch
 	ix.selects = 0
-	ix.unsafe = false
 	ix.zm = nil
 	ix.dict = nil
 }
@@ -203,7 +201,7 @@ func (s *Store) selectPositions(ctx context.Context, name string, held *BAT, lo,
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", name)
 	defer sp.Finish()
-	b, pl, _, err := s.planSelect(name, held, lo, hi, false)
+	b, pl, err := s.planSelect(name, held, lo, hi)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -241,29 +239,20 @@ func (s *Store) SelectRange(ctx context.Context, name string, held *BAT, lo, hi 
 // column's index lock only while the gate decides and the index
 // structures are built, and returns with the lock released, so the
 // scan the plan describes runs beside other selects. A non-nil held
-// must be the BAT the store holds under name (else errNotHeld). With
-// fused set it adds the fused gate's verdict (pipeline.go): a
-// non-empty reason means the caller must report, and run, the
-// operator-at-a-time path over the same plan; a float column is proved
-// NaN-free for it here, by the zone map's build pass.
-func (s *Store) planSelect(name string, held *BAT, lo, hi Value, fused bool) (b *BAT, pl *selectPlan, reason string, err error) {
+// must be the BAT the store holds under name (else errNotHeld).
+func (s *Store) planSelect(name string, held *BAT, lo, hi Value) (*BAT, *selectPlan, error) {
 	b, ix, err := s.capture(name)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, err
 	}
 	if held != nil && b != held {
 		ix.mu.Unlock()
-		return nil, nil, "", errNotHeld
+		return nil, nil, errNotHeld
 	}
-	if fused {
-		if reason = ix.fuseReason(b.tail, lo, hi); reason == "" && !ix.nanFree(b.tail) {
-			reason = "nan in column"
-		}
-	}
-	pl = ix.plan(b.tail, lo, hi)
+	pl := ix.plan(b.tail, lo, hi)
 	ix.mu.Unlock()
 	cIdxSelects.Inc()
-	return b, pl, reason, nil
+	return b, pl, nil
 }
 
 // scannedRows estimates tuples examined by one indexed select: the
@@ -302,24 +291,6 @@ func (s *Store) PlanAccess(name string, lo, hi Value) (*AccessInfo, error) {
 	return info, nil
 }
 
-// nanFree reports whether col is free of NaN, building the zone map of
-// a float column — whose build pass is the proof — when none exists
-// yet. The caller holds ix.mu.
-func (ix *batIndex) nanFree(col Column) bool {
-	if _, isFloat := col.(*floatColumn); isFloat && ix.zm == nil && !ix.unsafe {
-		ix.buildZoneMap(col)
-	}
-	return !ix.unsafe
-}
-
-// buildZoneMap summarizes col into ix.zm, marking ix unsafe when the
-// summary saw a NaN. The caller holds ix.mu.
-func (ix *batIndex) buildZoneMap(col Column) {
-	ix.zm = buildZoneMap(col)
-	cZmBuilds.Inc()
-	ix.unsafe = ix.unsafe || ix.zm.unsafe
-}
-
 // BuildZoneMap force-builds the zone map of a stored numeric column
 // (the MIL zonemap() builtin) and returns the number of summarized
 // morsels.
@@ -333,7 +304,7 @@ func (s *Store) BuildZoneMap(name string) (int, error) {
 		return 0, fmt.Errorf("monet: cannot zone-map %q: tail %v has no ordered scalar values", name, b.TailType())
 	}
 	if ix.zm == nil {
-		ix.buildZoneMap(b.tail)
+		ix.zm = buildZoneMap(b.tail)
 	}
 	return numMorsels(ix.zm.n), nil
 }
@@ -363,7 +334,6 @@ func (s *Store) IndexInfo(name string) (*BAT, error) {
 	} else {
 		add("dict", "none")
 	}
-	add("unsafe", fmt.Sprintf("%v", ix.unsafe))
 	return out, nil
 }
 
@@ -387,12 +357,13 @@ func accessInfo(path AccessPath, ms morselSet) *AccessInfo {
 // decide is the gate: given the column, the compiled predicate and
 // the current index state, decide how the next select would execute.
 // It performs no builds and no scans. Strings go to the dictionary
-// from the second select on; a NaN-free numeric column goes through
-// the zone map, which its first select builds.
+// from the second select on; a numeric column goes through the zone
+// map, which its first select builds.
 func (ix *batIndex) decide(col Column, p *rangePred) AccessPath {
-	if col.Len() < ParallelThreshold || ix.unsafe || p.mixed {
-		// Bounds of another type admit all rows or none: nothing for an
-		// index to do.
+	if col.Len() < ParallelThreshold || p.mixed || p.match != nil {
+		// Bounds of another type admit all rows or none, and a float
+		// range that admits NaN rows is too rare to summarize for:
+		// nothing for an index to do.
 		return PathScan
 	}
 	switch col.Type() {
@@ -413,10 +384,7 @@ func (ix *batIndex) plan(col Column, lo, hi Value) *selectPlan {
 	pl := &selectPlan{pred: compileRange(col, lo, hi), ms: morselSet{n: col.Len()}, lat: hPoolSelectLat, spd: hPoolSelectSpd}
 	path := ix.decide(col, &pl.pred)
 	if path == PathZoneMap && ix.zm == nil {
-		// A numeric column's first select: summarize it, then decide
-		// again knowing whether the summary saw a NaN.
-		ix.buildZoneMap(col)
-		path = ix.decide(col, &pl.pred)
+		ix.zm = buildZoneMap(col) // a numeric column's first select
 	}
 	ix.selects++
 	switch path {

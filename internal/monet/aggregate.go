@@ -1,8 +1,10 @@
 package monet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"strconv"
 
 	"cobra/internal/obs"
 )
@@ -102,8 +104,8 @@ func (b *BAT) bestIdx(sign int) int {
 }
 
 // bestRange is bestIdx over rows [lo, hi) of one column, typed for the
-// ordered scalar columns: the strict raw comparison agrees with
-// Compare, NaN included (neither replaces nor is replaced).
+// ordered scalar columns: cmp.Less is Compare's strict order, NaN the
+// least value.
 func bestRange(c Column, lo, hi, sign int) int {
 	switch c := c.(type) {
 	case *intColumn:
@@ -137,7 +139,7 @@ func bestInt[T intElem](v []T, wantMax bool) int {
 func bestOrd[T ordElem](v []T, wantMax bool) int {
 	bi := 0
 	for i, x := range v {
-		if wantMax && x > v[bi] || !wantMax && x < v[bi] {
+		if wantMax && cmp.Less(v[bi], x) || !wantMax && cmp.Less(x, v[bi]) {
 			bi = i
 		}
 	}
@@ -180,10 +182,10 @@ func (b *BAT) ArgMin() (Value, bool) {
 }
 
 // GroupCount computes the per-group association count as [g, int]:
-// one row per distinct head, in first-occurrence order. Heads group by
-// their MIL literal, so every NaN falls in one group and -0.0 and +0.0
-// in two; blobs, whose literal shows only their length, group by their
-// bytes.
+// one row per distinct head, in first-occurrence order. Heads group
+// under Equal: by their MIL literal, except that a float groups by its
+// floatKey (every NaN one group, -0.0 with +0.0) and a blob, whose
+// literal shows only its length, by its bytes.
 func (b *BAT) GroupCount() (*BAT, error) {
 	slot := map[string]int{}
 	var heads []Value
@@ -191,7 +193,10 @@ func (b *BAT) GroupCount() (*BAT, error) {
 	for i := 0; i < b.Len(); i++ {
 		h := b.head.Get(i)
 		k := h.String()
-		if h.Typ == BlobT {
+		switch h.Typ {
+		case FloatT:
+			k = strconv.FormatUint(floatKey(h.F), 16)
+		case BlobT:
 			k = string(h.B)
 		}
 		g, seen := slot[k]

@@ -341,7 +341,7 @@ type hashIndex interface {
 // every operator probes them through voidProbe.
 type hashTable struct {
 	byStr map[string][]int
-	byFlt map[float64][]int
+	byFlt map[uint64][]int // by floatKey
 }
 
 // buildHash builds the hash index over c. Integer-domain keys (int,
@@ -355,9 +355,9 @@ func buildHash(c Column) hashIndex {
 	ht := &hashTable{}
 	switch c.Type() {
 	case FloatT:
-		ht.byFlt = make(map[float64][]int, n)
+		ht.byFlt = make(map[uint64][]int, n)
 		for i := 0; i < n; i++ {
-			k := c.Get(i).Float()
+			k := floatKey(c.Get(i).F)
 			ht.byFlt[k] = append(ht.byFlt[k], i)
 		}
 	case StrT, BlobT:
@@ -437,7 +437,7 @@ func (t *compactIntTable) lookup(v Value) []int {
 func (ht *hashTable) lookup(v Value) []int {
 	switch v.Typ {
 	case FloatT:
-		return ht.byFlt[v.Float()]
+		return ht.byFlt[floatKey(v.F)]
 	case StrT, BlobT:
 		return ht.byStr[strKey(v)]
 	}

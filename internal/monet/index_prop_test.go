@@ -42,7 +42,7 @@ func (pc *propColumn) toBAT() *BAT {
 }
 
 // randValue draws a tail value for a column type; floats include the
-// occasional NaN so the unsafe fallback is part of the property.
+// occasional NaN, which a zone summary holds as its zone's minimum.
 func randValue(rng *rand.Rand, typ Type) Value {
 	switch typ {
 	case IntT:

@@ -304,27 +304,34 @@ func TestIndexesRebuildAfterSnapshotLoad(t *testing.T) {
 	sameIdx(t, idx, naiveIdx(mustGet(t, restored, "col"), lo, hi))
 }
 
-func TestNaNColumnFallsBackToScan(t *testing.T) {
+// TestNaNColumnTakesZoneMap: a float column holding NaN is zone-mapped
+// like any other, a zone holding a NaN is never covered, and a range
+// with numeric bounds matches no NaN row.
+func TestNaNColumnTakesZoneMap(t *testing.T) {
 	s := NewStore()
 	n := 3 * MorselSize
 	b := NewBATCap(Void, FloatT, n)
+	var want []int
 	for i := 0; i < n; i++ {
-		v := float64(i % 100)
-		if i%977 == 0 {
+		v := float64(i / ZoneSize % 40)
+		if i%4999 == 0 {
 			v = math.NaN()
+		}
+		if v >= 10 && v <= 19 {
+			want = append(want, i)
 		}
 		b.MustInsert(VoidValue(), NewFloat(v))
 	}
 	s.Put("col", b)
 	lo, hi := NewFloat(10), NewFloat(19)
-	want := naiveIdx(b, lo, hi) // includes the NaN rows: Compare(NaN, x) == 0
+	sameIdx(t, naiveIdx(b, lo, hi), want)
 	for q := 0; q < 5; q++ {
 		idx, info, err := s.SelectPositions("col", lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Path != PathScan {
-			t.Fatalf("query %d: path %v, want scan on NaN column", q, info.Path)
+		if info.Path != PathZoneMap || info.ZonesCovered == 0 || info.ZonesScanned == 0 {
+			t.Fatalf("query %d: %s, want the zone map to cover some zones and scan the NaN ones", q, info)
 		}
 		sameIdx(t, idx, want)
 	}
@@ -462,7 +469,7 @@ func TestSelectRangeShapes(t *testing.T) {
 	}
 	// An append landing after SelectRange's first look is caught again
 	// under the index lock.
-	if _, _, _, err := s.planSelect("col", b, lo, hi, false); !errors.Is(err, errNotHeld) {
+	if _, _, err := s.planSelect("col", b, lo, hi); !errors.Is(err, errNotHeld) {
 		t.Fatalf("planSelect over a BAT the store no longer holds: err %v", err)
 	}
 	if got := indexState(t, s, "col", "selects"); got != "0" {
@@ -520,7 +527,7 @@ func TestIndexInfoReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"name", "rows", "epoch", "selects", "zonemap", "dict", "unsafe"} {
+	for _, key := range []string{"name", "rows", "epoch", "selects", "zonemap", "dict"} {
 		if _, ok := ii.Find(NewStr(key)); !ok {
 			t.Fatalf("IndexInfo missing %q", key)
 		}

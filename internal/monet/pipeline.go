@@ -17,11 +17,11 @@ import (
 // runs read off a stack match bitmap and feeds them straight to the
 // aggregate. Per-morsel partials merge in morsel order, so a fused
 // result is byte-identical to the unfused one — and whenever the fused
-// gate cannot promise that identity to its callers (mixed-type or NaN
-// bounds, NaN values in a float column, inexact float sums, column
-// shapes without an integer reader), the pipeline reports itself
-// unfused and executes the operator-at-a-time path instead. SelectRuns
-// hands the same runs to callers that want the matches themselves.
+// gate cannot promise that identity to its callers (mixed-type bounds,
+// inexact float sums, column shapes without an integer reader), the
+// pipeline reports itself unfused and executes the operator-at-a-time
+// path instead. SelectRuns hands the same runs to callers that want
+// the matches themselves.
 //
 // The predicate is one selectPlan of accesspath.go, fused or not: zone
 // maps prune whole morsels before the scan runs and settle most zones
@@ -109,24 +109,11 @@ func (s *Store) Pipeline(pred string, lo, hi Value) *Pipeline {
 	return &Pipeline{s: s, pred: pred, lo: lo, hi: hi}
 }
 
-// isNaNValue reports whether a bound is a float NaN.
-func isNaNValue(v Value) bool { return v.Typ == FloatT && math.IsNaN(v.F) }
-
-// fuseReason is the fused gate's verdict on a predicate, from the
-// index state as it stands: "" when a fused pipeline over col may
-// report itself fused, else why not. Every typed loop computes
-// Compare's answer for these operands too (rangesel.go); the verdict
-// exists for the callers that key on it — query.indexedFeatureRuns
-// reads an unfused plain scan as "this column may hold NaN, which
-// matches nothing under COQL's float comparison".
-func (ix *batIndex) fuseReason(col Column, lo, hi Value) string {
-	switch {
-	case lo.Typ != col.Type() || hi.Typ != col.Type():
+// fuseReason is the fused gate's verdict on a predicate: "" when a
+// fused pipeline over col may report itself fused, else why not.
+func fuseReason(col Column, lo, hi Value) string {
+	if lo.Typ != col.Type() || hi.Typ != col.Type() {
 		return "mixed-type bounds"
-	case isNaNValue(lo) || isNaNValue(hi):
-		return "nan bound"
-	case ix.unsafe:
-		return "nan in column"
 	}
 	switch col.(type) {
 	case *strColumn, *intColumn, *oidColumn, *floatColumn:
@@ -208,7 +195,7 @@ func mergeScalar(dst, src *scalarPart, sign int64) {
 // the rows matched by the pipeline's predicate, without materializing
 // positions or a filtered BAT. Results are byte-identical to
 // SelectPositions + Gather + the BAT aggregate; when the gate cannot
-// promise that (NaN/mixed-type predicates, float aggregate columns),
+// promise that (mixed-type predicates, float aggregate columns),
 // it reports itself unfused and computes that fallback's answer: sum
 // and avg over a float column as one ordered pass over the runs
 // (sumFloatRuns), everything else through the positions.
@@ -231,10 +218,11 @@ func (p *Pipeline) Aggregate(ctx context.Context, agg, op string) (Value, *Fused
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", p.pred)
 	defer sp.Finish()
-	b, pl, reason, err := p.s.planSelect(p.pred, nil, p.lo, p.hi, true)
+	b, pl, err := p.s.planSelect(p.pred, nil, p.lo, p.hi)
 	if err != nil {
 		return Value{}, nil, err
 	}
+	reason := fuseReason(b.tail, p.lo, p.hi)
 	if ab.Len() != b.Len() {
 		return Value{}, nil, fmt.Errorf("monet: fused aggregate: %q has %d rows, %q has %d", p.pred, b.Len(), agg, ab.Len())
 	}
@@ -360,23 +348,39 @@ func consumeScalar(pl *selectPlan, sp *obs.Span, valAt func(i int) int64, sign i
 // SelectPositions would allocate half a million ints. The result is
 // always exactly RunsOf(SelectPositions(...)).
 func (s *Store) SelectRuns(name string, lo, hi Value) ([]Run, *FusedInfo, error) {
-	return s.SelectRunsCtx(context.Background(), name, lo, hi)
+	runs, _, fi, err := s.SelectRunsFrom(context.Background(), name, 0, lo, hi)
+	return runs, fi, err
 }
 
-// SelectRunsCtx is SelectRuns under a trace context: the select
-// records a "monet.select" span whose access and fused attrs describe
-// the pipeline, with morsel child spans for parallel scans.
-func (s *Store) SelectRunsCtx(ctx context.Context, name string, lo, hi Value) ([]Run, *FusedInfo, error) {
+// SelectRunsFrom is SelectRuns over the rows [from, n) of the named
+// BAT under a trace context, where n is its row count in the snapshot
+// the select read, returned beside the runs. The select records a
+// "monet.select" span whose access and fused attrs describe the
+// pipeline, with morsel child spans for parallel scans. From row 0 the
+// select takes the access paths. Past it — the tail a standing query
+// has not seen yet — the typed kernel scans the tail rows alone and
+// builds and reads no index: a growing BAT's epoch moves with every
+// append, so an index would be rebuilt for every tail.
+func (s *Store) SelectRunsFrom(ctx context.Context, name string, from int, lo, hi Value) ([]Run, int, *FusedInfo, error) {
 	sp := obs.SpanFromContext(ctx).StartChild("monet.select")
 	sp.SetAttr("level", "physical")
 	sp.SetAttr("bat", name)
 	defer sp.Finish()
-	_, pl, reason, err := s.planSelect(name, nil, lo, hi, true)
+	var b *BAT
+	var pl *selectPlan
+	var err error
+	if from <= 0 {
+		b, pl, err = s.planSelect(name, nil, lo, hi)
+	} else if b, err = s.Get(name); err == nil {
+		ms := morselSet{n: b.Len(), from: min(from, b.Len())}
+		pl = &selectPlan{pred: compileRange(b.tail, lo, hi), ms: ms, lat: hPoolSelectLat, spd: hPoolSelectSpd,
+			info: &AccessInfo{Path: PathScan, Rows: ms.n - ms.from}}
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	runs, matched := pl.runs(sp)
-	return runs, pl.finish(sp, "select→runs", reason, matched, len(runs)), nil
+	return runs, b.Len(), pl.finish(sp, "select→runs", fuseReason(b.tail, lo, hi), matched, len(runs)), nil
 }
 
 // aggregatePositions is the operator-at-a-time reference the gate

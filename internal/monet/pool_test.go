@@ -264,7 +264,7 @@ func oracleJoin(l, r *BAT) *BAT {
 	for i := 0; i < l.Len(); i++ {
 		key := l.Tail(i)
 		for j, h := range heads {
-			if Equal(key, h) {
+			if oracleCompare(key, h) == 0 {
 				out.MustInsert(l.Head(i), r.Tail(j))
 			}
 		}
@@ -281,7 +281,7 @@ func oracleHeadsIn(l, r *BAT, want bool) *BAT {
 	for i := 0; i < l.Len(); i++ {
 		key, found := l.Head(i), false
 		for j := 0; j < len(heads) && !found; j++ {
-			found = Equal(key, heads[j])
+			found = oracleCompare(key, heads[j]) == 0
 		}
 		if found == want {
 			out.MustInsert(l.Head(i), l.Tail(i))
@@ -301,9 +301,10 @@ func values(c Column) []Value {
 }
 
 // joinKeys builds an n-row key column of typ for a key kind ("oid",
-// "int" or "str"): a void column is its own dense OIDs, the others draw
-// from 24 keys, so keys repeat on both sides, and miss moves them into
-// a domain no other column draws from.
+// "int", "flt" or "str"): a void column is its own dense OIDs, the
+// others draw from 24 keys, so keys repeat on both sides, and miss
+// moves them into a domain no other column draws from. Float keys
+// include NaN, -0, +0 and ±Inf.
 func joinKeys(rng *rand.Rand, typ Type, kind string, n int, miss bool) Column {
 	if typ == Void {
 		return &voidColumn{n: n}
@@ -322,6 +323,13 @@ func joinKeys(rng *rand.Rand, typ Type, kind string, n int, miss bool) Column {
 			c.Append(NewOID(OID(k)))
 		case "int":
 			c.Append(NewInt(int64(k - 12)))
+		case "flt":
+			specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+			f := float64(k) / 4
+			if k < len(specials) {
+				f = specials[k]
+			}
+			c.Append(NewFloat(f))
 		default:
 			c.Append(NewStr(fmt.Sprintf("k%02d", k)))
 		}
@@ -331,7 +339,7 @@ func joinKeys(rng *rand.Rand, typ Type, kind string, n int, miss bool) Column {
 
 // TestJoinsMatchNestedLoopOracle checks Join, Semijoin and KDiff
 // against nested-loop references at pool widths 1 and 2: void, oid,
-// int and str keys with duplicates on both sides, empty sides, sides
+// int, float and str keys with duplicates on both sides, empty sides, sides
 // with no key in common, and probe sides past ParallelThreshold, where
 // Semijoin and KDiff filter morsel-parallel. The payload columns are
 // of random type, void included.
@@ -339,7 +347,7 @@ func TestJoinsMatchNestedLoopOracle(t *testing.T) {
 	kinds := []struct {
 		kind  string
 		types []Type
-	}{{"oid", []Type{Void, OIDT}}, {"int", []Type{IntT}}, {"str", []Type{StrT}}}
+	}{{"oid", []Type{Void, OIDT}}, {"int", []Type{IntT}}, {"flt", []Type{FloatT}}, {"str", []Type{StrT}}}
 	payloads := []Type{Void, OIDT, IntT, StrT}
 	for _, width := range []int{1, 2} {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
@@ -354,12 +362,12 @@ func TestJoinsMatchNestedLoopOracle(t *testing.T) {
 							lt := k.types[rng.Intn(len(k.types))]
 							rt := k.types[rng.Intn(len(k.types))]
 							left := &BAT{
-								head: propColumnOf(rng, payloads[rng.Intn(len(payloads))], n, false, false),
+								head: propColumnOf(rng, payloads[rng.Intn(len(payloads))], n, false),
 								tail: joinKeys(rng, lt, k.kind, n, false),
 							}
 							right := &BAT{
 								head: joinKeys(rng, rt, k.kind, m, rng.Intn(4) == 0),
-								tail: propColumnOf(rng, payloads[rng.Intn(len(payloads))], m, false, false),
+								tail: propColumnOf(rng, payloads[rng.Intn(len(payloads))], m, false),
 							}
 							desc := fmt.Sprintf("%s keys [%v,%v] %d rows against [%v,%v] %d rows",
 								k.kind, left.HeadType(), lt, n, rt, right.TailType(), m)
@@ -388,7 +396,7 @@ func TestJoinsMatchNestedLoopOracle(t *testing.T) {
 }
 
 // groupKey is the oracle's notion of one group: same type and payload,
-// every NaN one group, -0.0 apart from +0.0 (bit identity otherwise).
+// every NaN one group, -0.0 with +0.0 (bit identity otherwise).
 type groupKey struct {
 	typ  Type
 	i    int64
@@ -400,9 +408,13 @@ func oracleGroupKey(v Value) groupKey {
 	k := groupKey{typ: v.Typ, i: v.I, s: v.S}
 	switch v.Typ {
 	case FloatT:
-		k.bits = math.Float64bits(v.F)
-		if math.IsNaN(v.F) {
+		switch {
+		case v.F == 0:
+			k.bits = 0
+		case math.IsNaN(v.F):
 			k.bits = math.Float64bits(math.NaN())
+		default:
+			k.bits = math.Float64bits(v.F)
 		}
 	case BlobT:
 		k.s = string(v.B)
@@ -417,7 +429,7 @@ func TestGroupCountMatchesFirstOccurrenceCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5100))
 	for _, typ := range propTypes {
 		for _, n := range []int{0, 1, 2, 63, 1000, ParallelThreshold + 5} {
-			b := &BAT{head: propColumnOf(rng, typ, n, false, false), tail: &voidColumn{n: n}}
+			b := &BAT{head: propColumnOf(rng, typ, n, false), tail: &voidColumn{n: n}}
 			slot := map[groupKey]int{}
 			var heads []Value
 			var counts []int64

@@ -20,12 +20,12 @@ import (
 //
 // The predicate is Compare's, bit for bit. Integer domains (int, oid,
 // bit, void, dictionary codes) order by the int64 payload Value.I
-// carries, as Compare does — OIDs included. Floats test
-// !(v < lo) && !(v > hi): Compare answers 0 whenever either operand is
-// NaN, so a NaN row qualifies under any bounds and a NaN bound does not
-// constrain, which is exactly what the negated comparisons compute. A
-// bound of another type compares by type tag alone, so it admits every
-// row or none and is resolved before the loop.
+// carries, as Compare does — OIDs included. Under Compare's float order
+// NaN sits below every number, so numeric bounds admit exactly the rows
+// IEEE lo <= v && v <= hi admits, which is the loop; a NaN or missing
+// lower bound, which also admits the NaN rows, and a NaN upper bound,
+// which admits nothing else, are resolved before it. A bound of another
+// type compares by type tag alone, so it admits every row or none.
 
 // intElem are the vectors compared through their int64 payload.
 type intElem interface{ ~int64 | ~uint64 | ~int32 }
@@ -45,8 +45,8 @@ type rangePred struct {
 	empty    bool // resolved before the loop: no row qualifies
 	mixed    bool // a bound of another type: resolved all-or-nothing
 	// match is set for the predicates too rare to earn a loop of their
-	// own (bit, blob and void columns; hash probes): still unboxed, but
-	// through a per-row closure.
+	// own (bit, blob and void columns; float ranges that admit NaN;
+	// hash probes): still unboxed, but through a per-row closure.
 	match func(i int) bool
 }
 
@@ -62,11 +62,19 @@ func compileRange(col Column, lo, hi Value) rangePred {
 	}
 	switch c := col.(type) {
 	case *floatColumn:
-		if hasLo && lo.F == lo.F {
-			p.flo = lo.F
-		}
-		if hasHi && hi.F == hi.F {
+		nanLo, nanHi := !hasLo || lo.F != lo.F, hasHi && hi.F != hi.F
+		if hasHi && !nanHi {
 			p.fhi = hi.F
+		}
+		switch fhi := p.fhi; {
+		case nanHi && !nanLo:
+			p.empty = true
+		case nanHi:
+			p.match = func(i int) bool { return c.v[i] != c.v[i] }
+		case nanLo:
+			p.match = func(i int) bool { return !(c.v[i] > fhi) }
+		default:
+			p.flo = lo.F
 		}
 	case *strColumn:
 		// Strings and blobs have no greatest value to stand for an
@@ -119,6 +127,15 @@ func (p *rangePred) bits(from, to int, words []uint64) {
 		bitsInt(p.codes[from:to], p.ilo, p.ihi, words)
 		return
 	}
+	if p.match != nil {
+		clear(words)
+		for i := from; i < to; i++ {
+			if p.match(i) {
+				words[(i-from)>>6] |= 1 << (uint(i-from) & 63)
+			}
+		}
+		return
+	}
 	switch c := p.col.(type) {
 	case *intColumn:
 		bitsInt(c.v[from:to], p.ilo, p.ihi, words)
@@ -128,13 +145,6 @@ func (p *rangePred) bits(from, to int, words []uint64) {
 		bitsOrd(c.v[from:to], p.flo, p.fhi, words)
 	case *strColumn:
 		bitsOrd(c.v[from:to], p.slo, p.shi, words)
-	default:
-		clear(words)
-		for i := from; i < to; i++ {
-			if p.match(i) {
-				words[(i-from)>>6] |= 1 << (uint(i-from) & 63)
-			}
-		}
 	}
 }
 
@@ -173,7 +183,7 @@ func bitsOrd[T ordElem](v []T, lo, hi T, words []uint64) {
 		}
 		var x uint64
 		for j, e := range chunk {
-			if !(e < lo) && !(e > hi) {
+			if e >= lo && e <= hi {
 				x |= 1 << (uint(j) & 63)
 			}
 		}
@@ -266,8 +276,10 @@ func bitRuns(words []uint64, base int, visit func(start, end int)) {
 // look at.
 type morselSet struct {
 	n int
+	// from is the first row visited: rows before it are never read.
+	from int
 	// morsels lists the morsel indices to visit, ascending; nil means
-	// every morsel.
+	// every morsel that holds a row past from.
 	morsels []int
 	// zones[k] holds the zone map's verdicts on the zones of the k-th
 	// visited morsel; nil means nothing was proved and every zone is
@@ -280,16 +292,18 @@ func (ms morselSet) slots() int {
 	if ms.morsels != nil {
 		return len(ms.morsels)
 	}
-	return numMorsels(ms.n)
+	return numMorsels(ms.n) - ms.from/MorselSize
 }
 
 // rowRange returns the rows of the k-th visited morsel.
 func (ms morselSet) rowRange(k int) (lo, hi int) {
 	if ms.morsels != nil {
 		k = ms.morsels[k]
+	} else {
+		k += ms.from / MorselSize
 	}
 	lo = k * MorselSize
-	return lo, min(lo+MorselSize, ms.n)
+	return max(lo, ms.from), min(lo+MorselSize, ms.n)
 }
 
 // selectPlan is one range select ready to execute: the compiled
@@ -414,6 +428,18 @@ func (pl *selectPlan) positions(sp *obs.Span) []int {
 // covered zones in row order, so a run that crosses a zone or morsel
 // edge comes out whole.
 func (pl *selectPlan) runs(sp *obs.Span) ([]Run, int) {
+	if pl.ms.slots() == 1 {
+		// One morsel — a small BAT, or a standing query's tail: its
+		// bits fit morselRuns' stack scratch, and nothing fans out.
+		var out []Run
+		matched := 0
+		lo, hi := pl.ms.rowRange(0)
+		pl.morselRuns(0, lo, hi, func(start, end int) {
+			out = append(out, Run{Start: start, Len: end - start})
+			matched += end - start
+		})
+		return out, matched
+	}
 	zbits, offs, counts := pl.scan(sp)
 	matched, n, end := 0, 0, -1
 	for _, c := range counts {

@@ -1,10 +1,12 @@
 package monet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -14,14 +16,24 @@ import (
 // inverted and empty ranges, at lengths around MorselSize and
 // ParallelThreshold and pool widths 1, 2 and 8, every select path and
 // every typed fold must reproduce — byte for byte — what the boxed
-// Column.Get + Compare loops they replaced return. Those loops survive
-// here, as the oracle.
+// Column.Get loops they replaced return, under oracleCompare. Those
+// loops survive here, as the oracle.
+
+// oracleCompare is the order the kernel documents: cmp.Compare on two
+// floats (NaN first and equal to NaN, -0 equal to +0), Compare's type
+// tags and payloads otherwise.
+func oracleCompare(a, b Value) int {
+	if a.Typ == FloatT && b.Typ == FloatT {
+		return cmp.Compare(a.F, b.F)
+	}
+	return Compare(a, b)
+}
 
 // oraclePositions is the boxed range scan.
 func oraclePositions(c Column, lo, hi Value) []int {
 	idx := []int{}
 	for i := 0; i < c.Len(); i++ {
-		if t := c.Get(i); Compare(t, lo) >= 0 && Compare(t, hi) <= 0 {
+		if t := c.Get(i); oracleCompare(t, lo) >= 0 && oracleCompare(t, hi) <= 0 {
 			idx = append(idx, i)
 		}
 	}
@@ -55,17 +67,17 @@ func oracleSum(c Column) float64 {
 }
 
 // oracleBest is the boxed bestIdx: per-morsel first-occurrence
-// extremes under the strict Compare, merged in morsel order.
+// extremes under the strict oracleCompare, merged in morsel order.
 func oracleBest(c Column, sign int) int {
 	best := -1
 	oracleMorsels(c.Len(), func(lo, hi int) {
 		bi := lo
 		for i := lo + 1; i < hi; i++ {
-			if sign*Compare(c.Get(i), c.Get(bi)) > 0 {
+			if sign*oracleCompare(c.Get(i), c.Get(bi)) > 0 {
 				bi = i
 			}
 		}
-		if best < 0 || sign*Compare(c.Get(bi), c.Get(best)) > 0 {
+		if best < 0 || sign*oracleCompare(c.Get(bi), c.Get(best)) > 0 {
 			best = bi
 		}
 	})
@@ -115,8 +127,10 @@ func propValue(rng *rand.Rand, typ Type) Value {
 }
 
 // propColumnOf builds an n-row column of typ; clustered columns ascend
-// (loosely) so zone maps prune and cover, NaN-free ones can be indexed.
-func propColumnOf(rng *rand.Rand, typ Type, n int, clustered, nanFree bool) Column {
+// (loosely) so zone maps prune and cover, and a clustered float column
+// holds a NaN now and then in every fourth zone, so some zones are
+// never covered and the rest can be.
+func propColumnOf(rng *rand.Rand, typ Type, n int, clustered bool) Column {
 	c := NewColumnCap(typ, n)
 	for i := 0; i < n; i++ {
 		v := propValue(rng, typ)
@@ -126,10 +140,10 @@ func propColumnOf(rng *rand.Rand, typ Type, n int, clustered, nanFree bool) Colu
 				v = NewInt(int64(i/97 + rng.Intn(5)))
 			case FloatT:
 				v = NewFloat(float64(i/97) + rng.Float64())
+				if i/ZoneSize%4 == 1 && rng.Intn(100) == 0 {
+					v = NewFloat(math.NaN())
+				}
 			}
-		}
-		if nanFree && isNaNValue(v) {
-			v = NewFloat(1)
 		}
 		c.Append(v)
 	}
@@ -159,7 +173,7 @@ func propBounds(rng *rand.Rand, typ Type) (Value, Value) {
 	case 5: // leave unordered: often inverted, i.e. empty
 		return a, b
 	}
-	if Compare(b, a) < 0 {
+	if oracleCompare(b, a) < 0 {
 		a, b = b, a
 	}
 	return a, b
@@ -195,7 +209,7 @@ func TestTypedKernelMatchesBoxedOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(4200 + width)))
 			for _, typ := range propTypes {
 				for _, n := range propLengths {
-					col := propColumnOf(rng, typ, n, n%2 == 1, false)
+					col := propColumnOf(rng, typ, n, n%2 == 1)
 					b := &BAT{head: &voidColumn{n: n}, tail: col}
 					for q := 0; q < 6; q++ {
 						lo, hi := propBounds(rng, typ)
@@ -254,7 +268,7 @@ func TestTypedFoldsMatchBoxedOracle(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(977 + width)))
 			for _, typ := range propTypes {
 				for _, n := range propLengths[1:] {
-					col := propColumnOf(rng, typ, n, false, n%3 == 0)
+					col := propColumnOf(rng, typ, n, n%3 == 0)
 					b := &BAT{head: &voidColumn{n: n}, tail: col}
 					what := fmt.Sprintf("%v#%d", typ, n)
 					for _, sign := range []int{1, -1} {
@@ -276,25 +290,18 @@ func TestTypedFoldsMatchBoxedOracle(t *testing.T) {
 						continue
 					}
 					z := buildZoneMap(col)
-					hasNaN := false
-					for i := 0; i < n; i++ {
-						hasNaN = hasNaN || isNaNValue(col.Get(i))
-					}
-					if z.unsafe != hasNaN {
-						t.Fatalf("%s zone map unsafe=%v, column NaN=%v", what, z.unsafe, hasNaN)
-					}
-					for zi := 0; !hasNaN && zi < numZones(n); zi++ {
+					for zi := 0; zi < numZones(n); zi++ {
 						lo, hi := zi*ZoneSize, min((zi+1)*ZoneSize, n)
 						mn, mx := col.Get(lo), col.Get(lo)
 						for i := lo; i < hi; i++ {
-							if v := col.Get(i); Compare(v, mn) < 0 {
+							if v := col.Get(i); oracleCompare(v, mn) < 0 {
 								mn = v
-							} else if Compare(v, mx) > 0 {
+							} else if oracleCompare(v, mx) > 0 {
 								mx = v
 							}
 						}
 						zmn, zmx := zoneSummary(z, col, zi)
-						if Compare(zmn, mn) != 0 || Compare(zmx, mx) != 0 {
+						if oracleCompare(zmn, mn) != 0 || oracleCompare(zmx, mx) != 0 {
 							t.Fatalf("%s zone %d summary [%v, %v], oracle [%v, %v]", what, zi, zmn, zmx, mn, mx)
 						}
 					}
@@ -330,7 +337,7 @@ func TestAccessPathsMatchBoxedOracle(t *testing.T) {
 			for _, typ := range []Type{OIDT, IntT, FloatT, StrT} {
 				for _, clustered := range []bool{false, true} {
 					n := 3*MorselSize + rng.Intn(MorselSize)
-					col := propColumnOf(rng, typ, n, clustered, rng.Intn(2) == 0)
+					col := propColumnOf(rng, typ, n, clustered)
 					s := NewStore()
 					if err := s.Put("col", &BAT{head: &voidColumn{n: n}, tail: col}); err != nil {
 						t.Fatal(err)
@@ -448,4 +455,81 @@ func TestSelectCounterCountsEachQueryOnce(t *testing.T) {
 	if got := indexState(t, s, "pred", "selects"); got != fmt.Sprint(queries+1) {
 		t.Fatalf("selects = %s after %d selects", got, queries+1)
 	}
+}
+
+// TestFloatOrderIsCmpCompare pins cmp.Compare's float order on the
+// operators that each once kept their own: range select, sort,
+// extremes, group and join.
+func TestFloatOrderIsCmpCompare(t *testing.T) {
+	nan, negz, inf := math.NaN(), math.Copysign(0, -1), math.Inf(1)
+	floats := func(vs ...float64) *BAT {
+		b := NewBATCap(Void, FloatT, len(vs))
+		for _, v := range vs {
+			b.MustInsert(VoidValue(), NewFloat(v))
+		}
+		return b
+	}
+	t.Run("select", func(t *testing.T) {
+		b := floats(3, nan, 1)
+		if sel := b.Select(NewFloat(2), NewFloat(inf)); sel.Len() != 1 || sel.Tail(0).F != 3 {
+			t.Fatalf("select(2, +Inf) over {3, NaN, 1} = %s", sel.Dump(0))
+		}
+		if u := b.Uselect(NewFloat(2), NewFloat(inf)); u.Len() != 1 || u.Head(0).OID() != 0 {
+			t.Fatalf("uselect(2, +Inf) over {3, NaN, 1} = %s", u.Dump(0))
+		}
+		if sel := b.Select(NewFloat(nan), NewFloat(nan)); sel.Len() != 1 || sel.Head(0).OID() != 1 {
+			t.Fatalf("select(NaN, NaN) over {3, NaN, 1} = %s", sel.Dump(0))
+		}
+	})
+	t.Run("sort", func(t *testing.T) {
+		vs := []float64{3, nan, 1, nan, 0.5, 2, negz, 0, inf, -inf, negz}
+		want := slices.Clone(vs)
+		slices.SortStableFunc(want, cmp.Compare[float64])
+		for _, sorted := range []*BAT{floats(vs...).SortTail(), floats(vs...).Reverse().SortHead().Reverse()} {
+			for i, w := range want {
+				if !sameFloat(sorted.Tail(i).F, w) || math.Signbit(sorted.Tail(i).F) != math.Signbit(w) {
+					t.Fatalf("sorted %s, want %v", sorted.Dump(0), want)
+				}
+			}
+		}
+	})
+	for _, width := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("min max w%d", width), func(t *testing.T) {
+			prev := SetDefaultPoolWorkers(width)
+			defer SetDefaultPoolWorkers(prev)
+			for _, n := range []int{3, ParallelThreshold + 777} {
+				for _, at := range []int{0, 1, n / 2, n - 1} {
+					vs := make([]float64, n)
+					wantMax := 0.0
+					for i := range vs {
+						vs[i] = float64(i%1000) + 1
+						if i != at {
+							wantMax = max(wantMax, vs[i])
+						}
+					}
+					vs[at] = nan
+					b := floats(vs...)
+					mn, _ := b.Min()
+					mx, _ := b.Max()
+					am, _ := b.ArgMin()
+					if !math.IsNaN(mn.F) || am.OID() != OID(at) || mx.F != wantMax {
+						t.Fatalf("%d rows, NaN at %d: min %v at %v, max %v (want NaN at %d, max %v)", n, at, mn, am, mx, at, wantMax)
+					}
+				}
+			}
+		})
+	}
+	t.Run("group", func(t *testing.T) {
+		g, err := floats(0, negz, nan, nan).Reverse().GroupCount()
+		if err != nil || g.Len() != 2 || g.Tail(0).I != 2 || g.Tail(1).I != 2 || !math.IsNaN(g.Head(1).F) {
+			t.Fatalf("GroupCount{0, -0, NaN, NaN} = %s (%v)", g.Dump(0), err)
+		}
+	})
+	t.Run("join", func(t *testing.T) {
+		right := floats(0, nan, 7).Reverse() // [dbl, oid]
+		j, err := floats(negz, nan, 1).Join(right)
+		if err != nil || j.Len() != 2 || j.Head(0).OID() != 0 || j.Tail(0).OID() != 0 || j.Head(1).OID() != 1 || j.Tail(1).OID() != 1 {
+			t.Fatalf("join {-0, NaN, 1} with {0, NaN, 7} = %s (%v)", j.Dump(0), err)
+		}
+	})
 }

@@ -18,6 +18,7 @@ package monet
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -164,42 +165,39 @@ func (v Value) String() string {
 // Compare orders two values of the same type. It returns a negative
 // number, zero, or a positive number as a sorts before, equal to, or
 // after b. Comparing values of different types compares their types.
+// Floats order as cmp.Compare orders them: NaN before every number and
+// equal to every NaN, and -0 equal to +0. That is a strict weak order,
+// so sorts, extremes, range selects, joins and groups all share it, and
+// a range with numeric bounds holds exactly the values IEEE lo <= v <= hi
+// admits: no NaN.
 func Compare(a, b Value) int {
 	if a.Typ != b.Typ {
 		return int(a.Typ) - int(b.Typ)
 	}
 	switch a.Typ {
-	case Void:
-		return 0
 	case OIDT, IntT, BoolT:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.I, b.I)
 	case FloatT:
-		switch {
-		case a.F < b.F:
-			return -1
-		case a.F > b.F:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.F, b.F)
 	case StrT:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.S, b.S)
 	case BlobT:
 		return bytes.Compare(a.B, b.B)
 	}
 	return 0
 }
 
-// Equal reports whether two values are identical in type and payload.
+// Equal reports whether two values are equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
+
+// floatKey is the hash key of a float under Compare's equality: -0 and
+// +0 share one key, and so do all NaNs.
+func floatKey(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}

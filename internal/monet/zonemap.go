@@ -1,6 +1,9 @@
 package monet
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+)
 
 // ZoneSize is the number of rows one zone-map summary covers: 16
 // bitmap words, so a morsel holds MorselSize/ZoneSize = 16 zones.
@@ -27,10 +30,6 @@ type zoneMap struct {
 	n    int                 // rows summarized
 	ints zoneBounds[int64]   // int and oid columns, by int64 payload
 	flts zoneBounds[float64] // float columns
-	// unsafe is set when a NaN was seen: NaN compares equal to
-	// everything under the kernel Compare, so min/max summaries are
-	// meaningless and the owner must fall back to full scans.
-	unsafe bool
 }
 
 // zoneBounds holds per-zone extremes of one domain.
@@ -54,6 +53,7 @@ func zoneMappable(col Column) bool {
 // morsel-parallel when the column clears the pool threshold. Zone
 // summaries are independent, so the parallel build is deterministic.
 func buildZoneMap(col Column) *zoneMap {
+	cZmBuilds.Inc()
 	n := col.Len()
 	nz := numZones(n)
 	z := &zoneMap{n: n}
@@ -63,9 +63,8 @@ func buildZoneMap(col Column) *zoneMap {
 	case *floatColumn:
 		z.flts = newZoneBounds[float64](nz)
 	}
-	nan := make([]bool, numMorsels(n))
 	pool, _ := poolFor(n)
-	runMorselSet(pool, morselSet{n: n}, nil, nil, nil, func(m, lo, hi int) {
+	runMorselSet(pool, morselSet{n: n}, nil, nil, nil, func(_, lo, hi int) {
 		for lo < hi {
 			zi, zhi := lo/ZoneSize, min(lo+ZoneSize, hi)
 			switch c := col.(type) {
@@ -74,16 +73,11 @@ func buildZoneMap(col Column) *zoneMap {
 			case *oidColumn:
 				z.ints.mins[zi], z.ints.maxs[zi] = minMaxInt(c.v[lo:zhi])
 			case *floatColumn:
-				var u bool
-				z.flts.mins[zi], z.flts.maxs[zi], u = minMaxFloat(c.v[lo:zhi])
-				nan[m] = nan[m] || u
+				z.flts.mins[zi], z.flts.maxs[zi] = minMaxFloat(c.v[lo:zhi])
 			}
 			lo = zhi
 		}
 	})
-	for _, u := range nan {
-		z.unsafe = z.unsafe || u
-	}
 	return z
 }
 
@@ -103,20 +97,20 @@ func minMaxInt[T intElem](v []T) (mn, mx int64) {
 	return mn, mx
 }
 
-// minMaxFloat returns the extremes of a non-empty float vector, and
-// whether it holds a NaN.
-func minMaxFloat(v []float64) (mn, mx float64, nan bool) {
+// minMaxFloat returns the extremes of a non-empty float vector in
+// Compare's order. NaN is its least value, so a zone holding one has a
+// NaN minimum, which no numeric bound covers: classifyZones scans it.
+func minMaxFloat(v []float64) (mn, mx float64) {
 	mn, mx = v[0], v[0]
 	for _, e := range v {
-		if e < mn {
+		if cmp.Less(e, mn) {
 			mn = e
 		}
-		if e > mx {
+		if cmp.Less(mx, e) {
 			mx = e
 		}
-		nan = nan || e != e
 	}
-	return mn, mx, nan
+	return mn, mx
 }
 
 // zoneMask holds the zone verdicts of one visited morsel: bit z of

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"cobra/internal/cobra"
-	"cobra/internal/monet"
 	"cobra/internal/obs"
 	"cobra/internal/rules"
 )
@@ -268,95 +266,27 @@ func attrsMatch(have, want map[string]string) bool {
 const minRunDur = 0.3
 
 // featureBounds converts a COQL comparison into the inclusive range
-// the kernel's select understands; ok=false when the operator has no
-// range form or the bound would not survive the float successor trick
-// (NaN and infinite thresholds stay on the sample-by-sample path).
-func featureBounds(op string, val float64) (lo, hi float64, ok bool) {
-	if math.IsNaN(val) || math.IsInf(val, 0) {
-		return 0, 0, false
+// [lo, hi] the kernel selects, a strict bound becoming the float
+// successor of the threshold. Under the kernel's float order a range
+// with numeric bounds holds no NaN, just as no comparison with NaN
+// holds. A comparison no sample satisfies — a NaN threshold, > +Inf,
+// < -Inf, an unknown operator — gets the empty range [+Inf, -Inf].
+func featureBounds(op string, val float64) (lo, hi float64) {
+	inf := math.Inf(1)
+	switch {
+	case val != val:
+	case op == ">" && val < inf:
+		return math.Nextafter(val, inf), inf
+	case op == ">=":
+		return val, inf
+	case op == "<" && val > -inf:
+		return -inf, math.Nextafter(val, -inf)
+	case op == "<=":
+		return -inf, val
+	case op == "=":
+		return val, val
 	}
-	switch op {
-	case ">":
-		return math.Nextafter(val, math.Inf(1)), math.Inf(1), true
-	case ">=":
-		return val, math.Inf(1), true
-	case "<":
-		return math.Inf(-1), math.Nextafter(val, math.Inf(-1)), true
-	case "<=":
-		return math.Inf(-1), val, true
-	case "=":
-		return val, val, true
-	}
-	return 0, 0, false
-}
-
-// indexedFeatureRuns evaluates a feature condition through the
-// kernel's fused select→runs pipeline: the threshold becomes an
-// inclusive range select over the stored series whose qualifying
-// positions come back as maximal runs — on the fused path no
-// intermediate position list is materialized at all, and zone map
-// or dictionary answer the predicate without loading the
-// column into Go values. ok=false falls back to the sample-by-sample
-// run detection of featureRows — when the operator has no range
-// form, or the unfused kernel answered with a plain scan (a scan's
-// Compare treats NaN as matching any range, so only fused loops —
-// whose gate proves the column NaN-free — and NaN-free indexed paths
-// are guaranteed equivalent to the float comparison).
-func indexedFeatureRuns(ctx context.Context, cat *cobra.Catalog, video string, n *FeatureCond, leaf *obs.Span) ([]Result, bool) {
-	lo, hi, ok := featureBounds(n.Op, n.Val)
-	if !ok {
-		return nil, false
-	}
-	rate, total, err := cat.FeatureMeta(video, n.Name)
-	if err != nil {
-		return nil, false
-	}
-	runs, fi, err := cat.FeatureRunsCtx(obs.ContextWithSpan(ctx, leaf), video, n.Name, lo, hi)
-	if err != nil || (!fi.Fused && (fi.Access == nil || fi.Access.Path == monet.PathScan)) {
-		return nil, false
-	}
-	scan := scanSpan(leaf, "cobra/feature/"+video+"/"+n.Name)
-	scan.SetAttr("rows", strconv.Itoa(total))
-	scan.SetAttr("access", fi.Access.String())
-	scan.SetAttr("fused", fi.String())
-	scan.Finish()
-	return resultsFromRuns(runs, rate), true
-}
-
-// resultsFromRuns converts the kernel's qualifying-position runs into
-// segments, with boundaries and noise floor identical to featureRows:
-// a run of consecutive positions a..b spans [a*step, (b+1)*step).
-func resultsFromRuns(runs []monet.Run, rate float64) []Result {
-	step := 1 / rate
-	out := make([]Result, 0, len(runs))
-	for _, r := range runs {
-		start := float64(r.Start) * step
-		end := float64(r.Start+r.Len) * step
-		if end-start >= minRunDur {
-			out = append(out, Result{Interval: cobra.Interval{Start: start, End: end}, Confidence: 1})
-		}
-	}
-	return out
-}
-
-// featureTest compiles a COQL comparison operator into a per-sample
-// predicate; unknown operators match nothing.
-func featureTest(op string, val float64) func(float64) bool {
-	return func(v float64) bool {
-		switch op {
-		case ">":
-			return v > val
-		case ">=":
-			return v >= val
-		case "<":
-			return v < val
-		case "<=":
-			return v <= val
-		case "=":
-			return v == val
-		}
-		return false
-	}
+	return inf, -inf
 }
 
 // intersect pairs overlapping segments from both sides, returning the

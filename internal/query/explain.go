@@ -84,14 +84,11 @@ func (e *Engine) explain(q *Query) ([]string, error) {
 }
 
 // featureAccess is Store.PlanAccess's verdict for the range select a
-// one-shot FEATURE leaf runs (indexedFeatureRuns). PlanAccess fails
+// one-shot FEATURE leaf runs (featureRuns from row 0). PlanAccess fails
 // only when no BAT is stored under the name: the preprocessor has not
 // extracted the feature yet.
 func featureAccess(store *monet.Store, video string, n *FeatureCond) string {
-	lo, hi, ok := featureBounds(n.Op, n.Val)
-	if !ok {
-		return "no range form"
-	}
+	lo, hi := featureBounds(n.Op, n.Val)
 	info, err := store.PlanAccess(cobra.FeatureBATName(video, n.Name), monet.NewFloat(lo), monet.NewFloat(hi))
 	if err != nil {
 		return "not materialized"

@@ -126,14 +126,15 @@ func TestExplainFeatureAccessPaths(t *testing.T) {
 	if want := `feature("speed") > 0.5  # access path=zonemap rows=65536 matched=0 morsels=4 pruned=2 zones=64 scanned=0 covered=32`; lines[1] != want {
 		t.Fatalf("warm leaf = %q, want %q", lines[1], want)
 	}
-	// An operator with no range form is evaluated sample by sample.
-	// The parser admits none, so the tree is built directly.
+	// An operator with no range form selects the empty range, which
+	// the zone map prunes whole. The parser admits none, so the tree is
+	// built directly.
 	q := &Query{Target: "segments", Video: "race", Where: &FeatureCond{Name: "speed", Op: "!=", Val: 1}}
 	lines, err := e.explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `feature("speed") != 1  # access no range form`; lines[1] != want {
+	if want := `feature("speed") != 1  # access path=zonemap rows=65536 matched=0 morsels=4 pruned=4 zones=64 scanned=0 covered=0`; lines[1] != want {
 		t.Fatalf("leaf = %q, want %q", lines[1], want)
 	}
 }

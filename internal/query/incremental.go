@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"cobra/internal/cobra"
+	"cobra/internal/monet"
 	"cobra/internal/obs"
 )
 
@@ -27,15 +28,15 @@ type eventLeaf struct {
 	evs  []cobra.Event
 }
 
-// featureLeaf carries the run-detection state machine of a feature
-// condition across watermarks: rows consumed, whether a run is open
-// and where it started, and the closed runs found so far. The state
-// machine is prefix-composable, so feeding it the appended tail yields
-// the same runs as scanning the full series from row 0.
+// featureLeaf carries a feature condition's runs across watermarks:
+// the samples consumed, the run still open at the last watermark
+// (Len 0 when none), and the segments of the runs closed before it.
+// The kernel's runs over the appended tail extend the open run when
+// they start where it stopped, so a leaf fed tail after tail holds the
+// runs of the full series from row 0.
 type featureLeaf struct {
 	rows   int
-	open   bool
-	start  float64
+	open   monet.Run
 	closed []Result
 }
 
@@ -46,16 +47,15 @@ type featureLeaf struct {
 // A standing Incremental evaluates one parsed query repeatedly over a
 // growing video, re-scanning only rows appended since the previous
 // evaluation. Leaf conditions cache per-node state (event rows in
-// append order, feature run-detection state); combination operators
-// recompute over the cached leaf sets, so every Eval returns exactly
-// what Engine.Execute would return at the same watermark — the basis
-// for the streaming path's byte-identity guarantee.
+// append order, feature runs); combination operators recompute over
+// the cached leaf sets, so every Eval returns exactly what
+// Engine.Execute would return at the same watermark — the basis for
+// the streaming path's byte-identity guarantee.
 //
 // A one-shot Incremental (Engine.Execute) keeps no leaf state: its
-// leaves read from row 0, feature leaves try the kernel's indexed
-// access paths first, and binary operands run in order on the
-// caller's goroutine while the kernel fans large selects out per
-// morsel.
+// leaves read from row 0, feature leaves through the kernel's access
+// paths, and binary operands run in order on the caller's goroutine
+// while the kernel fans large selects out per morsel.
 //
 // A standing Incremental is not safe for concurrent use; the
 // subscription manager owns one per class of identical standing
@@ -182,12 +182,7 @@ func (inc *Incremental) evalCond(ctx context.Context, cat *cobra.Catalog, video 
 		leaf.SetAttr("level", "logical")
 		leaf.SetAttr("feature", n.Name)
 		defer leaf.Finish()
-		if inc.oneShot {
-			if out, ok := indexedFeatureRuns(ctx, cat, video, n, leaf); ok {
-				return out, nil
-			}
-		}
-		return inc.featureRows(cat, video, n, leaf)
+		return inc.featureRuns(ctx, cat, video, n, leaf)
 
 	case *ObjectCond:
 		leaf := span.StartChild("eval:object")
@@ -313,55 +308,58 @@ func mergeByStart(evs, tail []cobra.Event) []cobra.Event {
 	return evs
 }
 
-// featureRows advances a feature leaf's run-detection state over the
-// appended samples and returns all runs found so far, including the
-// provisional run still open at the watermark (exactly what a scan of
-// the full series from row 0 reports). A one-shot query runs the state
-// machine from row 0 in a leaf it does not keep.
-func (inc *Incremental) featureRows(cat *cobra.Catalog, video string, n *FeatureCond, span *obs.Span) ([]Result, error) {
-	st := inc.features[n]
-	if st == nil {
-		st = &featureLeaf{}
+// featureRuns advances a feature leaf over the samples appended since
+// its watermark and returns every run found so far, including the
+// provisional run still open at the watermark: exactly the runs of the
+// whole series. The kernel range-selects the tail (featureBounds), its
+// monet.select span under the leaf's. A one-shot query reads from row
+// 0, through the access paths, into a leaf it does not keep.
+func (inc *Incremental) featureRuns(ctx context.Context, cat *cobra.Catalog, video string, n *FeatureCond, span *obs.Span) ([]Result, error) {
+	leaf := inc.features[n]
+	if leaf == nil {
+		leaf = &featureLeaf{}
 		if !inc.oneShot {
-			inc.features[n] = st
+			inc.features[n] = leaf
 		}
 	}
-	scan := scanSpan(span, "cobra/feature/"+video+"/"+n.Name)
-	vals, rate, total, err := cat.FeatureTail(video, n.Name, st.rows)
+	lo, hi := featureBounds(n.Op, n.Val)
+	runs, rate, total, err := cat.FeatureRuns(obs.ContextWithSpan(ctx, span), video, n.Name, leaf.rows, lo, hi)
 	if err != nil {
-		scan.SetAttr("error", err.Error())
-		scan.Finish()
+		span.SetAttr("error", err.Error())
 		return nil, err
 	}
-	scan.SetAttr("rows", strconv.Itoa(len(vals)))
-	scan.SetAttr("access", "tail from="+strconv.Itoa(st.rows))
-	scan.Resources().AddScanned(len(vals))
-	scan.Finish()
-	test := featureTest(n.Op, n.Val)
 	step := 1 / rate
-	for k, v := range vals {
-		t := float64(st.rows+k) * step
-		if test(v) {
-			if !st.open {
-				st.open = true
-				st.start = t
-			}
+	for _, r := range runs {
+		if leaf.open.Start+leaf.open.Len == r.Start {
+			leaf.open.Len += r.Len
 			continue
 		}
-		if st.open {
-			st.open = false
-			if t-st.start >= minRunDur {
-				st.closed = append(st.closed, Result{Interval: cobra.Interval{Start: st.start, End: t}, Confidence: 1})
-			}
-		}
+		leaf.close(step)
+		leaf.open = r
 	}
-	st.rows = total
-	out := append([]Result(nil), st.closed...)
-	if st.open {
-		end := float64(total) * step
-		if end-st.start >= minRunDur {
-			out = append(out, Result{Interval: cobra.Interval{Start: st.start, End: end}, Confidence: 1})
-		}
+	if leaf.open.Start+leaf.open.Len < total {
+		leaf.close(step)
+	}
+	leaf.rows = total
+	out := append(make([]Result, 0, len(leaf.closed)+1), leaf.closed...)
+	if seg, ok := runSegment(leaf.open, step); ok {
+		out = append(out, seg)
 	}
 	return out, nil
+}
+
+// close moves the open run, unless it is noise, to the closed ones.
+func (leaf *featureLeaf) close(step float64) {
+	if seg, ok := runSegment(leaf.open, step); ok {
+		leaf.closed = append(leaf.closed, seg)
+	}
+	leaf.open = monet.Run{}
+}
+
+// runSegment returns the segment a run of samples a..b spans,
+// [a*step, (b+1)*step), and whether it clears the minRunDur noise
+// floor.
+func runSegment(r monet.Run, step float64) (Result, bool) {
+	start, end := float64(r.Start)*step, float64(r.Start+r.Len)*step
+	return Result{Interval: cobra.Interval{Start: start, End: end}, Confidence: 1}, end-start >= minRunDur
 }

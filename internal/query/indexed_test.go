@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cobra/internal/cobra"
@@ -38,27 +39,72 @@ func sameResults(t *testing.T, tag string, a, b []Result) {
 	}
 }
 
-// plainRun evaluates src on the standing-query path, which reads every
-// feature sample through its run-detection state machine and never
-// touches the kernel's access paths: the reference the indexed
-// one-shot path is checked against.
+// oracleFeature is the COQL definition of a FEATURE leaf over plain
+// samples, the sample-by-sample loop the engine once ran: the maximal
+// runs of samples v for which v <op> val holds under Go's float
+// comparison, which no NaN passes, kept when they last minRunDur; a
+// run of samples a..b spans [a/rate, (b+1)/rate).
+func oracleFeature(vals []float64, rate float64, op string, val float64) []Result {
+	test := func(v float64) bool {
+		switch op {
+		case ">":
+			return v > val
+		case ">=":
+			return v >= val
+		case "<":
+			return v < val
+		case "<=":
+			return v <= val
+		case "=":
+			return v == val
+		}
+		return false
+	}
+	step := 1 / rate
+	var out []Result
+	open, start := false, 0.0
+	for i := 0; i <= len(vals); i++ {
+		t := float64(i) * step
+		if i < len(vals) && test(vals[i]) {
+			if !open {
+				open, start = true, t
+			}
+			continue
+		}
+		if open {
+			open = false
+			if t-start >= minRunDur {
+				out = append(out, Result{Interval: cobra.Interval{Start: start, End: t}, Confidence: 1})
+			}
+		}
+	}
+	return out
+}
+
+// plainRun answers a single-FEATURE-leaf query src with oracleFeature
+// over the stored series, never touching the kernel: the reference the
+// engine is checked against.
 func plainRun(t *testing.T, e *Engine, src string) []Result {
 	t.Helper()
 	q, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewIncremental(e, q).Eval(context.Background(), nil)
+	n, ok := q.Where.(*FeatureCond)
+	if !ok {
+		t.Fatalf("plain %q: not a single FEATURE leaf", src)
+	}
+	f, err := e.pre.Catalog().Feature(q.Video, n.Name)
 	if err != nil {
 		t.Fatalf("plain %q: %v", src, err)
 	}
-	return res
+	return oracleFeature(f.Values, f.SampleRate, n.Op, n.Val)
 }
 
 // TestFeatureCondIndexedMatchesLegacy runs every comparison operator
 // repeatedly (so the column's zone map is built and then reused) and
-// checks the indexed path returns segment-for-segment
-// the plain sample-by-sample evaluation.
+// checks the indexed path returns segment-for-segment the plain
+// sample-by-sample oracle.
 func TestFeatureCondIndexedMatchesLegacy(t *testing.T) {
 	n := 3 * monet.MorselSize
 	rng := rand.New(rand.NewSource(7))
@@ -113,8 +159,8 @@ func TestFeatureCondIndexedSeesReplacedFeature(t *testing.T) {
 }
 
 // TestFeatureCondNaNValuesMatchLegacy: NaN samples compare false under
-// every operator; the indexed path must not let them match a range and
-// must return the plain sample-by-sample answer.
+// every operator; the kernel's range must not hold them, with the zone
+// map or without, and the answer is the sample-by-sample oracle's.
 func TestFeatureCondNaNValuesMatchLegacy(t *testing.T) {
 	n := 3 * monet.MorselSize
 	values := make([]float64, n)
@@ -137,9 +183,10 @@ func TestFeatureCondNaNValuesMatchLegacy(t *testing.T) {
 }
 
 // growingQueries cover every comparison operator on an index-scale
-// series, a NaN-bearing series, and a nested NOT/AND/OR/WITHIN
-// condition over feature and event leaves, plus a bare event leaf whose
-// tied starts pin the order late events are merged in.
+// series holding ±Inf, a series holding NaN and ±0, and a nested
+// NOT/AND/OR/WITHIN condition over feature and event leaves, plus a
+// bare event leaf whose tied starts pin the order late events are
+// merged in.
 var growingQueries = []string{
 	"SELECT SEGMENTS FROM race WHERE FEATURE('speed') > 150",
 	"SELECT SEGMENTS FROM race WHERE FEATURE('speed') >= 150",
@@ -147,6 +194,8 @@ var growingQueries = []string{
 	"SELECT SEGMENTS FROM race WHERE FEATURE('speed') <= 60",
 	"SELECT SEGMENTS FROM race WHERE FEATURE('speed') = 100",
 	"SELECT SEGMENTS FROM race WHERE FEATURE('wet') >= 50",
+	"SELECT SEGMENTS FROM race WHERE FEATURE('wet') = 0",
+	"SELECT SEGMENTS FROM race WHERE FEATURE('wet') > 0",
 	"SELECT SEGMENTS FROM race WHERE EVENT('passing')",
 	"SELECT SEGMENTS FROM race WHERE NOT (EVENT('passing') AND FEATURE('speed') > 120) " +
 		"OR (EVENT('pitstop', driver='HILL') WITHIN 5 OF FEATURE('wet') < 20)",
@@ -155,9 +204,10 @@ var growingQueries = []string{
 // TestIndexedOneShotMatchesStandingAcrossAppends grows two
 // index-scale feature series and an event relation in uneven chunks
 // and checks, at every watermark, that a long-lived standing query
-// (tail reads, leaf state carried across appends) and a one-shot
+// (tail selects, leaf state carried across appends) and a one-shot
 // execution (kernel access paths over the whole column, rebuilt after
-// each append) render the same segments.
+// each append) render the same segments, and for a single FEATURE
+// leaf the sample-by-sample oracle's.
 func TestIndexedOneShotMatchesStandingAcrossAppends(t *testing.T) {
 	const rate = 10.0
 	n := 3 * monet.MorselSize
@@ -172,7 +222,16 @@ func TestIndexedOneShotMatchesStandingAcrossAppends(t *testing.T) {
 			noise = float64(rng.Intn(3))
 		}
 		speed[i] = math.Round(100+80*math.Sin(float64(i)/500)) + noise
+		switch i % 1013 {
+		case 0:
+			speed[i] = math.Inf(1)
+		case 500:
+			speed[i] = math.Inf(-1)
+		}
 		wet[i] = float64(i/40%100) + float64(rng.Intn(2))
+		if wet[i] == 0 && rng.Intn(2) == 0 {
+			wet[i] = math.Copysign(0, -1)
+		}
 		if i%997 == 0 {
 			wet[i] = math.NaN()
 		}
@@ -243,11 +302,15 @@ func TestIndexedOneShotMatchesStandingAcrossAppends(t *testing.T) {
 					t.Fatalf("w=%.1f Execute(%q): %v", watermark, growingQueries[i], err)
 				}
 				want = res
-				for _, sp := range collectSpans(root, "monet.scan") {
-					if sp.Attr("fused") != "" {
+				for _, sp := range collectSpans(root, "monet.select") {
+					if strings.HasPrefix(sp.Attr("access"), "path=zonemap") {
 						indexed++
 					}
 				}
+			}
+			if _, leaf := queries[i].Where.(*FeatureCond); leaf {
+				sameResults(t, fmt.Sprintf("w=%.1f %q one-shot against the oracle", watermark, growingQueries[i]),
+					want, plainRun(t, eng, growingQueries[i]))
 			}
 			got, err := inc.Eval(context.Background(), nil)
 			if err != nil {

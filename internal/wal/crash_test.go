@@ -221,11 +221,11 @@ func chunkBetween(t *testing.T, from, to storeState) cobra.LiveChunk {
 		if b, ok := from[cobra.FeatureBATName(crashVideo, name)]; ok {
 			rows = b.Len()
 		}
-		vals, rate, _, err := cat.FeatureTail(crashVideo, name, rows)
+		f, err := cat.Feature(crashVideo, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch.Features = append(ch.Features, cobra.FeatureSamples{Name: name, Rate: rate, Values: vals})
+		ch.Features = append(ch.Features, cobra.FeatureSamples{Name: name, Rate: f.SampleRate, Values: f.Values[rows:]})
 	}
 	evRows := 0
 	if b, ok := from[cobra.EventBATName(crashVideo, "type")]; ok {
